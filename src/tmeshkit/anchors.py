@@ -96,9 +96,3 @@ def index_support(mesh: TMesh, anchor: Entity) -> Box:
             spans.append((w[0], w[-1]))
         return tuple(spans)
     return mesh.memo(("supp", anchor), build)
-
-
-def global_knot_set(mesh: TMesh, entity: Entity, j: int) -> frozenset:
-    def build():
-        return frozenset(global_knot_vector(mesh, entity, j))
-    return mesh.memo(("gks", entity, j), build)

@@ -256,45 +256,13 @@ def _props_suite(stream) -> tuple[dict, bool]:
         if knots_overlap(v1, v2) != verify.knots_overlap_oracle(v1, v2):
             return {"pairs": pairs, "failed_pair": [v1, v2]}, False
         pairs += 1
-    probes = sum(_probe_separation(mesh, seed)
-                 for seed, mesh in stream[:5])
-    return {"pairs": pairs, "probes": probes}, True
-
-
-def _probe_separation(mesh, seed) -> int:
-    import random
-
-    from .topology import find_separating_tjunction
-
-    rng = random.Random(seed)
-    done = 0
-    for _ in range(200):
-        probe = _random_skeleton_probe(mesh, rng)
-        if probe is None:
-            continue
-        x, y, i = probe
-        find_separating_tjunction(mesh, x, y, i)
-        done += 1
-    return done
-
-
-def _random_skeleton_probe(mesh, rng):
-    from .mesh import point_in_skeleton, singleton_dirs as sdirs
-
-    i = rng.randrange(mesh.dim)
-    faces = [f for f in mesh.entities[mesh.dim - 1] if sdirs(f) == (i,)]
-    if not faces:
-        return None
-    face = rng.choice(sorted(faces))
-    x = tuple(Fraction(a + b, 2) for a, b in face)
-    y = list(x)
-    for k in range(mesh.dim):
-        if k != i:
-            y[k] = Fraction(rng.randrange(0, 4 * mesh.domain.extents[k] + 1), 4)
-    y = tuple(y)
-    if y == x or point_in_skeleton(mesh, i, y):
-        return None
-    return x, y, i
+    reports = [verify.separation_probe_suite(mesh, probes=200, seed=seed)
+               for seed, mesh in stream[:5]]
+    rep = {"pairs": pairs, "probes": sum(r["probes"] for r in reports)}
+    failed = [f for r in reports for f in r["failures"]]
+    if failed:
+        rep["failed_probes"] = failed
+    return rep, not failed
 
 
 def _cmd_export(args) -> int:

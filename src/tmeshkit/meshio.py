@@ -13,7 +13,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .mesh import IndexDomain, TMesh, create_tensor_mesh, find_cell_containing, subdiv
+from .mesh import (IndexDomain, MeshError, TMesh, create_tensor_mesh,
+                   find_cell_containing, subdiv)
 from .regions import BoxRegion
 
 FORMAT_VERSION = 1
@@ -81,17 +82,21 @@ def mesh_from_dict(data: dict) -> TMesh:
         domain = IndexDomain(extents=extents, degrees=degrees,
                              parametric_knots=knots)
         mesh = create_tensor_mesh(domain, breakpoints)
-        for entry in refinements:
+        for number, entry in enumerate(refinements, 1):
             point = tuple(_num_from_json(x) for x in entry["point"])
             direction = int(entry["direction"]) - 1
-            if not 0 <= direction < dim:
-                raise MeshFormatError(f"direction {entry['direction']} out of range")
-            cell = find_cell_containing(mesh, point)
-            mesh = subdiv(mesh, cell, direction)
+            if len(point) != dim or not 0 <= direction < dim:
+                raise MeshFormatError(
+                    f"refinement {number}: point or direction out of range")
+            try:
+                cell = find_cell_containing(mesh, point)
+                mesh = subdiv(mesh, cell, direction)
+            except MeshError as exc:
+                raise MeshFormatError(f"refinement {number}: {exc}") from exc
         return mesh
     except MeshFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MeshError) as exc:
         raise MeshFormatError(f"malformed mesh description: {exc}") from exc
 
 

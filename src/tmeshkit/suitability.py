@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anchors import (_window, anchor_set, global_knot_set,
-                      global_knot_vector, index_support)
+from .anchors import _window, anchor_set, global_knot_vector, index_support
 from .mesh import MeshError, TMesh
 from .regions import Box, BoxRegion, box_intersection
 from .topology import TJunction, find_tjunctions
@@ -48,7 +47,7 @@ def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
             if not supp[j][0] <= n <= supp[j][1]:
                 continue
             sliced = supp[:j] + ((n, n),) + supp[j + 1:]
-            if n in global_knot_set(mesh, a, j):
+            if n in global_knot_vector(mesh, a, j):
                 boxes_in.append(sliced)
             else:
                 boxes_out.append(sliced)

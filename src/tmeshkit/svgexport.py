@@ -15,7 +15,7 @@ from .anchors import anchor_set
 from .mesh import TMesh, entity_hull, singleton_dirs
 from .meshio import region_to_json
 from .regions import BoxRegion
-from .suitability import atj_slice, gtj
+from .suitability import atj_slice, atj_union, gtj
 from .topology import find_tjunctions
 
 SCALE = 40
@@ -130,8 +130,7 @@ def _layer_region(mesh, k, n, axes, kind) -> BoxRegion:
             return atj_slice(mesh, k, n).region
         region = BoxRegion.empty(mesh.dim)
         for j in range(mesh.dim):
-            for m in range(mesh.domain.extents[j] + 1):
-                region = region.union(atj_slice(mesh, j, m).region)
+            region = region.union(atj_union(mesh, j))
         return region
     boxes = []
     for tj in find_tjunctions(mesh):

@@ -4,7 +4,9 @@ A T-junction is a (d-2)-dimensional interior entity of valence 3: it
 bounds three hyperfaces instead of four.  It carries an orthogonal
 direction (the singleton component strictly inside its associated cell),
 a pointing direction (the singleton component on the cell boundary), and
-the unique associated cell itself.
+the unique associated cell itself.  Detection reads only the lattice
+rasters of `tmeshkit.mesh` (`skeleton_mask`, `cell_labels`); the direct
+scans it replaces are kept as `tmeshkit.verify.tjunctions_oracle`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mesh import (Entity, MeshError, TMesh, entity_hull, point_in_skeleton,
-                   singleton_dirs)
+from .mesh import (Entity, MeshError, TMesh, cell_labels, entity_hull,
+                   point_in_skeleton, singleton_dirs, skeleton_mask)
 from .regions import Scalar
 
 
@@ -40,73 +42,49 @@ class TJunction:
     valence: int
 
 
-def _hyperface_index(mesh: TMesh) -> dict:
-    """Hyperfaces keyed by (orthogonal direction, singleton value)."""
-    def build():
-        index: dict = {}
-        for f in mesh.entities[mesh.dim - 1]:
-            (s,) = singleton_dirs(f)
-            index.setdefault((s, f[s][0]), []).append(f)
-        return index
-    return mesh.memo("hyperface_index", build)
-
-
-def _valence(mesh: TMesh, t: Entity) -> int:
-    i, j = singleton_dirs(t)
-    index = _hyperface_index(mesh)
-    hull = entity_hull(t)
-    count = 0
-    for key in ((i, t[i][0]), (j, t[j][0])):
-        for f in index.get(key, ()):
-            if all(a <= lo and hi <= b for (a, b), (lo, hi) in zip(f, hull)):
-                count += 1
-    return count
-
-
 def find_tjunctions(mesh: TMesh) -> tuple:
-    """All T-junctions of the mesh, classified, sorted by entity."""
+    """All T-junctions of the mesh, classified, sorted by entity.
+
+    Valence is four skeleton-mask probes, one per half-face around t, at
+    the lattice points beside t.  A missing i-orthogonal half-face makes i
+    the orthogonal direction and the other singleton direction the
+    pointing one; the cell label at its probe is the associated cell.
+    """
     def build():
         d = mesh.dim
         if d < 2:
             return ()
+        masks = [skeleton_mask(mesh, k) for k in range(d)]
         out = []
         for t in sorted(mesh.entities[d - 2]):
-            sdirs = singleton_dirs(t)
-            if len(sdirs) != 2:
-                continue
-            if any(t[k][0] in (0, mesh.domain.extents[k]) for k in sdirs):
+            i, j = singleton_dirs(t)
+            if any(t[k][0] in (0, mesh.domain.extents[k]) for k in (i, j)):
                 continue  # in the domain boundary
-            valence = _valence(mesh, t)
+            base = [2 * a + 1 for a, _ in t]
+            base[i], base[j] = 2 * t[i][0], 2 * t[j][0]
+            missing = []
+            for odir, pdir in ((i, j), (j, i)):
+                for step in (-1, 1):
+                    probe = list(base)
+                    probe[pdir] += step
+                    if not masks[odir][tuple(probe)]:
+                        missing.append((odir, pdir, tuple(probe)))
+            valence = 4 - len(missing)
             if valence >= 4:
                 continue
             if valence < 3:
                 raise ClassificationAmbiguous(
                     f"entity {t!r} has valence {valence}; complex is corrupted")
-            out.append(_classify(mesh, t, valence))
+            odir, pdir, probe = missing[0]
+            labels, cells = cell_labels(mesh)
+            label = labels[probe]
+            if label < 0:
+                raise ClassificationAmbiguous(
+                    f"entity {t!r} has no associated cell")
+            out.append(TJunction(entity=t, odir=odir, pdir=pdir,
+                                 ascell=cells[label], valence=valence))
         return tuple(out)
     return mesh.memo("tjunctions", build)
-
-
-def _classify(mesh: TMesh, t: Entity, valence: int) -> TJunction:
-    """Associated cell: the unique cell whose boundary holds t with one
-    singleton direction strictly interior (the orthogonal direction) and
-    the other on the cell boundary (the pointing direction); such a cell
-    contains t in a face interior, away from all its vertices."""
-    i0, j0 = singleton_dirs(t)
-    hull = entity_hull(t)
-    candidates = []
-    for q in mesh.cells:
-        if not all(qa <= a and b <= qb for (a, b), (qa, qb) in zip(hull, q)):
-            continue
-        interior = [k for k in (i0, j0) if q[k][0] < t[k][0] < q[k][1]]
-        boundary = [k for k in (i0, j0) if t[k][0] in (q[k][0], q[k][1])]
-        if len(interior) == 1 and len(boundary) == 1:
-            candidates.append((q, interior[0], boundary[0]))
-    if len(candidates) != 1:
-        raise ClassificationAmbiguous(
-            f"entity {t!r} has {len(candidates)} associated cells")
-    q, odir, pdir = candidates[0]
-    return TJunction(entity=t, odir=odir, pdir=pdir, ascell=q, valence=valence)
 
 
 def tjunctions_by_odir(mesh: TMesh, i: int) -> tuple:

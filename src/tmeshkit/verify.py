@@ -2,15 +2,17 @@
 
 This module is the acceptance engine: it regenerates expected values by
 routes independent of the production code paths (brute-force overlap,
-direct skeleton scans, pairwise extension enumeration, collocation rank)
-and drives seeded, replayable streams of random admissible meshes
-through the classifier cross-checks.
+direct skeleton and T-junction scans, pairwise extension enumeration,
+collocation rank), probes the separating-junction search, and drives
+seeded, replayable streams of random admissible meshes through the
+classifier cross-checks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -19,10 +21,12 @@ from .anchors import anchor_set, index_support, local_knot_vector
 from .dualcompat import is_sdc, is_wdc
 from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
                    dyadic_active_breakpoints, entity_hull, hull_inside,
-                   singleton_dirs, subdiv)
+                   point_in_skeleton, singleton_dirs, subdiv)
 from .regions import BoxRegion, _box_covered
 from .splines import bspline_eval_array, parametric_support
 from .suitability import atj_union, gtj_union, is_aas, is_sgas, is_wgas
+from .topology import (ClassificationAmbiguous, NotFound, TJunction,
+                       find_separating_tjunction)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +64,35 @@ def _gkv_direct(mesh: TMesh, entity: Entity, j: int) -> tuple:
         proj = hull[:j] + ((n, n),) + hull[j + 1:]
         if _box_covered(proj, boxes):
             out.append(n)
+    return tuple(out)
+
+
+def tjunctions_oracle(mesh: TMesh) -> tuple:
+    """T-junctions by direct scans of hyperface and cell closures,
+    bypassing the lattice rasters of the production path.  Raises when an
+    interior (d-2)-entity has a valence other than 3 or 4, or a T-junction
+    other than one associated cell."""
+    d = mesh.dim
+    if d < 2:
+        return ()
+    out = []
+    for t in sorted(mesh.entities[d - 2]):
+        i0, j0 = singleton_dirs(t)
+        if any(t[k][0] in (0, mesh.domain.extents[k]) for k in (i0, j0)):
+            continue
+        valence = sum(hull_inside(t, f) for f in mesh.entities[d - 1])
+        if valence == 4:
+            continue
+        # odir strictly inside the cell, pdir on its boundary
+        cells = [(q, k, m) for q in mesh.cells if hull_inside(t, q)
+                 for k, m in ((i0, j0), (j0, i0))
+                 if q[k][0] < t[k][0] < q[k][1] and t[m][0] in q[m]]
+        if valence != 3 or len(cells) != 1:
+            raise ClassificationAmbiguous(
+                f"entity {t!r}: valence {valence}, {len(cells)} associated cells")
+        q, odir, pdir = cells[0]
+        out.append(TJunction(entity=t, odir=odir, pdir=pdir, ascell=q,
+                             valence=valence))
     return tuple(out)
 
 
@@ -293,6 +326,54 @@ def replay_prefix(mesh: TMesh, length: int) -> TMesh:
     for cell, j in mesh.refinement_log[:length]:
         out = subdiv(out, cell, j)
     return out
+
+
+# ---------------------------------------------------------------------------
+# separating-junction probes
+
+def separation_probe_suite(mesh: TMesh, probes: int, seed: int) -> dict:
+    """Random valid (x, y, i) probes of `find_separating_tjunction`: x on
+    an i-orthogonal hyperface outside the complete slices, y on the same
+    slice off the i-skeleton.  A probe fails when the search raises or its
+    output breaks a postcondition (checked here, independently of it);
+    failures are listed as (x, y, i, what the search returned or raised)."""
+    rng = random.Random(seed)
+    by_dir = {}
+    for i in range(mesh.dim):
+        full = set(complete_slices(mesh, i))
+        faces = sorted(f for f in mesh.entities[mesh.dim - 1]
+                       if singleton_dirs(f) == (i,) and f[i][0] not in full)
+        if faces:
+            by_dir[i] = faces
+    dirs = sorted(by_dir)
+    done = attempts = 0
+    failures = []
+    while dirs and done < probes and attempts < probes * 40:
+        attempts += 1
+        i = rng.choice(dirs)
+        face = rng.choice(by_dir[i])
+        x = tuple(Fraction(rng.randint(4 * a, 4 * b), 4) for a, b in face)
+        y = list(x)
+        for k in range(mesh.dim):
+            if k != i:
+                y[k] = Fraction(rng.randint(0, 8 * mesh.domain.extents[k]), 8)
+        y = tuple(y)
+        if y == x or point_in_skeleton(mesh, i, y):
+            continue
+        done += 1
+        try:
+            tj, witness = find_separating_tjunction(mesh, x, y, i)
+        except NotFound as exc:
+            failures.append((x, y, i, f"NotFound: {exc}"))
+            continue
+        j, t, point = tj.pdir, witness.t_enter, witness.point
+        lo, hi = min(x[j], y[j]), max(x[j], y[j])
+        if not (tj.odir == i and 0 <= t <= 1 and x[j] != y[j]
+                and point == tuple(xc + t * (yc - xc) for xc, yc in zip(x, y))
+                and all(a <= c <= b for (a, b), c in zip(tj.entity, point))
+                and tj.ascell[j][0] < hi and lo < tj.ascell[j][1]):
+            failures.append((x, y, i, (tj, witness)))
+    return {"probes": done, "failures": failures}
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from tmeshkit.anchors import anchor_set, local_knot_vector, index_support
+from tmeshkit.anchors import (anchor_set, global_knot_vector, index_support,
+                              local_knot_vector)
 from tmeshkit.dualcompat import knots_overlap
 from tmeshkit.mesh import (TMesh, check_three_direction_assumption,
                            entity_hull, hull_in_skeleton, hull_inside,
                            is_admissible, open_entity_meets_skeleton,
-                           point_in_skeleton, project_entity, singleton_dirs,
-                           subdiv)
+                           point_in_skeleton, project_entity, subdiv)
 from tmeshkit.suitability import gtj
 from tmeshkit.topology import find_separating_tjunction, find_tjunctions
 from tmeshkit.verify import child_anchor_inheritance, random_admissible_mesh
@@ -63,53 +63,6 @@ def admissibility_preserved_along_walk(seed: int, steps: int = 12) -> dict:
             return {"ok": False, "violations": violations, "steps": done}
         done += 1
     return {"ok": True, "steps": done}
-
-
-def separation_probe_suite(mesh: TMesh, probes: int, seed: int) -> dict:
-    """Random valid (x, y, i) probes; the separating search must succeed and
-    its output must satisfy the three postconditions."""
-    from tmeshkit.verify import complete_slices
-
-    rng = random.Random(seed)
-    by_dir = {}
-    for i in range(mesh.dim):
-        full = set(complete_slices(mesh, i))
-        faces = sorted(f for f in mesh.entities[mesh.dim - 1]
-                       if singleton_dirs(f) == (i,) and f[i][0] not in full)
-        if faces:
-            by_dir[i] = faces
-    if not by_dir:
-        return {"probes": 0, "vacuous": True}
-    dirs = sorted(by_dir)
-    done = 0
-    attempts = 0
-    while done < probes and attempts < probes * 40:
-        attempts += 1
-        i = rng.choice(dirs)
-        face = rng.choice(by_dir[i])
-        x = tuple(Fraction(rng.randint(4 * a, 4 * b), 4) for a, b in face)
-        y = list(x)
-        for k in range(mesh.dim):
-            if k != i:
-                y[k] = Fraction(rng.randint(0, 8 * mesh.domain.extents[k]), 8)
-        y = tuple(y)
-        if y == x or point_in_skeleton(mesh, i, y):
-            continue
-        tj, witness = find_separating_tjunction(mesh, x, y, i)
-        # postconditions, checked independently of the search
-        assert tj.odir == i
-        hull = entity_hull(tj.entity)
-        assert all(lo <= c <= hi for (lo, hi), c in zip(hull, witness.point))
-        t = witness.t_enter
-        assert witness.point == tuple(xc + t * (yc - xc) for xc, yc in zip(x, y))
-        assert 0 <= t <= 1
-        j = tj.pdir
-        assert x[j] != y[j]
-        qa, qb = tj.ascell[j]
-        lo, hi = min(x[j], y[j]), max(x[j], y[j])
-        assert qa < hi and lo < qb
-        done += 1
-    return {"probes": done}
 
 
 def projection_dichotomy_suite(mesh: TMesh) -> dict:
@@ -171,7 +124,6 @@ def abstract_extension_witness_suite(mesh: TMesh, max_points: int = 12) -> dict:
     """Every sampled point of a nonempty abstract extension admits an
     orthogonal separating junction against an anchor of the opposite
     knot-membership class, with the junction's cell reaching between."""
-    from tmeshkit.anchors import global_knot_set
     from tmeshkit.suitability import atj_slice
 
     anchors = anchor_set(mesh)
@@ -210,13 +162,11 @@ def abstract_extension_witness_suite(mesh: TMesh, max_points: int = 12) -> dict:
 
 
 def _pick_witness_anchor(mesh, anchors, x, i, n, want_in_class):
-    from tmeshkit.anchors import global_knot_set
-
     for a in anchors:
         supp = index_support(mesh, a)
         if not all(lo <= xc <= hi for (lo, hi), xc in zip(supp, x)):
             continue
-        if (n in global_knot_set(mesh, a, i)) == want_in_class:
+        if (n in global_knot_vector(mesh, a, i)) == want_in_class:
             return a
     return None
 

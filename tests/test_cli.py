@@ -40,6 +40,29 @@ def test_refine_exit_codes(tmp_path):
                "--dir", "1") == 2
 
 
+def test_malformed_mesh_files_exit_4(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
+        "--out", str(good))
+    data = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    # a refinement point on a cell face; one breakpoint or knot list in 2-D
+    for patch, message in (
+            ({"refinements": [{"point": [2, "5/2"], "direction": 1}]},
+             "refinement 1: no cell strictly contains"),
+            ({"breakpoints": data["breakpoints"][:1]}, "breakpoint lists"),
+            ({"parametric_knots": data["parametric_knots"][:1]},
+             "parametric_knots lists")):
+        bad.write_text(json.dumps(data | patch))
+        capsys.readouterr()
+        assert run("check", "--mesh", str(bad)) == 4
+        assert run("lin-indep", "--mesh", str(bad)) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(message in line for line in err)
+    assert run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
+               "--breakpoints", "0,1,2,4,5,6", "--out", str(bad)) == 2
+
+
 def test_check_shipped_crossing_edges_fixture(tmp_path, capsys):
     data = resources.files("tmeshkit").joinpath(
         "data/crossing_hanging_edges_p321.json")
@@ -103,3 +126,8 @@ def test_verify_suites_run(tmp_path):
                "--json", str(report)) == 0
     payload = json.loads(report.read_text())
     assert payload["candidates"] == []
+    report = tmp_path / "props.json"
+    assert run("verify", "--suite", "props", "--seeds", "2", "--seed", "3",
+               "--json", str(report)) == 0
+    payload = json.loads(report.read_text())
+    assert payload["pairs"] == 10_000 and payload["probes"] > 0

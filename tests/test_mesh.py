@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ from tmeshkit.mesh import (CellOutsideActiveRegion, DimensionTooSmall,
                            active_region, build_framed_mesh,
                            check_three_direction_assumption, create_tensor_mesh,
                            entity_contains_point, find_cell_containing,
-                           frame_region, frame_region_k, is_admissible,
-                           orth_entities, skeleton, subdiv)
+                           frame_region, frame_region_k, hull_inside,
+                           is_admissible, orth_entities, point_in_skeleton,
+                           skeleton, subdiv)
+from tmeshkit.regions import DimensionMismatch
+from tmeshkit.verify import mesh_stream
 
 
 def grid2d():
@@ -134,6 +138,19 @@ def test_skeleton_membership():
     hanging = (3, 2)
     assert ref.contains_point(hanging)
     assert skeleton(refined2d(), 1).contains_point(hanging)
+    # the lattice lookup against the region, on rationals with denominators
+    # 1..6 that reach two units past the domain
+    rng = random.Random(5)
+    for mesh in (refined2d(), fx.corner_cascade()[0], fx.running_example_3d()[0]):
+        for j in range(mesh.dim):
+            region = skeleton(mesh, j)
+            for _ in range(400):
+                den = rng.randint(1, 6)
+                p = tuple(Fraction(rng.randint(-2 * den, (n + 2) * den), den)
+                          for n in mesh.domain.extents)
+                assert point_in_skeleton(mesh, j, p) == region.contains_point(p), p
+    with pytest.raises(DimensionMismatch):
+        point_in_skeleton(mesh, 0, (2, 2))
 
 
 def test_orth_entities():
@@ -170,6 +187,23 @@ def test_three_direction_assumption():
     assert check_three_direction_assumption(cube)
     refined, info = fx.flat_block_center_split()
     assert not check_three_direction_assumption(info["initial"])
+    meshes = [cube, refined, info["initial"], fx.running_example_3d()[0],
+              fx.crossing_hanging_edges((3, 2, 1))[0]]
+    meshes += [m for _, m in mesh_stream(17, 12, dim=3, max_steps=20)]
+    verdicts = [check_three_direction_assumption(m) for m in meshes]
+    assert True in verdicts and False in verdicts
+    assert verdicts == [_three_directions_by_scan(m) for m in meshes]
+
+
+def _three_directions_by_scan(mesh):
+    cells = [c for c in mesh.cells if hull_inside(c, mesh.domain.active_spans())]
+
+    def neighbour(q, i):
+        return any((o[i][1] == q[i][0] or o[i][0] == q[i][1]) and all(
+            k == i or max(o[k][0], q[k][0]) < min(o[k][1], q[k][1])
+            for k in range(mesh.dim)) for o in cells)
+
+    return all(sum(neighbour(q, i) for i in range(mesh.dim)) >= 3 for q in cells)
 
 
 def test_find_cell_containing():

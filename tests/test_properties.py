@@ -7,13 +7,13 @@ import pytest
 from propertysuites import (abstract_extension_witness_suite,
                             admissibility_preserved_along_walk,
                             child_anchor_suite, disjoint_union_violations,
-                            projection_dichotomy_suite,
-                            separation_probe_suite, sgas_overlap_suite)
+                            projection_dichotomy_suite, sgas_overlap_suite)
 from tmeshkit import fixtures as fx
 from tmeshkit.mesh import is_admissible
 from tmeshkit.suitability import atj_slice, is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
-from tmeshkit.verify import mesh_stream, random_admissible_mesh
+from tmeshkit.verify import (mesh_stream, random_admissible_mesh,
+                             separation_probe_suite, tjunctions_oracle)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -29,8 +29,9 @@ def test_subdiv_preserves_admissibility(seed):
 
 
 def test_tjunction_valence_is_three_everywhere():
-    for _, mesh in mesh_stream(55, 10, max_steps=20):
+    for _, mesh in mesh_stream(55, 10):
         assert all(t.valence == 3 for t in find_tjunctions(mesh))
+        assert find_tjunctions(mesh) == tjunctions_oracle(mesh)
 
 
 @pytest.mark.parametrize("seed", [9, 14])
@@ -38,7 +39,7 @@ def test_separation_probes_never_fail(seed):
     mesh = random_admissible_mesh(seed, max_steps=20)
     assert find_tjunctions(mesh)
     report = separation_probe_suite(mesh, probes=200, seed=seed)
-    assert report["probes"] == 200
+    assert report == {"probes": 200, "failures": []}
 
 
 def test_projection_dichotomy_on_wgas_meshes():

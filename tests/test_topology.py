@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from tmeshkit import fixtures as fx
 from tmeshkit.mesh import IndexDomain, build_framed_mesh, create_tensor_mesh, subdiv
+from tmeshkit.suitability import is_wgas
 from tmeshkit.topology import (PreconditionViolated,
                                find_separating_tjunction, find_tjunctions,
                                min_connecting_box, tjunctions_by_odir)
+from tmeshkit.verify import mesh_stream, tjunctions_oracle
 
 
 def refined2d():
@@ -50,18 +53,14 @@ def test_hanging_edge_3d_directions():
 
 
 def test_valences_are_three_or_four():
-    from tmeshkit.topology import _valence
-    from tmeshkit.mesh import singleton_dirs
-
-    mesh = refined2d()
-    d = mesh.dim
-    for e in mesh.entities[d - 2]:
-        if len(singleton_dirs(e)) != 2:
-            continue
-        if any(e[k][0] in (0, mesh.domain.extents[k])
-               for k in singleton_dirs(e)):
-            continue
-        assert _valence(mesh, e) in (3, 4)
+    # the oracle counts hyperfaces by scan and raises off valences 3 and 4
+    meshes = [refined2d(), fx.corner_tjunction_triple()[0],
+              fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
+              fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0]]
+    meshes += [m for _, m in mesh_stream(424243, 3, max_steps=18,
+                                         keep=lambda m: is_wgas(m)[0])]
+    for mesh in meshes:
+        assert find_tjunctions(mesh) == tjunctions_oracle(mesh)
 
 
 def test_separating_tjunction_found():
