@@ -132,18 +132,32 @@ def region_to_json(region: BoxRegion) -> dict:
 
 
 def region_from_json(data: dict) -> BoxRegion:
-    boxes = []
-    for comps in data["boxes"]:
-        spans = []
-        for comp in comps:
-            if "point" in comp:
-                q = _num_from_json(comp["point"])
-                spans.append((q, q))
-            else:
-                lo, hi = comp["interval"]
-                spans.append((_num_from_json(lo), _num_from_json(hi)))
-        boxes.append(tuple(spans))
-    return BoxRegion(int(data["dim"]), boxes)
+    if not isinstance(data, dict):
+        raise MeshFormatError("region JSON value must be an object")
+    try:
+        if data.get("format_version") != FORMAT_VERSION:
+            raise MeshFormatError(
+                f"unsupported format_version {data.get('format_version')!r}")
+        dim = int(data["dim"])
+        boxes = []
+        for number, comps in enumerate(data["boxes"], 1):
+            if len(comps) != dim:
+                raise MeshFormatError(
+                    f"box {number}: {len(comps)} components, dim is {dim}")
+            spans = []
+            for comp in comps:
+                if "point" in comp:
+                    q = _num_from_json(comp["point"])
+                    spans.append((q, q))
+                else:
+                    lo, hi = comp["interval"]
+                    spans.append((_num_from_json(lo), _num_from_json(hi)))
+            boxes.append(tuple(spans))
+        return BoxRegion(dim, boxes)
+    except MeshFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MeshFormatError(f"malformed region description: {exc}") from exc
 
 
 def entity_to_json(entity) -> list:

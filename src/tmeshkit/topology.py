@@ -5,18 +5,22 @@ bounds three hyperfaces instead of four.  It carries an orthogonal
 direction (the singleton component strictly inside its associated cell),
 a pointing direction (the singleton component on the cell boundary), and
 the unique associated cell itself.  Detection reads only the lattice
-rasters of `tmeshkit.mesh` (`skeleton_mask`, `cell_labels`); the direct
-scans it replaces are kept as `tmeshkit.verify.tjunctions_oracle`.
+rasters of `tmeshkit.mesh` (`skeleton_mask`, `cell_labels`), with array
+gathers over all (d-2)-entities and no Python loop per entity; the
+direct scans it replaces are kept as `tmeshkit.verify.tjunctions_oracle`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .mesh import (Entity, MeshError, TMesh, cell_labels, entity_hull,
-                   point_in_skeleton, singleton_dirs, skeleton_mask)
+                   point_in_skeleton, skeleton_mask)
 from .regions import Scalar
 
 
@@ -46,44 +50,62 @@ def find_tjunctions(mesh: TMesh) -> tuple:
     """All T-junctions of the mesh, classified, sorted by entity.
 
     Valence is four skeleton-mask probes, one per half-face around t, at
-    the lattice points beside t.  A missing i-orthogonal half-face makes i
-    the orthogonal direction and the other singleton direction the
-    pointing one; the cell label at its probe is the associated cell.
+    the lattice points beside t; they run as array gathers over all
+    interior (d-2)-entities with the same singleton directions (i, j).  A
+    missing i-orthogonal half-face makes i the orthogonal direction and
+    the other singleton direction the pointing one; the cell label at its
+    probe is the associated cell.  When several entities are corrupt, the
+    smallest is reported.
     """
     def build():
         d = mesh.dim
-        if d < 2:
+        ents = list(mesh.entities[d - 2]) if d >= 2 else []
+        if not ents:
             return ()
         masks = [skeleton_mask(mesh, k) for k in range(d)]
+        flat = itertools.chain.from_iterable
+        comps = np.fromiter(flat(flat(ents)), dtype=np.int64,
+                            count=2 * d * len(ents)).reshape(len(ents), d, 2)
+        lo = comps[..., 0]
+        single = lo == comps[..., 1]
+        # beside t: 2a on a singleton component, 2a + 1 inside an interval
+        base = 2 * lo + ~single
+        interior = ~(single & ((lo == 0) | (lo == mesh.domain.extents))).any(axis=1)
+        rows, odirs, pdirs, probes, errors = [], [], [], [], []
+        for i, j in itertools.combinations(range(d), 2):
+            sel = np.flatnonzero(single[:, i] & single[:, j] & interior)
+            # probes 0, 1 step along j and read the i-mask; 2, 3 the reverse
+            around = np.repeat(base[None, sel], 4, axis=0)
+            around[0, :, j] -= 1
+            around[1, :, j] += 1
+            around[2, :, i] -= 1
+            around[3, :, i] += 1
+            odir = np.array([i, i, j, j])
+            present = np.stack([masks[o][tuple(p.T)] for o, p in zip(odir, around)])
+            valence = present.sum(axis=0)
+            errors += [(ents[r], f"entity {ents[r]!r} has valence {v}; "
+                                 f"complex is corrupted")
+                       for r, v in zip(sel[valence < 3], valence[valence < 3])]
+            three = np.flatnonzero(valence == 3)
+            missing = present[:, three].argmin(axis=0)
+            rows.append(sel[three])
+            odirs.append(odir[missing])
+            pdirs.append(i + j - odir[missing])
+            probes.append(around[missing, three])
+        rows, odirs, pdirs, probes = (np.concatenate(a)
+                                      for a in (rows, odirs, pdirs, probes))
         out = []
-        for t in sorted(mesh.entities[d - 2]):
-            i, j = singleton_dirs(t)
-            if any(t[k][0] in (0, mesh.domain.extents[k]) for k in (i, j)):
-                continue  # in the domain boundary
-            base = [2 * a + 1 for a, _ in t]
-            base[i], base[j] = 2 * t[i][0], 2 * t[j][0]
-            missing = []
-            for odir, pdir in ((i, j), (j, i)):
-                for step in (-1, 1):
-                    probe = list(base)
-                    probe[pdir] += step
-                    if not masks[odir][tuple(probe)]:
-                        missing.append((odir, pdir, tuple(probe)))
-            valence = 4 - len(missing)
-            if valence >= 4:
-                continue
-            if valence < 3:
-                raise ClassificationAmbiguous(
-                    f"entity {t!r} has valence {valence}; complex is corrupted")
-            odir, pdir, probe = missing[0]
+        if rows.size:
             labels, cells = cell_labels(mesh)
-            label = labels[probe]
-            if label < 0:
-                raise ClassificationAmbiguous(
-                    f"entity {t!r} has no associated cell")
-            out.append(TJunction(entity=t, odir=odir, pdir=pdir,
-                                 ascell=cells[label], valence=valence))
-        return tuple(out)
+            label = labels[tuple(probes.T)]
+            errors += [(ents[r], f"entity {ents[r]!r} has no associated cell")
+                       for r in rows[label < 0]]
+            out = [TJunction(entity=ents[r], odir=int(o), pdir=int(p),
+                             ascell=cells[c], valence=3)
+                   for r, o, p, c in zip(rows, odirs, pdirs, label)]
+        if errors:
+            raise ClassificationAmbiguous(min(errors)[1])
+        return tuple(sorted(out, key=lambda t: t.entity))
     return mesh.memo("tjunctions", build)
 
 

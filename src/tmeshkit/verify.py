@@ -71,16 +71,22 @@ def tjunctions_oracle(mesh: TMesh) -> tuple:
     """T-junctions by direct scans of hyperface and cell closures,
     bypassing the lattice rasters of the production path.  Raises when an
     interior (d-2)-entity has a valence other than 3 or 4, or a T-junction
-    other than one associated cell."""
+    other than one associated cell.  A hyperface whose closure holds t lies
+    in a plane {x_k = t_k} through t, so hyperfaces are scanned by plane."""
     d = mesh.dim
     if d < 2:
         return ()
+    planes = {}
+    for f in mesh.entities[d - 1]:
+        (k,) = singleton_dirs(f)
+        planes.setdefault((k, f[k][0]), []).append(f)
     out = []
     for t in sorted(mesh.entities[d - 2]):
         i0, j0 = singleton_dirs(t)
         if any(t[k][0] in (0, mesh.domain.extents[k]) for k in (i0, j0)):
             continue
-        valence = sum(hull_inside(t, f) for f in mesh.entities[d - 1])
+        valence = sum(hull_inside(t, f) for k in (i0, j0)
+                      for f in planes.get((k, t[k][0]), ()))
         if valence == 4:
             continue
         # odir strictly inside the cell, pdir on its boundary

@@ -28,12 +28,14 @@ from tmeshkit.verify import (atj_slice_oracle, knots_overlap_oracle,
 
 @contextmanager
 def criterion(number: int, title: str):
+    start = time.monotonic()
+    verdict = "FAIL"
     try:
         yield
-    except BaseException:
-        print(f"[criterion {number:02d}] {title}: FAIL")
-        raise
-    print(f"[criterion {number:02d}] {title}: PASS")
+        verdict = "PASS"
+    finally:
+        print(f"[criterion {number:02d}] {title}: {verdict} "
+              f"({time.monotonic() - start:.1f} s)")
 
 
 def test_criterion_01_opposing_pair_abstract_extensions():

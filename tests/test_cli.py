@@ -63,6 +63,27 @@ def test_malformed_mesh_files_exit_4(tmp_path, capsys):
                "--breakpoints", "0,1,2,4,5,6", "--out", str(bad)) == 2
 
 
+def test_lattice_size_limit_exit_codes(tmp_path, capsys):
+    # 10001 * 10001 lattice points exceed the limit, as a flag or in a file;
+    # coarse breakpoints and `refine` keep a regression from allocating
+    # a raster or 10**8 entities before it fails
+    huge = tmp_path / "huge.json"
+    assert run("new", "--dim", "2", "--extents", "5000,5000", "--degrees", "1,1",
+               "--breakpoints", "0,5000;0,5000", "--out", str(huge)) == 2
+    assert not huge.exists()
+    good = tmp_path / "good.json"
+    run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
+        "--out", str(good))
+    data = json.loads(good.read_text())
+    huge.write_text(json.dumps(data | {
+        "extents": [5000, 5000], "parametric_knots": [],
+        "breakpoints": [[0, 5000], [0, 5000]]}))
+    capsys.readouterr()
+    assert run("refine", "--mesh", str(huge), "--at", "2500,2500",
+               "--dir", "1") == 4
+    assert "lattice points" in capsys.readouterr().err
+
+
 def test_check_shipped_crossing_edges_fixture(tmp_path, capsys):
     data = resources.files("tmeshkit").joinpath(
         "data/crossing_hanging_edges_p321.json")

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from tmeshkit import fixtures as fx
-from tmeshkit.mesh import (CellOutsideActiveRegion, DimensionTooSmall,
-                           IndexDomain, MeshError, NonIntegerMidpoint, NotACell,
-                           active_region, build_framed_mesh,
-                           check_three_direction_assumption, create_tensor_mesh,
+from tmeshkit.mesh import (MAX_LATTICE_POINTS, CellOutsideActiveRegion,
+                           DimensionTooSmall, IndexDomain, MeshError,
+                           NonIntegerMidpoint, NotACell, active_region,
+                           build_framed_mesh, check_three_direction_assumption,
+                           create_tensor_mesh,
                            entity_contains_point, find_cell_containing,
                            frame_region, frame_region_k, hull_inside,
                            is_admissible, orth_entities, point_in_skeleton,
@@ -47,6 +48,16 @@ def test_domain_validation():
         IndexDomain(extents=(4, 4), degrees=(1,))
     with pytest.raises(ValueError):
         IndexDomain(extents=(4,), degrees=(1,), parametric_knots=[[0, 1, 1, 2, 3]])
+
+
+def test_lattice_size_limit():
+    # 2**24 lattice points: 4095 * 4097 fit, 4097 * 4097 do not
+    assert 4095 * 4097 <= MAX_LATTICE_POINTS < 4097 * 4097
+    IndexDomain(extents=(2047, 2048), degrees=(1, 1))
+    with pytest.raises(ValueError, match="lattice points"):
+        IndexDomain(extents=(2048, 2048), degrees=(1, 1))
+    with pytest.raises(ValueError, match="lattice points"):
+        IndexDomain(extents=(5000, 5000), degrees=(1, 1))
 
 
 def test_breakpoint_validation():
@@ -211,6 +222,9 @@ def test_find_cell_containing():
     assert find_cell_containing(mesh, (Fraction(5, 2), 3)) == ((2, 3), (2, 4))
     with pytest.raises(MeshError):
         find_cell_containing(mesh, (2, 3))  # on a face, not interior
+    tensor = create_tensor_mesh(IndexDomain((6, 6), (1, 1)))
+    with pytest.raises(DimensionMismatch):
+        find_cell_containing(tensor, (Fraction(5, 2),))  # zip would truncate
 
 
 def test_entity_contains_point_semantics():

@@ -70,3 +70,19 @@ def test_region_json_round_trip():
     back = region_from_json(data)
     assert back.equals(region)
     assert data["format_version"] == 1
+
+
+def test_malformed_region_json():
+    data = region_to_json(BoxRegion(2, [((1, 1), (0, 2))]))
+    for patch in ({"format_version": None}, {"format_version": 2},
+                  {"boxes": [[{"point": 1}]]},
+                  {"boxes": [[{"point": 1}, {"point": 2}, {"point": 3}]]},
+                  {"boxes": [[{"point": 1}, {"interval": [3, 2]}]]},
+                  {"boxes": [[{"point": 1}, {"span": [0, 2]}]]}):
+        with pytest.raises(MeshFormatError):
+            region_from_json(data | patch)
+    del data["format_version"]
+    with pytest.raises(MeshFormatError, match="format_version"):
+        region_from_json(data)
+    with pytest.raises(MeshFormatError):
+        region_from_json([data])

@@ -1,14 +1,17 @@
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tmeshkit import fixtures as fx
-from tmeshkit.mesh import IndexDomain, build_framed_mesh, create_tensor_mesh, subdiv
+from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
+                           create_tensor_mesh, hull_inside, skeleton_mask, subdiv)
 from tmeshkit.suitability import is_wgas
-from tmeshkit.topology import (PreconditionViolated,
+from tmeshkit.topology import (ClassificationAmbiguous, PreconditionViolated,
                                find_separating_tjunction, find_tjunctions,
                                min_connecting_box, tjunctions_by_odir)
-from tmeshkit.verify import mesh_stream, tjunctions_oracle
+from tmeshkit.verify import mesh_stream, replay_prefix, tjunctions_oracle
 
 
 def refined2d():
@@ -54,13 +57,55 @@ def test_hanging_edge_3d_directions():
 
 def test_valences_are_three_or_four():
     # the oracle counts hyperfaces by scan and raises off valences 3 and 4
+    # (the criterion-12 stream is checked candidate by candidate below)
     meshes = [refined2d(), fx.corner_tjunction_triple()[0],
               fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
               fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0]]
-    meshes += [m for _, m in mesh_stream(424243, 3, max_steps=18,
-                                         keep=lambda m: is_wgas(m)[0])]
     for mesh in meshes:
         assert find_tjunctions(mesh) == tjunctions_oracle(mesh)
+
+
+def test_masks_carried_across_subdiv_equal_fresh_builds():
+    # every candidate of the criterion-12 stream's first meshes, kept or not
+    candidates, kept = [], {}
+
+    def keep(m):
+        candidates.append(m)
+        ok = is_wgas(m)[0]
+        if ok:
+            kept[m.refinement_log] = m
+        return ok
+
+    list(mesh_stream(424243, 3, max_steps=18, keep=keep))
+    shared = 0
+    for m in candidates:
+        parent = kept.get(m.refinement_log[:-1])
+        j = m.refinement_log[-1][1]
+        fresh = replay_prefix(m, len(m.refinement_log))
+        for k in range(m.dim):
+            mask = skeleton_mask(m, k)
+            assert not mask.flags.writeable
+            assert np.array_equal(mask, skeleton_mask(fresh, k))
+            if parent is not None and k != j:
+                assert mask is skeleton_mask(parent, k)  # shared, not rebuilt
+                shared += 1
+        assert find_tjunctions(m) == tjunctions_oracle(m)
+    assert shared > 0
+
+
+def test_corrupt_complex_is_ambiguous():
+    mesh = fx.corner_cascade()[0]
+    dropped = ((2, 3), (4, 4))
+    assert any(hull_inside(t.entity, dropped) for t in find_tjunctions(mesh))
+    entities = list(mesh.entities)
+    entities[1] = entities[1] - {dropped}
+    corrupt = TMesh(mesh.domain, mesh.breakpoints, tuple(entities))
+    # several entities lose a half-face; the smallest one is reported
+    message = "entity ((2, 2), (4, 4)) has no associated cell"
+    with pytest.raises(ClassificationAmbiguous, match=f"^{re.escape(message)}$"):
+        find_tjunctions(corrupt)
+    with pytest.raises(ClassificationAmbiguous):
+        tjunctions_oracle(corrupt)
 
 
 def test_separating_tjunction_found():
