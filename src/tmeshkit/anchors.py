@@ -6,12 +6,15 @@ that lie inside the active region.  Global knot vectors are obtained by
 ray tracing an entity through the mesh: index n enters the vector in
 direction j when the projection onto the slice x_j = n lies in the
 j-orthogonal skeleton.  Local vectors are centered windows of the global
-ones.  Everything is memoized per mesh.
+ones.  Everything is memoized per mesh; `anchor_arrays` stacks the
+per-anchor tuples into arrays for the classifiers' pair scans.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .mesh import (Entity, MeshError, TMesh, hull_inside, singleton_dirs,
                    skeleton_mask)
@@ -46,7 +49,7 @@ def global_knot_vector(mesh: TMesh, entity: Entity, j: int) -> tuple[int, ...]:
                     for k, (a, b) in enumerate(entity))
         axes = tuple(k for k in range(mesh.dim) if k != j)
         ok = mask[sel].all(axis=axes) if axes else mask[sel]
-        return tuple(n for n in range(mesh.domain.extents[j] + 1) if ok[2 * n])
+        return tuple(np.flatnonzero(ok[::2]).tolist())
     return mesh.memo(("gkv", entity, j), build)
 
 
@@ -96,3 +99,40 @@ def index_support(mesh: TMesh, anchor: Entity) -> Box:
             spans.append((w[0], w[-1]))
         return tuple(spans)
     return mesh.memo(("supp", anchor), build)
+
+
+class AnchorArrays(NamedTuple):
+    """Per-anchor knot data stacked in `anchor_set` order.
+
+    `local[j]` is the (n_anchors, p_j + 2) int64 array of local knot
+    vectors in direction j; `support` the (n_anchors, d, 2) int64 array
+    of index supports; `in_gkv[j]` the (n_anchors, N_j + 1) bool array
+    whose entry [a, n] says whether n is in anchor a's global knot vector.
+    """
+    local: tuple
+    support: np.ndarray
+    in_gkv: tuple
+
+
+def anchor_arrays(mesh: TMesh) -> AnchorArrays:
+    """The anchors' local vectors, supports and global-vector membership
+    as arrays, built from the memoized tuples."""
+    def build():
+        anchors = anchor_set(mesh)
+        n, d = len(anchors), mesh.dim
+        vectors = [[local_knot_vector(mesh, a, j) for j in range(d)]
+                   for a in anchors]
+        local = tuple(
+            np.array([v[j] for v in vectors], dtype=np.int64)
+            .reshape(n, mesh.domain.degrees[j] + 2) for j in range(d))
+        support = np.stack([np.stack([v[:, 0], v[:, -1]], axis=1)
+                            for v in local], axis=1).reshape(n, d, 2)
+        in_gkv = []
+        for j in range(d):
+            gkvs = [global_knot_vector(mesh, a, j) for a in anchors]
+            rows = np.zeros((n, mesh.domain.extents[j] + 1), dtype=bool)
+            rows[np.repeat(np.arange(n), [len(g) for g in gkvs]),
+                 np.fromiter((x for g in gkvs for x in g), dtype=np.int64)] = True
+            in_gkv.append(rows)
+        return AnchorArrays(local=local, support=support, in_gkv=tuple(in_gkv))
+    return mesh.memo("anchor_arrays", build)

@@ -208,6 +208,10 @@ def _cmd_lin_indep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seeds < 1:
+        print(f"error: --seeds must be at least 1, got {args.seeds}",
+              file=sys.stderr)
+        return EXIT_PRECONDITION
     stream = list(verify.mesh_stream(args.seed, args.seeds))
     if args.suite == "thm61":
         rep = verify.crosscheck_aas_sdc(stream)

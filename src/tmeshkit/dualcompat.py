@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anchors import anchor_set, index_support, local_knot_vector
+from .anchors import (anchor_arrays, anchor_set, index_support,
+                      local_knot_vector)
 from .mesh import Entity, TMesh
 
 
@@ -58,43 +59,77 @@ def strongly_partially_overlap(mesh: TMesh, a1: Entity, a2: Entity) -> bool:
     return misses <= 1
 
 
-def _candidate_pairs(mesh: TMesh, anchors) -> list:
-    """Index pairs with intersecting supports; all other pairs satisfy both
-    relations outright (a disjoint direction differs and overlaps)."""
-    n = len(anchors)
-    if n < 2:
-        return []
-    los = np.empty((n, mesh.dim), dtype=np.int64)
-    his = np.empty((n, mesh.dim), dtype=np.int64)
-    for idx, a in enumerate(anchors):
-        supp = index_support(mesh, a)
-        los[idx] = [s[0] for s in supp]
-        his[idx] = [s[1] for s in supp]
-    overlap = np.ones((n, n), dtype=bool)
-    for k in range(mesh.dim):
-        lo, hi = los[:, k], his[:, k]
-        overlap &= np.maximum.outer(lo, lo) <= np.minimum.outer(hi, hi)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = overlap[iu, ju]
-    return list(zip(iu[keep].tolist(), ju[keep].tolist()))
+def _candidate_pairs(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (ia < ib, in lexicographic order) of anchors whose
+    closed supports intersect; all other pairs satisfy both relations
+    outright (a disjoint direction differs and overlaps).
+
+    Sort and sweep: with the supports sorted by their lower bound in
+    direction 0, the partners of one support that meet it there are the
+    run of later ones starting no later than its upper bound; the other
+    directions filter those.  Memory is linear in anchors plus pairs.
+    """
+    n = len(support)
+    order = np.argsort(support[:, 0, 0], kind="stable")
+    lo0 = support[order, 0, 0]
+    ends = np.searchsorted(lo0, support[order, 0, 1], side="right")
+    counts = ends - np.arange(1, n + 1)
+    owner = np.repeat(np.arange(n), counts)   # sorted position of the first
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ia, ib = order[owner], order[owner + 1 + offset]
+    lo = np.maximum(support[ia, 1:, 0], support[ib, 1:, 0])
+    hi = np.minimum(support[ia, 1:, 1], support[ib, 1:, 1])
+    keep = (lo <= hi).all(axis=1)
+    ia, ib = ia[keep], ib[keep]
+    ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
+    rank = np.lexsort((ib, ia))
+    return ia[rank], ib[rank]
+
+
+def _pair_flags(mesh: TMesh):
+    """Candidate pairs with their per-direction `knots_overlap` and
+    `differs` flags, each a (pairs, d) bool array, built once per mesh.
+
+    For pairs of strictly increasing vectors of one length, overlap is the
+    hull test, or equal counts of entries inside the common hull with
+    every such entry of the first vector found in the second."""
+    def build():
+        arrays = anchor_arrays(mesh)
+        ia, ib = _candidate_pairs(arrays.support)
+        overlap, differs = [], []
+        for v in arrays.local:
+            v1, v2 = v[ia], v[ib]
+            lo = np.maximum(v1[:, :1], v2[:, :1])
+            hi = np.minimum(v1[:, -1:], v2[:, -1:])
+            in1 = (v1 >= lo) & (v1 <= hi)
+            in2 = (v2 >= lo) & (v2 <= hi)
+            found = (v1[:, :, None] == v2[:, None, :]).any(axis=2)
+            overlap.append((lo[:, 0] > hi[:, 0])
+                           | ((in1.sum(axis=1) == in2.sum(axis=1))
+                              & (found | ~in1).all(axis=1)))
+            differs.append((v1 != v2).any(axis=1))
+        shape = (len(ia), mesh.dim)
+        return (ia, ib, np.stack(overlap, axis=1).reshape(shape),
+                np.stack(differs, axis=1).reshape(shape))
+    return mesh.memo("dc_pairs", build)
 
 
 def _dc_scan(mesh: TMesh, weak: bool) -> tuple[bool, tuple]:
+    """Witnesses, in (ia, ib) order, for the candidate pairs that fail the
+    weak or the strong partial-overlap relation."""
+    ia, ib, overlap, differs = _pair_flags(mesh)
+    if weak:
+        failing = ~(overlap & differs).any(axis=1)
+    else:
+        failing = (~overlap).sum(axis=1) > 1
     anchors = anchor_set(mesh)
-    d = mesh.dim
-    vectors = [_vectors(mesh, a) for a in anchors]
-    witnesses = []
-    for ia, ib in _candidate_pairs(mesh, anchors):
-        v1, v2 = vectors[ia], vectors[ib]
-        flags = [knots_overlap(w1, w2) for w1, w2 in zip(v1, v2)]
-        if weak:
-            ok = any(f and w1 != w2 for f, w1, w2 in zip(flags, v1, v2))
-        else:
-            ok = sum(1 for f in flags if not f) <= 1
-        if not ok:
-            witnesses.append((anchors[ia], anchors[ib],
-                              tuple(zip(v1, v2, flags))))
-    return (not witnesses, tuple(witnesses))
+    failing = np.flatnonzero(failing)
+    ia, ib = ia[failing].tolist(), ib[failing].tolist()
+    vectors = {i: _vectors(mesh, anchors[i]) for i in {*ia, *ib}}
+    witnesses = tuple(
+        (anchors[a], anchors[b], tuple(zip(vectors[a], vectors[b], flags)))
+        for a, b, flags in zip(ia, ib, overlap[failing].tolist()))
+    return (not witnesses, witnesses)
 
 
 def is_wdc(mesh: TMesh) -> tuple[bool, tuple]:

@@ -31,6 +31,12 @@ def _num_to_json(x):
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def _int_from_json(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise MeshFormatError(f"not an integer: {v!r}")
+    return v
+
+
 def _num_from_json(v):
     if isinstance(v, bool):
         raise MeshFormatError(f"not a number: {v!r}")
@@ -70,21 +76,22 @@ def mesh_from_dict(data: dict) -> TMesh:
         if data.get("format_version") != FORMAT_VERSION:
             raise MeshFormatError(
                 f"unsupported format_version {data.get('format_version')!r}")
-        dim = int(data["dim"])
-        extents = tuple(int(x) for x in data["extents"])
-        degrees = tuple(int(x) for x in data["degrees"])
+        dim = _int_from_json(data["dim"])
+        extents = tuple(_int_from_json(x) for x in data["extents"])
+        degrees = tuple(_int_from_json(x) for x in data["degrees"])
         if len(extents) != dim or len(degrees) != dim:
             raise MeshFormatError("extents/degrees length does not match dim")
         knots = [[_num_from_json(x) for x in seq]
                  for seq in data.get("parametric_knots") or []] or None
-        breakpoints = [list(map(int, seq)) for seq in data["breakpoints"]]
+        breakpoints = [[_int_from_json(x) for x in seq]
+                       for seq in data["breakpoints"]]
         refinements = data.get("refinements", [])
         domain = IndexDomain(extents=extents, degrees=degrees,
                              parametric_knots=knots)
         mesh = create_tensor_mesh(domain, breakpoints)
         for number, entry in enumerate(refinements, 1):
             point = tuple(_num_from_json(x) for x in entry["point"])
-            direction = int(entry["direction"]) - 1
+            direction = _int_from_json(entry["direction"]) - 1
             if len(point) != dim or not 0 <= direction < dim:
                 raise MeshFormatError(
                     f"refinement {number}: point or direction out of range")
@@ -138,7 +145,7 @@ def region_from_json(data: dict) -> BoxRegion:
         if data.get("format_version") != FORMAT_VERSION:
             raise MeshFormatError(
                 f"unsupported format_version {data.get('format_version')!r}")
-        dim = int(data["dim"])
+        dim = _int_from_json(data["dim"])
         boxes = []
         for number, comps in enumerate(data["boxes"], 1):
             if len(comps) != dim:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anchors import _window, anchor_set, global_knot_vector, index_support
+import numpy as np
+
+from .anchors import _window, anchor_arrays, global_knot_vector
 from .mesh import MeshError, TMesh
-from .regions import Box, BoxRegion, box_intersection
+from .regions import Box, BoxRegion
 from .topology import TJunction, find_tjunctions
 
 
@@ -39,24 +41,34 @@ class GeometricExtension:
 
 
 def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
-    """Abstract extension inside the slice x_j = n, as an exact region."""
+    """Abstract extension inside the slice x_j = n, as an exact region.
+
+    The supports that contain n, cut to the slice, split into those of
+    anchors with n in their global knot vector and the rest; the region
+    is the union of the non-empty pairwise intersections across the two
+    sets, found in one broadcast and normalized."""
     def build():
-        boxes_in, boxes_out = [], []
-        for a in anchor_set(mesh):
-            supp = index_support(mesh, a)
-            if not supp[j][0] <= n <= supp[j][1]:
-                continue
-            sliced = supp[:j] + ((n, n),) + supp[j + 1:]
-            if n in global_knot_vector(mesh, a, j):
-                boxes_in.append(sliced)
-            else:
-                boxes_out.append(sliced)
-        if not boxes_in or not boxes_out:
-            region = BoxRegion.empty(mesh.dim)
-        else:
-            region = BoxRegion(mesh.dim, boxes_in).intersect(
-                BoxRegion(mesh.dim, boxes_out)).normalize()
-        return AbstractExtension(direction=j, index=n, region=region)
+        arrays = anchor_arrays(mesh)
+        supp = arrays.support
+        meets = (supp[:, j, 0] <= n) & (n <= supp[:, j, 1])
+        inside = arrays.in_gkv[j][:, n]
+        boxes_in, boxes_out = supp[meets & inside], supp[meets & ~inside]
+        if not len(boxes_in) or not len(boxes_out):
+            return AbstractExtension(direction=j, index=n,
+                                     region=BoxRegion.empty(mesh.dim))
+        lo = np.maximum(boxes_in[:, None, :, 0], boxes_out[None, :, :, 0])
+        hi = np.minimum(boxes_in[:, None, :, 1], boxes_out[None, :, :, 1])
+        hit = (lo <= hi).all(axis=2)
+        inter = np.stack([lo[hit], hi[hit]], axis=2)
+        inter[:, j] = n
+        rows = inter.reshape(len(inter), -1)
+        rows = rows[np.lexsort(rows.T)]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        boxes = [tuple(map(tuple, b))
+                 for b in rows[first].reshape(-1, mesh.dim, 2).tolist()]
+        return AbstractExtension(direction=j, index=n,
+                                 region=BoxRegion(mesh.dim, boxes).normalize())
     return mesh.memo(("atj", j, n), build)
 
 
@@ -151,20 +163,26 @@ def gtj_union(mesh: TMesh, i: int) -> BoxRegion:
 
 
 def _gtj_disjointness(mesh: TMesh, require_pdir_differs: bool) -> tuple[bool, tuple]:
+    """Witnesses (t1, t2, intersection box), in junction-pair order, for
+    the pairs with different orthogonal (and, if required, pointing)
+    directions whose extension boxes meet; all pairs in one broadcast."""
     tjs = find_tjunctions(mesh)
-    exts = [gtj(mesh, tj) for tj in tjs]
-    witnesses = []
-    for a in range(len(tjs)):
-        for b in range(a + 1, len(tjs)):
-            t1, t2 = tjs[a], tjs[b]
-            if t1.odir == t2.odir:
-                continue
-            if require_pdir_differs and t1.pdir == t2.pdir:
-                continue
-            inter = box_intersection(exts[a].region, exts[b].region)
-            if inter is not None:
-                witnesses.append((t1, t2, inter))
-    return (not witnesses, tuple(witnesses))
+    boxes = np.array([gtj(mesh, tj).region for tj in tjs],
+                     dtype=np.int64).reshape(len(tjs), mesh.dim, 2)
+    odir = np.array([tj.odir for tj in tjs])
+    pairs = odir[:, None] != odir[None, :]
+    if require_pdir_differs:
+        pdir = np.array([tj.pdir for tj in tjs])
+        pairs &= pdir[:, None] != pdir[None, :]
+    for k in range(mesh.dim):
+        lo, hi = boxes[:, k, 0], boxes[:, k, 1]
+        pairs &= np.maximum.outer(lo, lo) <= np.minimum.outer(hi, hi)
+    ia, ib = np.nonzero(np.triu(pairs, 1))
+    lo = np.maximum(boxes[ia, :, 0], boxes[ib, :, 0]).tolist()
+    hi = np.minimum(boxes[ia, :, 1], boxes[ib, :, 1]).tolist()
+    witnesses = tuple((tjs[a], tjs[b], tuple(zip(l, h)))
+                      for a, b, l, h in zip(ia.tolist(), ib.tolist(), lo, hi))
+    return (not witnesses, witnesses)
 
 
 def is_sgas(mesh: TMesh) -> tuple[bool, tuple]:

@@ -2,8 +2,9 @@
 
 This module is the acceptance engine: it regenerates expected values by
 routes independent of the production code paths (brute-force overlap,
-direct skeleton and T-junction scans, pairwise extension enumeration,
-collocation rank), probes the separating-junction search, and drives
+unpruned dual-compatibility pair scans, pairwise extension-box
+intersection, direct skeleton and T-junction scans, pairwise extension
+enumeration, collocation rank), probes the separating-junction search, and drives
 seeded, replayable streams of random admissible meshes through the
 classifier cross-checks.
 """
@@ -22,15 +23,15 @@ from .dualcompat import is_sdc, is_wdc
 from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
                    dyadic_active_breakpoints, entity_hull, hull_inside,
                    point_in_skeleton, singleton_dirs, subdiv)
-from .regions import BoxRegion, _box_covered
+from .regions import BoxRegion, _box_covered, box_intersection
 from .splines import bspline_eval_array, parametric_support
-from .suitability import atj_union, gtj_union, is_aas, is_sgas, is_wgas
+from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
 from .topology import (ClassificationAmbiguous, NotFound, TJunction,
-                       find_separating_tjunction)
+                       find_separating_tjunction, find_tjunctions)
 
 
 # ---------------------------------------------------------------------------
-# brute-force overlap oracle
+# brute-force overlap oracle and pair scans
 
 def knots_overlap_oracle(v1: Sequence[int], v2: Sequence[int]) -> bool:
     """Ground truth for knot-vector overlap of strictly increasing vectors.
@@ -48,6 +49,52 @@ def knots_overlap_oracle(v1: Sequence[int], v2: Sequence[int]) -> bool:
         return all(idx[i + 1] == idx[i] + 1 for i in range(len(idx) - 1))
 
     return contiguous(v1) and contiguous(v2)
+
+
+def dc_scan_oracle(mesh: TMesh, weak: bool) -> tuple[bool, tuple]:
+    """WDC (`weak`) or SDC verdict and witnesses by checking every anchor
+    pair with the brute-force overlap oracle, without candidate pruning.
+    A pair passes the weak relation when some direction's vectors differ
+    and overlap, the strong one when the supports are disjoint or at most
+    one direction fails to overlap."""
+    anchors = anchor_set(mesh)
+    vectors = [tuple(local_knot_vector(mesh, a, k) for k in range(mesh.dim))
+               for a in anchors]
+    witnesses = []
+    for ia in range(len(anchors)):
+        for ib in range(ia + 1, len(anchors)):
+            v1, v2 = vectors[ia], vectors[ib]
+            flags = [knots_overlap_oracle(w1, w2) for w1, w2 in zip(v1, v2)]
+            if weak:
+                ok = any(f and w1 != w2 for f, w1, w2 in zip(flags, v1, v2))
+            else:
+                disjoint = any(max(w1[0], w2[0]) > min(w1[-1], w2[-1])
+                               for w1, w2 in zip(v1, v2))
+                ok = disjoint or flags.count(False) <= 1
+            if not ok:
+                witnesses.append((anchors[ia], anchors[ib],
+                                  tuple(zip(v1, v2, flags))))
+    return (not witnesses, tuple(witnesses))
+
+
+def gtj_disjointness_oracle(mesh: TMesh,
+                            require_pdir_differs: bool) -> tuple[bool, tuple]:
+    """SGAS (or, with `require_pdir_differs`, WGAS) verdict and witnesses
+    by intersecting the extension boxes of every junction pair in turn."""
+    tjs = find_tjunctions(mesh)
+    boxes = [gtj(mesh, tj).region for tj in tjs]
+    witnesses = []
+    for a in range(len(tjs)):
+        for b in range(a + 1, len(tjs)):
+            t1, t2 = tjs[a], tjs[b]
+            if t1.odir == t2.odir:
+                continue
+            if require_pdir_differs and t1.pdir == t2.pdir:
+                continue
+            inter = box_intersection(boxes[a], boxes[b])
+            if inter is not None:
+                witnesses.append((t1, t2, inter))
+    return (not witnesses, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -110,27 +157,38 @@ def _local_window_direct(gkv, value, offset, length):
     return gkv[start:start + length]
 
 
+def _anchor_knots_direct(mesh: TMesh) -> tuple:
+    """(anchor, support spans, global knot vectors) for every anchor, with
+    the anchors found by filtering entities and the knot vectors by the
+    direct scan; built once per mesh, as every slice reads all of them."""
+    def build():
+        dom = mesh.domain
+        kappa = tuple(k for k, p in enumerate(dom.degrees) if p % 2 == 1)
+        active = dom.active_spans()
+        out = []
+        for a in mesh.entities[dom.dim - len(kappa)]:
+            if singleton_dirs(a) != kappa or not hull_inside(a, active):
+                continue
+            gkvs = tuple(_gkv_direct(mesh, a, k) for k in range(dom.dim))
+            spans = []
+            for k, gkv in enumerate(gkvs):
+                p = dom.degrees[k]
+                w = _local_window_direct(gkv, a[k][0], (p + 1) // 2, p + 2)
+                spans.append((w[0], w[-1]))
+            out.append((a, tuple(spans), gkvs))
+        return tuple(out)
+    return mesh.memo("direct_anchor_knots", build)
+
+
 def atj_slice_oracle(mesh: TMesh, j: int, n: int) -> BoxRegion:
     """Abstract extension of a slice by pairwise enumeration of anchor
     supports, with knot vectors recomputed by the direct scan."""
-    dom = mesh.domain
-    kappa = tuple(k for k, p in enumerate(dom.degrees) if p % 2 == 1)
-    active = dom.active_spans()
-    dim_idx = dom.dim - len(kappa)
-    anchors = [e for e in mesh.entities[dim_idx]
-               if singleton_dirs(e) == kappa and hull_inside(e, active)]
     ins, outs = [], []
-    for a in anchors:
-        spans = []
-        for k in range(dom.dim):
-            gkv = _gkv_direct(mesh, a, k)
-            p = dom.degrees[k]
-            w = _local_window_direct(gkv, a[k][0], (p + 1) // 2, p + 2)
-            spans.append((w[0], w[-1]))
+    for a, spans, gkvs in _anchor_knots_direct(mesh):
         if not spans[j][0] <= n <= spans[j][1]:
             continue
-        box = tuple(spans[:j]) + ((n, n),) + tuple(spans[j + 1:])
-        if n in _gkv_direct(mesh, a, j):
+        box = spans[:j] + ((n, n),) + spans[j + 1:]
+        if n in gkvs[j]:
             ins.append(box)
         else:
             outs.append(box)
@@ -141,7 +199,7 @@ def atj_slice_oracle(mesh: TMesh, j: int, n: int) -> BoxRegion:
                           for (l1, h1), (l2, h2) in zip(b_in, b_out))
             if all(lo <= hi for lo, hi in inter):
                 boxes.append(inter)
-    return BoxRegion(dom.dim, set(boxes))
+    return BoxRegion(mesh.dim, set(boxes))
 
 
 # ---------------------------------------------------------------------------

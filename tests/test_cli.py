@@ -152,3 +152,14 @@ def test_verify_suites_run(tmp_path):
                "--json", str(report)) == 0
     payload = json.loads(report.read_text())
     assert payload["pairs"] == 10_000 and payload["probes"] > 0
+
+
+def test_verify_rejects_empty_stream(capsys):
+    # no mesh checked is no agreement: every suite refuses to run vacuously
+    for suite in ("thm61", "thm62", "conj63", "props"):
+        for seeds in ("0", "-3"):
+            capsys.readouterr()
+            assert run("verify", "--suite", suite, "--seeds", seeds) == 2
+            captured = capsys.readouterr()
+            assert "--seeds must be at least 1" in captured.err
+            assert captured.out == ""

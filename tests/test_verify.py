@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from tmeshkit import fixtures as fx
-from tmeshkit.dualcompat import is_wdc
+from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.mesh import build_framed_mesh, is_admissible
-from tmeshkit.suitability import is_wgas
-from tmeshkit.verify import (RankReport, child_anchor_inheritance,
-                             crosscheck_aas_sdc, crosscheck_sgas_aas,
-                             evaluation_matrix, linear_independence_rank,
-                             mesh_stream, partition_of_unity,
-                             random_admissible_mesh, rank_verdict_stable,
-                             replay_prefix, unity_sample_bounds,
+from tmeshkit.suitability import atj_slice, is_sgas, is_wgas
+from tmeshkit.verify import (RankReport, atj_slice_oracle,
+                             child_anchor_inheritance, crosscheck_aas_sdc,
+                             crosscheck_sgas_aas, dc_scan_oracle,
+                             evaluation_matrix, gtj_disjointness_oracle,
+                             linear_independence_rank, mesh_stream,
+                             partition_of_unity, random_admissible_mesh,
+                             rank_verdict_stable, replay_prefix,
+                             unity_sample_bounds,
                              wgas_wdc_counterexample_search)
 
 
@@ -110,3 +112,49 @@ def test_rank_report_threshold_sweep():
                         singular_values=(1.0, 0.5, 1e-3))
     assert report.rank_at(1e-6) == 3
     assert report.rank_at(1e-2) == 2
+
+
+def _assert_gas_scans_equal_oracles(mesh):
+    assert is_sgas(mesh) == gtj_disjointness_oracle(mesh, False)
+    assert is_wgas(mesh) == gtj_disjointness_oracle(mesh, True)
+
+
+def test_pair_scans_equal_oracles(corpus200):
+    # verdicts and witness tuples, in order, on the fixtures, on corpus
+    # meshes and on the criterion-12 stream; the geometric scans also on
+    # every candidate of that stream, kept or not
+    candidates = []
+
+    def keep(m):
+        candidates.append(m)
+        return is_wgas(m)[0]
+
+    stream = [m for _, m in mesh_stream(424243, 3, max_steps=18, keep=keep)]
+    fixtures = [fx.opposing_hanging_pair(2, 1)[0], fx.corner_tjunction_triple()[0],
+                fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
+                fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0]]
+    corpus = [m for _, m in corpus200["meshes"][:20]]
+    witnessed = set()
+    for mesh in fixtures + corpus + stream:
+        for name, ours, oracle in (
+                ("sdc", is_sdc(mesh), dc_scan_oracle(mesh, False)),
+                ("wdc", is_wdc(mesh), dc_scan_oracle(mesh, True))):
+            assert ours == oracle
+            if ours[1]:
+                witnessed.add(name)
+        _assert_gas_scans_equal_oracles(mesh)
+        witnessed.update(name for name, (ok, _) in
+                         (("sgas", is_sgas(mesh)), ("wgas", is_wgas(mesh)))
+                         if not ok)
+    for mesh in candidates:
+        _assert_gas_scans_equal_oracles(mesh)
+    assert witnessed == {"sdc", "wdc", "sgas", "wgas"}
+
+
+def test_atj_slices_equal_oracle_bytes(corpus200):
+    # the oracle's intersection set normalizes to the same boxes, in order
+    for _, mesh in corpus200["meshes"][:10]:
+        for j in range(mesh.dim):
+            for n in range(mesh.domain.extents[j] + 1):
+                assert (atj_slice(mesh, j, n).region.boxes
+                        == atj_slice_oracle(mesh, j, n).normalize().boxes)
