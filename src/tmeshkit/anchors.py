@@ -132,7 +132,7 @@ def anchor_arrays(mesh: TMesh) -> AnchorArrays:
             gkvs = [global_knot_vector(mesh, a, j) for a in anchors]
             rows = np.zeros((n, mesh.domain.extents[j] + 1), dtype=bool)
             rows[np.repeat(np.arange(n), [len(g) for g in gkvs]),
-                 np.fromiter((x for g in gkvs for x in g), dtype=np.int64)] = True
+                 [x for g in gkvs for x in g]] = True
             in_gkv.append(rows)
         return AnchorArrays(local=local, support=support, in_gkv=tuple(in_gkv))
     return mesh.memo("anchor_arrays", build)

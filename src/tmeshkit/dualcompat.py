@@ -75,8 +75,8 @@ def _candidate_pairs(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ends = np.searchsorted(lo0, support[order, 0, 1], side="right")
     counts = ends - np.arange(1, n + 1)
     owner = np.repeat(np.arange(n), counts)   # sorted position of the first
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    ia, ib = order[owner], order[owner + 1 + offset]
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    ia, ib = order[owner], order[owner + 1 + np.arange(len(owner)) - starts]
     lo = np.maximum(support[ia, 1:, 0], support[ib, 1:, 0])
     hi = np.minimum(support[ia, 1:, 1], support[ib, 1:, 1])
     keep = (lo <= hi).all(axis=1)

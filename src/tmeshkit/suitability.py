@@ -40,6 +40,13 @@ class GeometricExtension:
     region: Box
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    rows = rows[np.lexsort(rows.T)]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
+
+
 def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
     """Abstract extension inside the slice x_j = n, as an exact region.
 
@@ -48,27 +55,26 @@ def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
     is the union of the non-empty pairwise intersections across the two
     sets, found in one broadcast and normalized."""
     def build():
+        d = mesh.dim
         arrays = anchor_arrays(mesh)
-        supp = arrays.support
-        meets = (supp[:, j, 0] <= n) & (n <= supp[:, j, 1])
-        inside = arrays.in_gkv[j][:, n]
-        boxes_in, boxes_out = supp[meets & inside], supp[meets & ~inside]
-        if not len(boxes_in) or not len(boxes_out):
+        meets = (arrays.support[:, j, 0] <= n) & (n <= arrays.support[:, j, 1])
+        inside = arrays.in_gkv[j][meets, n]
+        if inside.all() or not inside.any():
             return AbstractExtension(direction=j, index=n,
-                                     region=BoxRegion.empty(mesh.dim))
-        lo = np.maximum(boxes_in[:, None, :, 0], boxes_out[None, :, :, 0])
-        hi = np.minimum(boxes_in[:, None, :, 1], boxes_out[None, :, :, 1])
+                                     region=BoxRegion.empty(d))
+        sliced = arrays.support[meets].reshape(-1, 2 * d)   # a copy
+        sliced[:, 2 * j:2 * j + 2] = n
+        b_in = _unique_rows(sliced[inside]).reshape(-1, 1, d, 2)
+        b_out = _unique_rows(sliced[~inside]).reshape(1, -1, d, 2)
+        lo = np.maximum(b_in[..., 0], b_out[..., 0])
+        hi = np.minimum(b_in[..., 1], b_out[..., 1])
         hit = (lo <= hi).all(axis=2)
-        inter = np.stack([lo[hit], hi[hit]], axis=2)
-        inter[:, j] = n
-        rows = inter.reshape(len(inter), -1)
-        rows = rows[np.lexsort(rows.T)]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        boxes = [tuple(map(tuple, b))
-                 for b in rows[first].reshape(-1, mesh.dim, 2).tolist()]
+        rows = _unique_rows(np.stack([lo[hit], hi[hit]], axis=2)
+                            .reshape(-1, 2 * d))
+        spans = list(map(tuple, rows.reshape(-1, 2).tolist()))
+        boxes = list(zip(*[iter(spans)] * d))   # d spans per box
         return AbstractExtension(direction=j, index=n,
-                                 region=BoxRegion(mesh.dim, boxes).normalize())
+                                 region=BoxRegion(d, boxes).normalize())
     return mesh.memo(("atj", j, n), build)
 
 

@@ -4,9 +4,9 @@ This module is the acceptance engine: it regenerates expected values by
 routes independent of the production code paths (brute-force overlap,
 unpruned dual-compatibility pair scans, pairwise extension-box
 intersection, direct skeleton and T-junction scans, pairwise extension
-enumeration, collocation rank), probes the separating-junction search, and drives
-seeded, replayable streams of random admissible meshes through the
-classifier cross-checks.
+enumeration, collocation rank), probes the separating-junction search,
+and drives seeded, replayable streams of random admissible meshes
+through the classifier cross-checks.
 """
 
 from __future__ import annotations
