@@ -126,7 +126,7 @@ def anchor_arrays(mesh: TMesh) -> AnchorArrays:
             np.array([v[j] for v in vectors], dtype=np.int64)
             .reshape(n, mesh.domain.degrees[j] + 2) for j in range(d))
         support = np.stack([np.stack([v[:, 0], v[:, -1]], axis=1)
-                            for v in local], axis=1).reshape(n, d, 2)
+                            for v in local], axis=1)
         in_gkv = []
         for j in range(d):
             gkvs = [global_knot_vector(mesh, a, j) for a in anchors]

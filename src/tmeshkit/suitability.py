@@ -41,6 +41,7 @@ class GeometricExtension:
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, sorted."""
     rows = rows[np.lexsort(rows.T)]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -53,7 +54,8 @@ def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
     The supports that contain n, cut to the slice, split into those of
     anchors with n in their global knot vector and the rest; the region
     is the union of the non-empty pairwise intersections across the two
-    sets, found in one broadcast and normalized."""
+    sets, found in one broadcast over the distinct boxes of each set,
+    and normalized."""
     def build():
         d = mesh.dim
         arrays = anchor_arrays(mesh)
