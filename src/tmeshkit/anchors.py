@@ -16,8 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import (Entity, MeshError, TMesh, hull_inside, singleton_dirs,
-                   skeleton_mask)
+from .mesh import Entity, MeshError, TMesh, hull_inside, skeleton_mask
 from .regions import Box
 
 
@@ -32,12 +31,9 @@ def odd_degree_dirs(mesh: TMesh) -> tuple[int, ...]:
 def anchor_set(mesh: TMesh) -> tuple:
     """All anchors, sorted: odd-degree-orthogonal entities in the active region."""
     def build():
-        kappa = odd_degree_dirs(mesh)
         active = mesh.domain.active_spans()
-        dim_idx = mesh.dim - len(kappa)
-        return tuple(sorted(
-            e for e in mesh.entities[dim_idx]
-            if singleton_dirs(e) == kappa and hull_inside(e, active)))
+        return tuple(sorted(e for e in mesh.entities[odd_degree_dirs(mesh)]
+                            if hull_inside(e, active)))
     return mesh.memo("anchors", build)
 
 

@@ -248,25 +248,17 @@ def _cmd_verify(args) -> int:
 
 
 def _props_suite(stream) -> tuple[dict, bool]:
-    import random
-
-    from .dualcompat import knots_overlap
-
-    rng = random.Random(1234)
-    pairs = 0
-    for _ in range(10_000):
-        v1 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
-        v2 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
-        if knots_overlap(v1, v2) != verify.knots_overlap_oracle(v1, v2):
-            return {"pairs": pairs, "failed_pair": [v1, v2]}, False
-        pairs += 1
+    overlap = verify.overlap_pair_suite(10_000, seed=1234)
     reports = [verify.separation_probe_suite(mesh, probes=200, seed=seed)
                for seed, mesh in stream[:5]]
-    rep = {"pairs": pairs, "probes": sum(r["probes"] for r in reports)}
+    rep = {"pairs": overlap["pairs"],
+           "probes": sum(r["probes"] for r in reports)}
     failed = [f for r in reports for f in r["failures"]]
+    if overlap["failures"]:
+        rep["failed_pairs"] = overlap["failures"]
     if failed:
         rep["failed_probes"] = failed
-    return rep, not failed
+    return rep, not failed and not overlap["failures"]
 
 
 def _cmd_export(args) -> int:

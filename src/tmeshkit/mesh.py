@@ -3,8 +3,14 @@
 A mesh lives on the open index box prod_k (0, N_k).  Entities of every
 dimension 0..d are stored explicitly as tuples of components, where a
 component is an integer pair (a, b): a == b encodes the singleton {a},
-a < b the open interval (a, b).  The entity sets of a valid mesh are
-pairwise disjoint as point sets and their union is the closed domain.
+a < b the open interval (a, b).  The complex is keyed by orientation:
+`TMesh.entities[kappa]` holds the kappa-orthogonal entities, those whose
+singleton directions are exactly the sorted tuple kappa, and all 2^d
+keys are present.  So the cells are `entities[()]`, the j-orthogonal
+hyperfaces `entities[(j,)]` and the anchors live in one bucket; readers
+look a bucket up instead of filtering by orientation.  The entities of a
+valid mesh are pairwise disjoint as point sets and their union is the
+closed domain.
 
 Point and containment queries are lookups in rasters on the half-integer
 lattice (`skeleton_mask`, `cell_labels`), exact because every entity
@@ -62,14 +68,6 @@ class DimensionTooSmall(MeshError):
 
 # ---------------------------------------------------------------------------
 # entity helpers
-
-def is_singleton(comp: Component) -> bool:
-    return comp[0] == comp[1]
-
-
-def entity_dim(entity: Entity) -> int:
-    return sum(1 for c in entity if c[0] < c[1])
-
 
 def singleton_dirs(entity: Entity) -> tuple[int, ...]:
     return tuple(k for k, c in enumerate(entity) if c[0] == c[1])
@@ -166,7 +164,7 @@ class TMesh:
 
     domain: IndexDomain
     breakpoints: tuple                 # initial tensor breakpoints per direction
-    entities: tuple                    # entities[j] = frozenset of j-dim entities
+    entities: dict                     # sorted singleton dirs -> frozenset
     refinement_log: tuple = ()         # ((cell, direction), ...)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -176,7 +174,7 @@ class TMesh:
 
     @property
     def cells(self) -> frozenset:
-        return self.entities[self.dim]
+        return self.entities[()]
 
     def memo(self, key, build):
         """Build-once memo; idempotent builds make races harmless."""
@@ -214,12 +212,13 @@ def create_tensor_mesh(domain: IndexDomain, breakpoints: Sequence[Sequence[int]]
         comps = [(v, v) for v in seq]
         comps += [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
         per_dir.append(comps)
-    by_dim = [set() for _ in range(domain.dim + 1)]
+    buckets = {kappa: set() for r in range(domain.dim + 1)
+               for kappa in itertools.combinations(range(domain.dim), r)}
     for combo in itertools.product(*per_dir):
-        by_dim[entity_dim(combo)].add(combo)
+        buckets[singleton_dirs(combo)].add(combo)
     return TMesh(domain=domain,
                  breakpoints=tuple(bps),
-                 entities=tuple(frozenset(s) for s in by_dim))
+                 entities={kappa: frozenset(s) for kappa, s in buckets.items()})
 
 
 def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
@@ -234,7 +233,7 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
     d = dom.dim
     if not 0 <= j < d:
         raise ValueError(f"direction {j} out of range")
-    if cell not in mesh.entities[d]:
+    if cell not in mesh.cells:
         raise NotACell(f"{cell!r} is not a cell of this mesh")
     for k, (a, b) in enumerate(cell):
         f = dom.frame_width(k)
@@ -256,21 +255,22 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
         if box[k][1] == dom.extents[k] - f:
             box[k][1] = dom.extents[k]
 
-    qj = cell[j]
-    new_sets = [set(s) for s in mesh.entities]
-    for dim_idx in range(d + 1):
-        replaced = [e for e in mesh.entities[dim_idx]
-                    if e[j] == qj and hull_inside(e, box)]
-        for e in replaced:
-            new_sets[dim_idx].discard(e)
-            new_sets[dim_idx].add(e[:j] + ((e[j][0], m),) + e[j + 1:])
-            new_sets[dim_idx].add(e[:j] + ((m, e[j][1]),) + e[j + 1:])
-            new_sets[dim_idx - 1].add(e[:j] + ((m, m),) + e[j + 1:])
+    qj = (a, b)
+    replaced = {kappa: [e for e in bucket if e[j] == qj and hull_inside(e, box)]
+                for kappa, bucket in mesh.entities.items() if j not in kappa}
+    entities = dict(mesh.entities)
+    for kappa, old in replaced.items():
+        entities[kappa] = entities[kappa].difference(old).union(
+            e[:j] + (half,) + e[j + 1:] for e in old
+            for half in ((a, m), (m, b)))
+        middles = tuple(sorted(kappa + (j,)))
+        entities[middles] = entities[middles].union(
+            e[:j] + ((m, m),) + e[j + 1:] for e in old)
     child = TMesh(domain=dom,
                   breakpoints=mesh.breakpoints,
-                  entities=tuple(frozenset(s) for s in new_sets),
+                  entities=entities,
                   refinement_log=mesh.refinement_log + ((cell, j),))
-    _seed_skeleton_masks(mesh, child, j, m, replaced)  # the last pass split cells
+    _seed_skeleton_masks(mesh, child, j, m, replaced[()])
     return child
 
 
@@ -337,18 +337,9 @@ def frame_region_k(mesh: TMesh, k: int) -> BoxRegion:
     return BoxRegion(dom.dim, boxes)
 
 
-def slice_region(mesh: TMesh, k: int, n: int) -> BoxRegion:
-    """The full slice { x : x_k = n } as a region."""
-    full = [(0, m) for m in mesh.domain.extents]
-    return BoxRegion.from_box(tuple(full[:k]) + ((n, n),) + tuple(full[k + 1:]))
-
-
 def skeleton(mesh: TMesh, j: int) -> BoxRegion:
     """Union of the closures of all j-orthogonal hyperfaces."""
-    d = mesh.dim
-    boxes = [entity_hull(e) for e in mesh.entities[d - 1]
-             if singleton_dirs(e) == (j,)]
-    return BoxRegion(d, boxes)
+    return BoxRegion(mesh.dim, [entity_hull(e) for e in mesh.entities[(j,)]])
 
 
 def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
@@ -362,15 +353,11 @@ def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
     every mask is read-only, because refinement shares them with children.
     """
     def build():
-        d = mesh.dim
         shape = tuple(2 * n + 1 for n in mesh.domain.extents)
-        grids = [np.zeros(shape, dtype=bool) for _ in range(d)]
-        for e in mesh.entities[d - 1]:
-            k = 0
-            while e[k][0] != e[k][1]:
-                k += 1
-            grids[k][tuple(slice(2 * a, 2 * b + 1) for a, b in e)] = True
+        grids = [np.zeros(shape, dtype=bool) for _ in range(mesh.dim)]
         for k, grid in enumerate(grids):
+            for e in mesh.entities[(k,)]:
+                grid[tuple(slice(2 * a, 2 * b + 1) for a, b in e)] = True
             grid.setflags(write=False)
             if k != j:
                 mesh._memo.setdefault(("skeleton_mask", k), grid)
@@ -432,9 +419,7 @@ def orth_entities(mesh: TMesh, kappa: Iterable[int]) -> frozenset:
     kset = tuple(sorted(set(kappa)))
     if any(k < 0 or k >= mesh.dim for k in kset):
         raise ValueError(f"directions {kset} out of range")
-    dim_idx = mesh.dim - len(kset)
-    return frozenset(e for e in mesh.entities[dim_idx]
-                     if singleton_dirs(e) == kset)
+    return mesh.entities[kset]
 
 
 def is_admissible(mesh: TMesh) -> tuple[bool, tuple]:

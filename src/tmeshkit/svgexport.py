@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .anchors import anchor_set
-from .mesh import TMesh, entity_hull, singleton_dirs
+from .mesh import TMesh, entity_hull
 from .meshio import region_to_json
 from .regions import BoxRegion
 from .suitability import atj_slice, atj_union, gtj
@@ -35,8 +35,7 @@ def _fmt(x) -> str:
 class _Plane:
     """Maps index coordinates of the slice plane to SVG user units."""
 
-    def __init__(self, axes, height):
-        self.axes = axes
+    def __init__(self, height):
         self.height = height
 
     def to_svg(self, u, v):
@@ -80,7 +79,7 @@ def render_slice_svg(mesh: TMesh, k: int | None = None, n: int | None = None,
         raise ValueError("need a --slice k=n for 3D meshes; none for 2D")
     width = mesh.domain.extents[axes[0]]
     height = mesh.domain.extents[axes[1]]
-    plane = _Plane(axes, height)
+    plane = _Plane(height)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -90,10 +89,8 @@ def render_slice_svg(mesh: TMesh, k: int | None = None, n: int | None = None,
     for layer in layers:
         if layer == "skeleton":
             parts.append(_skeleton_layer(mesh, k, n, axes, plane))
-        elif layer == "atj":
-            parts.append(_atj_layer(mesh, k, n, axes, plane))
-        elif layer == "gtj":
-            parts.append(_gtj_layer(mesh, k, n, axes, plane))
+        elif layer in ("atj", "gtj"):
+            parts.append(_region_layer(mesh, k, n, axes, plane, layer))
         elif layer == "anchors":
             parts.append(_anchor_layer(mesh, k, n, axes, plane))
         else:
@@ -109,22 +106,22 @@ def _region_desc(region: BoxRegion) -> str:
 
 def _skeleton_layer(mesh, k, n, axes, plane) -> str:
     shapes = set()
-    for f in mesh.entities[mesh.dim - 1]:
-        (s,) = singleton_dirs(f)
-        if k is not None and s == k:
-            if f[s][0] == n:  # face lying inside the slice: filled patch
-                spans = _slice_spans(entity_hull(f), k, n, axes)
-                shapes.add(_rect(plane, *spans,
-                                 'fill="#bbbbbb" fill-opacity="0.35" stroke="none"'))
-            continue
-        spans = _slice_spans(entity_hull(f), k, n, axes)
-        if spans is not None:
-            shapes.add(_rect(plane, *spans, LAYER_STYLE["skeleton"]))
+    for s in range(mesh.dim):
+        for f in mesh.entities[(s,)]:
+            if s == k:
+                if f[s][0] == n:  # face lying inside the slice: filled patch
+                    spans = _slice_spans(entity_hull(f), k, n, axes)
+                    shapes.add(_rect(plane, *spans, 'fill="#bbbbbb" '
+                                     'fill-opacity="0.35" stroke="none"'))
+                continue
+            spans = _slice_spans(entity_hull(f), k, n, axes)
+            if spans is not None:
+                shapes.add(_rect(plane, *spans, LAYER_STYLE["skeleton"]))
     return ('<g id="layer-skeleton">\n' + "\n".join(sorted(shapes))
             + "\n</g>")
 
 
-def _layer_region(mesh, k, n, axes, kind) -> BoxRegion:
+def _layer_region(mesh, k, n, kind) -> BoxRegion:
     if kind == "atj":
         if k is not None:
             return atj_slice(mesh, k, n).region
@@ -143,7 +140,7 @@ def _layer_region(mesh, k, n, axes, kind) -> BoxRegion:
 
 
 def _region_layer(mesh, k, n, axes, plane, kind) -> str:
-    region = _layer_region(mesh, k, n, axes, kind).normalize()
+    region = _layer_region(mesh, k, n, kind).normalize()
     shapes = []
     for box in region.boxes:
         spans = _slice_spans(box, k, n, axes)
@@ -151,14 +148,6 @@ def _region_layer(mesh, k, n, axes, plane, kind) -> str:
             shapes.append(_rect(plane, *spans, LAYER_STYLE[kind]))
     return (f'<g id="layer-{kind}">\n{_region_desc(region)}\n'
             + "\n".join(sorted(set(shapes))) + "\n</g>")
-
-
-def _atj_layer(mesh, k, n, axes, plane) -> str:
-    return _region_layer(mesh, k, n, axes, plane, "atj")
-
-
-def _gtj_layer(mesh, k, n, axes, plane) -> str:
-    return _region_layer(mesh, k, n, axes, plane, "gtj")
 
 
 def _anchor_layer(mesh, k, n, axes, plane) -> str:

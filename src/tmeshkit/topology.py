@@ -6,7 +6,7 @@ direction (the singleton component strictly inside its associated cell),
 a pointing direction (the singleton component on the cell boundary), and
 the unique associated cell itself.  Detection reads only the lattice
 rasters of `tmeshkit.mesh` (`skeleton_mask`, `cell_labels`), with array
-gathers over all (d-2)-entities and no Python loop per entity; the
+gathers per (i, j)-orthogonal bucket and no Python loop per entity; the
 direct scans it replaces are kept as `tmeshkit.verify.tjunctions_oracle`.
 """
 
@@ -50,32 +50,33 @@ def find_tjunctions(mesh: TMesh) -> tuple:
     """All T-junctions of the mesh, classified, sorted by entity.
 
     Valence is four skeleton-mask probes, one per half-face around t, at
-    the lattice points beside t; they run as array gathers over all
-    interior (d-2)-entities with the same singleton directions (i, j).  A
-    missing i-orthogonal half-face makes i the orthogonal direction and
-    the other singleton direction the pointing one; the cell label at its
-    probe is the associated cell.  When several entities are corrupt, the
-    smallest is reported.
+    the lattice points beside t; they run as array gathers over the
+    interior entities of each (i, j)-orthogonal bucket.  A missing
+    i-orthogonal half-face makes i the orthogonal direction and the other
+    singleton direction the pointing one; the cell label at its probe is
+    the associated cell.  When several entities are corrupt, the smallest
+    is reported.
     """
     def build():
         d = mesh.dim
-        ents = list(mesh.entities[d - 2]) if d >= 2 else []
-        if not ents:
+        if d < 2:
             return ()
         masks = [skeleton_mask(mesh, k) for k in range(d)]
+        extents = np.array(mesh.domain.extents)
         flat = itertools.chain.from_iterable
-        comps = np.fromiter(flat(flat(ents)), dtype=np.int64,
-                            count=2 * d * len(ents)).reshape(len(ents), d, 2)
-        lo = comps[..., 0]
-        single = lo == comps[..., 1]
-        # beside t: 2a on a singleton component, 2a + 1 inside an interval
-        base = 2 * lo + ~single
-        interior = ~(single & ((lo == 0) | (lo == mesh.domain.extents))).any(axis=1)
-        rows, odirs, pdirs, probes, errors = [], [], [], [], []
+        found, odirs, pdirs, probes, errors = [], [], [], [], []
         for i, j in itertools.combinations(range(d), 2):
-            sel = np.flatnonzero(single[:, i] & single[:, j] & interior)
+            ents = list(mesh.entities[(i, j)])
+            lo = np.fromiter(flat(flat(ents)), np.int64,
+                             2 * d * len(ents))[::2].reshape(-1, d)
+            ij = [i, j]
+            sel = np.flatnonzero(((0 < lo[:, ij]) & (lo[:, ij] < extents[ij]))
+                                 .all(axis=1))
+            # beside t: 2a on its singletons i and j, 2a + 1 inside an interval
+            base = 2 * lo[sel] + 1
+            base[:, ij] -= 1
             # probes 0, 1 step along j and read the i-mask; 2, 3 the reverse
-            around = np.repeat(base[None, sel], 4, axis=0)
+            around = np.repeat(base[None], 4, axis=0)
             around[0, :, j] -= 1
             around[1, :, j] += 1
             around[2, :, i] -= 1
@@ -88,21 +89,20 @@ def find_tjunctions(mesh: TMesh) -> tuple:
                        for r, v in zip(sel[valence < 3], valence[valence < 3])]
             three = np.flatnonzero(valence == 3)
             missing = present[:, three].argmin(axis=0)
-            rows.append(sel[three])
+            found += [ents[r] for r in sel[three]]
             odirs.append(odir[missing])
             pdirs.append(i + j - odir[missing])
             probes.append(around[missing, three])
-        rows, odirs, pdirs, probes = (np.concatenate(a)
-                                      for a in (rows, odirs, pdirs, probes))
         out = []
-        if rows.size:
+        if found:
             labels, cells = cell_labels(mesh)
-            label = labels[tuple(probes.T)]
-            errors += [(ents[r], f"entity {ents[r]!r} has no associated cell")
-                       for r in rows[label < 0]]
-            out = [TJunction(entity=ents[r], odir=int(o), pdir=int(p),
+            label = labels[tuple(np.concatenate(probes).T)]
+            errors += [(t, f"entity {t!r} has no associated cell")
+                       for t, c in zip(found, label) if c < 0]
+            out = [TJunction(entity=t, odir=int(o), pdir=int(p),
                              ascell=cells[c], valence=3)
-                   for r, o, p, c in zip(rows, odirs, pdirs, label)]
+                   for t, o, p, c in zip(found, np.concatenate(odirs),
+                                         np.concatenate(pdirs), label)]
         if errors:
             raise ClassificationAmbiguous(min(errors)[1])
         return tuple(sorted(out, key=lambda t: t.entity))

@@ -11,6 +11,7 @@ through the classifier cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,10 +20,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .anchors import anchor_set, index_support, local_knot_vector
-from .dualcompat import is_sdc, is_wdc
+from .dualcompat import is_sdc, is_wdc, knots_overlap
 from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
                    dyadic_active_breakpoints, entity_hull, hull_inside,
-                   point_in_skeleton, singleton_dirs, subdiv)
+                   point_in_skeleton, subdiv)
 from .regions import BoxRegion, _box_covered, box_intersection
 from .splines import bspline_eval_array, parametric_support
 from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
@@ -49,6 +50,20 @@ def knots_overlap_oracle(v1: Sequence[int], v2: Sequence[int]) -> bool:
         return all(idx[i + 1] == idx[i] + 1 for i in range(len(idx) - 1))
 
     return contiguous(v1) and contiguous(v2)
+
+
+def overlap_pair_suite(pairs: int, seed: int) -> dict:
+    """`knots_overlap` against the oracle on `pairs` seeded random pairs of
+    strictly increasing vectors (2 to 8 entries from 0..20); failures are
+    listed as (v1, v2)."""
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(pairs):
+        v1 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
+        v2 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
+        if knots_overlap(v1, v2) != knots_overlap_oracle(v1, v2):
+            failures.append((v1, v2))
+    return {"pairs": pairs, "failures": failures}
 
 
 def dc_scan_oracle(mesh: TMesh, weak: bool) -> tuple[bool, tuple]:
@@ -100,18 +115,23 @@ def gtj_disjointness_oracle(mesh: TMesh,
 # ---------------------------------------------------------------------------
 # independent abstract-extension oracle
 
-def _gkv_direct(mesh: TMesh, entity: Entity, j: int) -> tuple:
-    """Global knot vector via direct scanning of hyperface closures,
-    bypassing the raster used by the production path."""
-    boxes = [entity_hull(e) for e in mesh.entities[mesh.dim - 1]
-             if singleton_dirs(e) == (j,)]
+def _hyperfaces_by_plane(mesh: TMesh) -> dict:
+    """The k-orthogonal hyperfaces grouped by their plane (k, x_k)."""
+    planes = {}
+    for k in range(mesh.dim):
+        for f in mesh.entities[(k,)]:
+            planes.setdefault((k, f[k][0]), []).append(f)
+    return planes
+
+
+def _gkv_direct(mesh: TMesh, planes: dict, entity: Entity, j: int) -> tuple:
+    """Global knot vector by covering each projection of the entity with
+    the hyperface closures of its own plane, bypassing the raster used by
+    the production path."""
     hull = entity_hull(entity)
-    out = []
-    for n in range(mesh.domain.extents[j] + 1):
-        proj = hull[:j] + ((n, n),) + hull[j + 1:]
-        if _box_covered(proj, boxes):
-            out.append(n)
-    return tuple(out)
+    return tuple(n for n in range(mesh.domain.extents[j] + 1)
+                 if _box_covered(hull[:j] + ((n, n),) + hull[j + 1:],
+                                 planes.get((j, n), ())))
 
 
 def tjunctions_oracle(mesh: TMesh) -> tuple:
@@ -123,13 +143,10 @@ def tjunctions_oracle(mesh: TMesh) -> tuple:
     d = mesh.dim
     if d < 2:
         return ()
-    planes = {}
-    for f in mesh.entities[d - 1]:
-        (k,) = singleton_dirs(f)
-        planes.setdefault((k, f[k][0]), []).append(f)
+    planes = _hyperfaces_by_plane(mesh)
     out = []
-    for t in sorted(mesh.entities[d - 2]):
-        i0, j0 = singleton_dirs(t)
+    pairs = itertools.combinations(range(d), 2)
+    for t, (i0, j0) in sorted((t, ij) for ij in pairs for t in mesh.entities[ij]):
         if any(t[k][0] in (0, mesh.domain.extents[k]) for k in (i0, j0)):
             continue
         valence = sum(hull_inside(t, f) for k in (i0, j0)
@@ -159,17 +176,18 @@ def _local_window_direct(gkv, value, offset, length):
 
 def _anchor_knots_direct(mesh: TMesh) -> tuple:
     """(anchor, support spans, global knot vectors) for every anchor, with
-    the anchors found by filtering entities and the knot vectors by the
-    direct scan; built once per mesh, as every slice reads all of them."""
+    the anchors read from their bucket and the knot vectors by the direct
+    scan; built once per mesh, as every slice reads all of them."""
     def build():
         dom = mesh.domain
         kappa = tuple(k for k, p in enumerate(dom.degrees) if p % 2 == 1)
         active = dom.active_spans()
+        planes = _hyperfaces_by_plane(mesh)
         out = []
-        for a in mesh.entities[dom.dim - len(kappa)]:
-            if singleton_dirs(a) != kappa or not hull_inside(a, active):
+        for a in mesh.entities[kappa]:
+            if not hull_inside(a, active):
                 continue
-            gkvs = tuple(_gkv_direct(mesh, a, k) for k in range(dom.dim))
+            gkvs = tuple(_gkv_direct(mesh, planes, a, k) for k in range(dom.dim))
             spans = []
             for k, gkv in enumerate(gkvs):
                 p = dom.degrees[k]
@@ -354,17 +372,11 @@ def random_admissible_mesh(seed: int, *, dim: int | None = None,
         base_cells = tuple(rng.randint(2, 3) for _ in range(d))
     mesh = build_framed_mesh(
         degrees, [dyadic_active_breakpoints(c, levels) for c in base_cells])
-    single_dir = rng.randrange(d) if direction_mode == "single" else None
+    directions = (rng.randrange(d),) if direction_mode == "single" else range(d)
 
-    active = mesh.domain.active_spans()
     steps = misses = 0
     while steps < max_steps and misses < 2 * max_steps:
-        options = sorted(
-            (cell, k)
-            for cell in mesh.cells if hull_inside(cell, active)
-            for k in range(d)
-            if (cell[k][1] - cell[k][0]) >= 2 and (cell[k][1] - cell[k][0]) % 2 == 0
-            and (single_dir is None or k == single_dir))
+        options = bisection_options(mesh, directions)
         if not options:
             break
         cell, k = rng.choice(options)
@@ -375,6 +387,16 @@ def random_admissible_mesh(seed: int, *, dim: int | None = None,
         mesh = candidate
         steps += 1
     return mesh
+
+
+def bisection_options(mesh: TMesh, directions: Sequence[int]) -> list:
+    """Sorted (active cell, direction) pairs with an even width of at least
+    2 in that direction, so the bisection midpoint is an integer."""
+    active = mesh.domain.active_spans()
+    return sorted((cell, k) for cell in mesh.cells if hull_inside(cell, active)
+                  for k in directions
+                  if (cell[k][1] - cell[k][0]) >= 2
+                  and (cell[k][1] - cell[k][0]) % 2 == 0)
 
 
 def mesh_stream(seed: int, count: int, **kwargs) -> Iterable[tuple[int, TMesh]]:
@@ -405,8 +427,7 @@ def separation_probe_suite(mesh: TMesh, probes: int, seed: int) -> dict:
     by_dir = {}
     for i in range(mesh.dim):
         full = set(complete_slices(mesh, i))
-        faces = sorted(f for f in mesh.entities[mesh.dim - 1]
-                       if singleton_dirs(f) == (i,) and f[i][0] not in full)
+        faces = sorted(f for f in mesh.entities[(i,)] if f[i][0] not in full)
         if faces:
             by_dir[i] = faces
     dirs = sorted(by_dir)

@@ -12,12 +12,13 @@ from tmeshkit.anchors import (anchor_set, global_knot_vector, index_support,
                               local_knot_vector)
 from tmeshkit.dualcompat import knots_overlap
 from tmeshkit.mesh import (TMesh, check_three_direction_assumption,
-                           entity_hull, hull_in_skeleton, hull_inside,
-                           is_admissible, open_entity_meets_skeleton,
-                           point_in_skeleton, project_entity, subdiv)
+                           entity_hull, hull_in_skeleton, is_admissible,
+                           open_entity_meets_skeleton, point_in_skeleton,
+                           project_entity, subdiv)
 from tmeshkit.suitability import gtj
 from tmeshkit.topology import find_separating_tjunction, find_tjunctions
-from tmeshkit.verify import child_anchor_inheritance, random_admissible_mesh
+from tmeshkit.verify import (bisection_options, child_anchor_inheritance,
+                             random_admissible_mesh)
 
 
 def disjoint_union_violations(mesh: TMesh, samples: int = 10_000,
@@ -32,8 +33,8 @@ def disjoint_union_violations(mesh: TMesh, samples: int = 10_000,
     pts = np.stack([rng.integers(0, 8 * n + 1, samples) for n in
                     mesh.domain.extents], axis=-1).astype(float) / 8.0
     counts = np.zeros(len(pts), dtype=np.int64)
-    for dim_set in mesh.entities:
-        for e in dim_set:
+    for bucket in mesh.entities.values():
+        for e in bucket:
             inside = np.ones(len(pts), dtype=bool)
             for k, (a, b) in enumerate(e):
                 x = pts[:, k]
@@ -48,12 +49,8 @@ def admissibility_preserved_along_walk(seed: int, steps: int = 12) -> dict:
     mesh = random_admissible_mesh(seed, max_steps=0)
     assert is_admissible(mesh)[0]
     done = 0
-    active = mesh.domain.active_spans()
     for _ in range(steps):
-        options = sorted(
-            (cell, k) for cell in mesh.cells if hull_inside(cell, active)
-            for k in range(mesh.dim)
-            if (cell[k][1] - cell[k][0]) >= 2 and (cell[k][1] - cell[k][0]) % 2 == 0)
+        options = bisection_options(mesh, range(mesh.dim))
         if not options:
             break
         cell, k = rng.choice(options)
@@ -195,11 +192,7 @@ def child_anchor_suite(seed: int, wanted_steps: int = 50) -> dict:
             max_steps=rng.randint(0, 4), keep=lambda m: is_wgas(m)[0])
         if not is_wgas(mesh)[0] or not check_three_direction_assumption(mesh):
             continue
-        active = mesh.domain.active_spans()
-        options = sorted(
-            (cell, k) for cell in mesh.cells if hull_inside(cell, active)
-            for k in range(3)
-            if (cell[k][1] - cell[k][0]) >= 2 and (cell[k][1] - cell[k][0]) % 2 == 0)
+        options = bisection_options(mesh, range(3))
         if not options:
             continue
         cell, k = rng.choice(options)

@@ -5,7 +5,6 @@ lines; tolerances are pinned here and nowhere else.  Criteria over the
 shared fuzz corpus use the session fixture from conftest.
 """
 
-import random
 import time
 from contextlib import contextmanager
 
@@ -13,14 +12,14 @@ from propertysuites import (child_anchor_suite, projection_dichotomy_suite,
                             sgas_overlap_suite)
 from tmeshkit import fixtures as fx
 from tmeshkit.anchors import anchor_set, global_knot_vector, local_knot_vector
-from tmeshkit.dualcompat import is_sdc, is_wdc, knots_overlap
+from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.mesh import check_three_direction_assumption, is_admissible
 from tmeshkit.regions import BoxRegion
 from tmeshkit.suitability import atj_slice, atj_union, gtj, gtj_union, is_aas, \
     is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
-from tmeshkit.verify import (atj_slice_oracle, knots_overlap_oracle,
-                             linear_independence_rank, mesh_stream,
+from tmeshkit.verify import (atj_slice_oracle, linear_independence_rank,
+                             mesh_stream, overlap_pair_suite,
                              partition_of_unity, rank_verdict_stable,
                              replay_prefix, separation_probe_suite,
                              wgas_wdc_counterexample_search)
@@ -221,11 +220,8 @@ def test_criterion_12_conjecture_harness():
 
 def test_criterion_13_property_suites():
     with criterion(13, "lemma/property suites"):
-        rng = random.Random(1357)
-        for _ in range(10_000):
-            v1 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
-            v2 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
-            assert knots_overlap(v1, v2) == knots_overlap_oracle(v1, v2)
+        assert overlap_pair_suite(10_000, seed=1357) == {"pairs": 10_000,
+                                                         "failures": []}
 
         probe_meshes = [fx.running_example_3d()[0],
                         fx.corner_tjunction_triple()[0],

@@ -8,7 +8,7 @@ from tmeshkit.dualcompat import (SameAnchor, is_sdc, is_wdc, knots_overlap,
                                  strongly_partially_overlap,
                                  weakly_partially_overlap)
 from tmeshkit.mesh import build_framed_mesh
-from tmeshkit.verify import knots_overlap_oracle
+from tmeshkit.verify import overlap_pair_suite
 
 
 def test_overlap_identity_and_examples():
@@ -19,11 +19,8 @@ def test_overlap_identity_and_examples():
 
 
 def test_overlap_matches_bruteforce_oracle():
-    rng = random.Random(99)
-    for _ in range(10_000):
-        v1 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
-        v2 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
-        assert knots_overlap(v1, v2) == knots_overlap_oracle(v1, v2), (v1, v2)
+    assert overlap_pair_suite(10_000, seed=99) == {"pairs": 10_000,
+                                                   "failures": []}
 
 
 def test_partial_overlap_relations():

@@ -29,16 +29,16 @@ def refined2d():
 def test_smallest_1d_grid():
     dom = IndexDomain(extents=(2,), degrees=(0,))
     mesh = create_tensor_mesh(dom, [[0, 1, 2]])
-    assert mesh.entities[1] == {((0, 1),), ((1, 2),)}
-    assert mesh.entities[0] == {((0, 0),), ((1, 1),), ((2, 2),)}
+    assert mesh.entities[()] == {((0, 1),), ((1, 2),)}
+    assert mesh.entities[(0,)] == {((0, 0),), ((1, 1),), ((2, 2),)}
 
 
 def test_tensor_counts_2d():
     mesh = grid2d()
     # 4 intervals and 5 singletons per direction
-    assert len(mesh.entities[2]) == 16
-    assert len(mesh.entities[1]) == 40
-    assert len(mesh.entities[0]) == 25
+    assert len(mesh.entities[()]) == 16
+    assert len(mesh.entities[(0,)] | mesh.entities[(1,)]) == 40
+    assert len(mesh.entities[(0, 1)]) == 25
 
 
 def test_domain_validation():
@@ -88,15 +88,15 @@ def test_active_and_frame_regions():
 
 def test_subdiv_inserts_children():
     mesh = refined2d()
-    cells = mesh.entities[2]
+    cells = mesh.entities[()]
     assert ((2, 3), (2, 4)) in cells and ((3, 4), (2, 4)) in cells
     assert ((2, 4), (2, 4)) not in cells
-    assert ((3, 3), (2, 4)) in mesh.entities[1]  # the new face
+    assert ((3, 3), (2, 4)) in mesh.entities[(0,)]  # the new face
     for edge in [((2, 3), (2, 2)), ((3, 4), (2, 2)),
                  ((2, 3), (4, 4)), ((3, 4), (4, 4))]:
-        assert edge in mesh.entities[1]
-    assert ((3, 3), (2, 2)) in mesh.entities[0]
-    assert ((3, 3), (4, 4)) in mesh.entities[0]
+        assert edge in mesh.entities[(1,)]
+    assert ((3, 3), (2, 2)) in mesh.entities[(0, 1)]
+    assert ((3, 3), (4, 4)) in mesh.entities[(0, 1)]
 
 
 def test_subdiv_replacement_count():
@@ -104,11 +104,11 @@ def test_subdiv_replacement_count():
     mesh = refined2d()
     # replaced: the cell itself and its two edges sharing the split
     # component; every replacement grows the complex by two entities
-    replaced = [e for dim in range(3) for e in base.entities[dim]
+    replaced = [e for bucket in base.entities.values() for e in bucket
                 if e[0] == (2, 4) and all(2 <= a and b <= 4 for a, b in e)]
     assert len(replaced) == 3
-    total_new = sum(len(mesh.entities[d]) for d in range(3))
-    total_old = sum(len(base.entities[d]) for d in range(3))
+    total_new = sum(map(len, mesh.entities.values()))
+    total_old = sum(map(len, base.entities.values()))
     assert total_new == total_old + 2 * len(replaced)
 
 
@@ -130,9 +130,9 @@ def test_frame_extension_splits_through_frame():
     mesh = subdiv(mesh, ((1, 3), (1, 3)), 0)
     # the cell touches the frame below only: the cut reaches y = 0 but
     # stops at the top of the cell, leaving a hanging vertex at (2, 3)
-    assert ((2, 2), (0, 1)) in mesh.entities[1]
-    assert ((2, 2), (5, 6)) not in mesh.entities[1]
-    assert ((2, 2), (3, 3)) in mesh.entities[0]
+    assert ((2, 2), (0, 1)) in mesh.entities[(0,)]
+    assert ((2, 2), (5, 6)) not in mesh.entities[(0,)]
+    assert ((2, 2), (3, 3)) in mesh.entities[(0, 1)]
     ok, violations = is_admissible(mesh)
     assert ok, violations
 
@@ -166,8 +166,11 @@ def test_skeleton_membership():
 
 def test_orth_entities():
     mesh = grid2d()
-    assert orth_entities(mesh, ()) == mesh.entities[2]
-    assert orth_entities(mesh, (0, 1)) == mesh.entities[0]
+    everything = set().union(*mesh.entities.values())
+    assert orth_entities(mesh, ()) == {e for e in everything
+                                       if all(a < b for a, b in e)}
+    assert orth_entities(mesh, (1, 0)) == {e for e in everything
+                                           if all(a == b for a, b in e)}
     mesh3 = build_framed_mesh((1, 1, 1), [[0, 2], [0, 2], [0, 2]])
     faces = orth_entities(mesh3, (1,))
     assert faces

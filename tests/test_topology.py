@@ -6,7 +6,8 @@ import pytest
 
 from tmeshkit import fixtures as fx
 from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
-                           create_tensor_mesh, hull_inside, skeleton_mask, subdiv)
+                           create_tensor_mesh, hull_inside, singleton_dirs,
+                           skeleton_mask, subdiv)
 from tmeshkit.suitability import is_wgas
 from tmeshkit.topology import (ClassificationAmbiguous, PreconditionViolated,
                                find_separating_tjunction, find_tjunctions,
@@ -66,7 +67,9 @@ def test_valences_are_three_or_four():
 
 
 def test_masks_carried_across_subdiv_equal_fresh_builds():
-    # every candidate of the criterion-12 stream's first meshes, kept or not
+    # every candidate of the criterion-12 stream's first meshes, kept or not;
+    # the oracles read the same buckets as production, so the buckets are
+    # checked here against the orientation of each entity and a replay
     candidates, kept = [], {}
 
     def keep(m):
@@ -82,6 +85,10 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
         parent = kept.get(m.refinement_log[:-1])
         j = m.refinement_log[-1][1]
         fresh = replay_prefix(m, len(m.refinement_log))
+        assert len(m.entities) == 2 ** m.dim
+        for kappa, bucket in m.entities.items():
+            assert all(singleton_dirs(e) == kappa for e in bucket)
+        assert m.entities == fresh.entities
         for k in range(m.dim):
             mask = skeleton_mask(m, k)
             assert not mask.flags.writeable
@@ -97,9 +104,9 @@ def test_corrupt_complex_is_ambiguous():
     mesh = fx.corner_cascade()[0]
     dropped = ((2, 3), (4, 4))
     assert any(hull_inside(t.entity, dropped) for t in find_tjunctions(mesh))
-    entities = list(mesh.entities)
-    entities[1] = entities[1] - {dropped}
-    corrupt = TMesh(mesh.domain, mesh.breakpoints, tuple(entities))
+    entities = dict(mesh.entities)
+    entities[(1,)] = entities[(1,)] - {dropped}
+    corrupt = TMesh(mesh.domain, mesh.breakpoints, entities)
     # several entities lose a half-face; the smallest one is reported
     message = "entity ((2, 2), (4, 4)) has no associated cell"
     with pytest.raises(ClassificationAmbiguous, match=f"^{re.escape(message)}$"):
