@@ -1,9 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success (and all requested checks passed), 1 a requested
-check failed, 2 precondition violation, 3 non-integer midpoint,
-4 malformed input file, 5 usage error (unknown flag etc.).  Directions
-on the command line are 1-based.
+check failed, 2 precondition violation (also a bad argument value or an
+unwritable output), 3 non-integer midpoint, 4 malformed or unreadable
+input file, 5 usage error (unknown flag etc.).  Directions on the
+command line are 1-based.
+
+Only the mesh, file and SVG modules are imported up front; `check`,
+`lin-indep` and `verify` import their classifier and harness modules
+when they run, so `new` and `refine` never load numpy.
 """
 
 from __future__ import annotations
@@ -11,19 +16,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from . import verify
-from .dualcompat import is_sdc, is_wdc
 from .mesh import (IndexDomain, MeshError, NonIntegerMidpoint,
                    create_tensor_mesh, find_cell_containing, is_admissible,
                    subdiv)
 from .meshio import (MeshFormatError, load_mesh, mesh_to_dict, region_to_json,
                      save_mesh)
-from .suitability import is_aas, is_sgas, is_wgas
+# imported here, not in _cmd_export: the benchmark's tracer finds the
+# module in sys.modules once the cli is loaded
 from .svgexport import render_slice_svg
-from .topology import PreconditionViolated
 
 EXIT_CHECK_FAILED = 1
 EXIT_PRECONDITION = 2
@@ -31,14 +35,14 @@ EXIT_MIDPOINT = 3
 EXIT_BAD_FILE = 4
 EXIT_USAGE = 5
 
-CHECKS = {
-    "admissible": lambda m: is_admissible(m),
-    "aas": lambda m: is_aas(m),
-    "sgas": lambda m: is_sgas(m),
-    "wgas": lambda m: is_wgas(m),
-    "sdc": lambda m: is_sdc(m),
-    "wdc": lambda m: is_wdc(m),
-}
+
+def _checks() -> dict:
+    """The classifiers `check --which` selects from, in report order."""
+    from .dualcompat import is_sdc, is_wdc
+    from .suitability import is_aas, is_sgas, is_wgas
+
+    return {"admissible": is_admissible, "aas": is_aas, "sgas": is_sgas,
+            "wgas": is_wgas, "sdc": is_sdc, "wdc": is_wdc}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,27 +105,48 @@ def _load(path: str):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_FILE) from None
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_BAD_FILE) from None
     except MeshFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_FILE) from None
 
 
+@contextmanager
+def _writing(path: str):
+    """An output that cannot be written exits 2 with one error line."""
+    try:
+        yield
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_PRECONDITION) from None
+
+
 def _cmd_new(args) -> int:
-    extents = _csv_ints(args.extents)
-    degrees = _csv_ints(args.degrees)
+    try:
+        extents = _csv_ints(args.extents)
+        degrees = _csv_ints(args.degrees)
+        breakpoints = None
+        if args.breakpoints:
+            breakpoints = [_csv_ints(chunk)
+                           for chunk in args.breakpoints.split(";")]
+    except ValueError as exc:
+        print(f"error: bad integer list: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     if len(extents) != args.dim or len(degrees) != args.dim:
         print("error: extents/degrees must match --dim", file=sys.stderr)
         return EXIT_PRECONDITION
-    breakpoints = None
-    if args.breakpoints:
-        breakpoints = [_csv_ints(chunk) for chunk in args.breakpoints.split(";")]
     try:
         domain = IndexDomain(extents=tuple(extents), degrees=tuple(degrees))
         mesh = create_tensor_mesh(domain, breakpoints)
     except (ValueError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    save_mesh(mesh, args.out)
+    with _writing(args.out):
+        save_mesh(mesh, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -142,11 +167,13 @@ def _cmd_refine(args) -> int:
     except NonIntegerMidpoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MIDPOINT
-    except (MeshError, PreconditionViolated) as exc:
+    except MeshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    save_mesh(mesh, args.out or args.mesh)
-    print(f"wrote {args.out or args.mesh}")
+    out = args.out or args.mesh
+    with _writing(out):
+        save_mesh(mesh, out)
+    print(f"wrote {out}")
     return 0
 
 
@@ -180,26 +207,30 @@ def _witness_json(name: str, witnesses) -> list:
 
 def _cmd_check(args) -> int:
     mesh = _load(args.mesh)
-    names = list(CHECKS) if args.which == "all" else args.which.split(",")
+    checks = _checks()
+    names = list(checks) if args.which == "all" else args.which.split(",")
     report = {"format_version": 1, "mesh": args.mesh, "checks": {}}
     all_ok = True
     for name in names:
-        if name not in CHECKS:
+        if name not in checks:
             print(f"error: unknown check {name!r}", file=sys.stderr)
             return EXIT_USAGE
-        ok, witnesses = CHECKS[name](mesh)
+        ok, witnesses = checks[name](mesh)
         all_ok &= ok
         mark = "pass" if ok else "FAIL"
         print(f"{name:<10} {mark}" + ("" if ok else f"  ({len(witnesses)} witnesses)"))
         report["checks"][name] = {"ok": ok,
                                   "witnesses": _witness_json(name, witnesses)}
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(report, indent=2) + "\n",
-                                       encoding="utf-8")
+        with _writing(args.json_out):
+            Path(args.json_out).write_text(json.dumps(report, indent=2) + "\n",
+                                           encoding="utf-8")
     return 0 if all_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_lin_indep(args) -> int:
+    from . import verify
+
     mesh = _load(args.mesh)
     report = verify.linear_independence_rank(mesh)
     verdict = "independent" if report.independent else "DEPENDENT"
@@ -208,6 +239,9 @@ def _cmd_lin_indep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+    from .suitability import is_wgas
+
     if args.seeds < 1:
         print(f"error: --seeds must be at least 1, got {args.seeds}",
               file=sys.stderr)
@@ -242,12 +276,16 @@ def _cmd_verify(args) -> int:
               f"{rep['probes']} separation probes, {'ok' if ok else 'FAILED'}")
     if args.json_out:
         payload = {k: v for k, v in rep.items()}
-        Path(args.json_out).write_text(json.dumps(payload, indent=2, default=str)
-                                       + "\n", encoding="utf-8")
+        with _writing(args.json_out):
+            Path(args.json_out).write_text(
+                json.dumps(payload, indent=2, default=str) + "\n",
+                encoding="utf-8")
     return 0 if ok else EXIT_CHECK_FAILED
 
 
 def _props_suite(stream) -> tuple[dict, bool]:
+    from . import verify
+
     overlap = verify.overlap_pair_suite(10_000, seed=1234)
     reports = [verify.separation_probe_suite(mesh, probes=200, seed=seed)
                for seed, mesh in stream[:5]]
@@ -271,13 +309,18 @@ def _cmd_export(args) -> int:
         except ValueError:
             print(f"error: bad --slice {args.slice_spec!r}", file=sys.stderr)
             return EXIT_USAGE
+        if not (0 <= k < mesh.dim and 0 <= n <= mesh.domain.extents[k]):
+            print(f"error: --slice {args.slice_spec!r} needs 1 <= k <= "
+                  f"{mesh.dim} and 0 <= n <= N_k", file=sys.stderr)
+            return EXIT_PRECONDITION
     layers = tuple(args.layers.split(","))
     try:
         svg = render_slice_svg(mesh, k, n, layers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    Path(args.out).write_text(svg, encoding="utf-8")
+    with _writing(args.out):
+        Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 

@@ -17,7 +17,9 @@ lattice (`skeleton_mask`, `cell_labels`), exact because every entity
 bound is an integer.  A domain may hold at most `MAX_LATTICE_POINTS`
 lattice points, prod_k (2 N_k + 1), so one bool raster stays within
 16 MiB and the int32 `cell_labels` raster within 64 MiB; `IndexDomain`
-raises `ValueError` past it.
+raises `ValueError` past it.  numpy is imported only when a raster is
+built (and by `check_three_direction_assumption`), so building,
+refining, saving and loading a mesh never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
 log.  Derived structures (lattice rasters, T-junction tables, knot
@@ -34,11 +36,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .regions import Box, BoxRegion, DimensionMismatch, Scalar
+
+if TYPE_CHECKING:  # numpy loads with the first raster, not with the module
+    import numpy as np
 
 Component = tuple  # (a, b) ints: a == b singleton, a < b open interval
 Entity = tuple     # tuple of d Components
@@ -120,6 +123,8 @@ class IndexDomain:
         object.__setattr__(self, "degrees", degrees)
         if len(extents) != len(degrees):
             raise ValueError("extents and degrees must have equal length")
+        if not extents:
+            raise ValueError("a domain needs at least one direction")
         if any(n <= 0 for n in extents):
             raise ValueError("extents must be positive")
         points = math.prod(2 * n + 1 for n in extents)
@@ -353,6 +358,8 @@ def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
     every mask is read-only, because refinement shares them with children.
     """
     def build():
+        import numpy as np
+
         shape = tuple(2 * n + 1 for n in mesh.domain.extents)
         grids = [np.zeros(shape, dtype=bool) for _ in range(mesh.dim)]
         for k, grid in enumerate(grids):
@@ -370,6 +377,8 @@ def cell_labels(mesh: TMesh) -> tuple[np.ndarray, tuple]:
     indexes: a point inside an open cell holds that cell's position in
     the tuple, every other point -1."""
     def build():
+        import numpy as np
+
         cells = tuple(mesh.cells)
         grid = np.full(tuple(2 * n + 1 for n in mesh.domain.extents), -1,
                        dtype=np.int32)
@@ -454,6 +463,8 @@ def is_admissible(mesh: TMesh) -> tuple[bool, tuple]:
 
 def check_three_direction_assumption(mesh: TMesh) -> bool:
     """Every active cell has active neighbor cells in at least 3 directions."""
+    import numpy as np
+
     if mesh.dim < 3:
         raise DimensionTooSmall("needs at least 3 directions")
     labels, cells = cell_labels(mesh)

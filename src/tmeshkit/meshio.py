@@ -115,7 +115,8 @@ def save_mesh(mesh: TMesh, path) -> None:
 def load_mesh(path) -> TMesh:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # JSON text is UTF-8, and nesting past the parser's depth is malformed
         raise MeshFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MeshFormatError("top-level JSON value must be an object")

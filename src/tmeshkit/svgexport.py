@@ -4,19 +4,18 @@ A 3D mesh is drawn on the slice x_k = n; a 2D mesh is drawn whole.  The
 exact region of each extension layer is embedded verbatim (as region
 JSON) in a <desc> element, so tests compare serialized geometry rather
 than pixels.  Element order is sorted and the output is byte-stable for
-a fixed mesh and flag set.
+a fixed mesh and flag set.  The extension and anchor layers import
+their classifier modules, and with them numpy, when they are drawn, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import json
 
-from .anchors import anchor_set
 from .mesh import TMesh, entity_hull
 from .meshio import region_to_json
 from .regions import BoxRegion
-from .suitability import atj_slice, atj_union, gtj
-from .topology import find_tjunctions
 
 SCALE = 40
 PAD = 20
@@ -122,6 +121,9 @@ def _skeleton_layer(mesh, k, n, axes, plane) -> str:
 
 
 def _layer_region(mesh, k, n, kind) -> BoxRegion:
+    from .suitability import atj_slice, atj_union, gtj
+    from .topology import find_tjunctions
+
     if kind == "atj":
         if k is not None:
             return atj_slice(mesh, k, n).region
@@ -151,6 +153,8 @@ def _region_layer(mesh, k, n, axes, plane, kind) -> str:
 
 
 def _anchor_layer(mesh, k, n, axes, plane) -> str:
+    from .anchors import anchor_set
+
     shapes = set()
     for a in anchor_set(mesh):
         spans = _slice_spans(entity_hull(a), k, n, axes)

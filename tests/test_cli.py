@@ -1,9 +1,21 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
+import pytest
+
+import tmeshkit
 from tmeshkit import fixtures as fx
 from tmeshkit.cli import main
 from tmeshkit.meshio import load_mesh, save_mesh
+
+SRC = Path(tmeshkit.__file__).resolve().parents[1]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DATA = resources.files("tmeshkit").joinpath("data")
 
 
 def run(*argv):
@@ -163,3 +175,154 @@ def test_verify_rejects_empty_stream(capsys):
             captured = capsys.readouterr()
             assert "--seeds must be at least 1" in captured.err
             assert captured.out == ""
+
+
+def _python(code, *argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+NUMPY_PROBE = """
+import sys
+import tmeshkit
+loaded = sorted(m for m in sys.modules if m.startswith("tmeshkit."))
+from tmeshkit.cli import main
+print(main(sys.argv[1:]), loaded, "numpy" in sys.modules)
+"""
+
+
+def test_new_and_refine_do_not_load_numpy(tmp_path):
+    # building, replaying and refining a mesh is exact integer work, so
+    # the write commands must not pay for numpy at start-up
+    new = ["new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
+           "--breakpoints", "0,1,2,4,5,6;0,1,2,4,5,6", "--out", "m.json"]
+    assert _python(NUMPY_PROBE, *new, cwd=tmp_path) == "0 [] False"
+    for at, direction in (("3,3", "1"), ("5/2,3", "2")):
+        # the second refine replays the first from the file's log
+        refine = ["refine", "--mesh", "m.json", "--at", at, "--dir", direction]
+        assert _python(NUMPY_PROBE, *refine, cwd=tmp_path) == "0 [] False"
+    assert len(load_mesh(tmp_path / "m.json").refinement_log) == 2
+
+
+# the names the package exported when its __init__ imported them eagerly
+PUBLIC = {
+    "mesh": "CellOutsideActiveRegion DimensionTooSmall IndexDomain MeshError "
+            "NonIntegerMidpoint NotACell TMesh active_region build_framed_mesh "
+            "create_tensor_mesh find_cell_containing frame_region "
+            "frame_region_k is_admissible check_three_direction_assumption "
+            "orth_entities skeleton subdiv",
+    "regions": "Box BoxRegion DimensionMismatch",
+    "topology": "ClassificationAmbiguous NotFound PreconditionViolated "
+                "TJunction find_separating_tjunction find_tjunctions "
+                "min_connecting_box tjunctions_by_odir",
+    "anchors": "InsufficientKnots anchor_set global_knot_vector index_support "
+               "local_knot_vector",
+    "splines": "DegenerateKnots bspline_eval supports_overlap tspline "
+               "tspline_eval",
+    "suitability": "AbstractExtension GeometricExtension NonAdjacentCellBounds "
+                   "atj_slice atj_union gtj gtj_union is_aas is_sgas is_wgas",
+    "dualcompat": "SameAnchor is_sdc is_wdc knots_overlap "
+                  "strongly_partially_overlap weakly_partially_overlap",
+}
+
+
+def test_public_names_resolve_to_their_defining_objects():
+    names = [n for module in PUBLIC.values() for n in module.split()]
+    assert sorted(tmeshkit.__all__) == sorted(names)
+    for module, listed in PUBLIC.items():
+        defining = importlib.import_module(f"tmeshkit.{module}")
+        for name in listed.split():
+            assert getattr(tmeshkit, name) is getattr(defining, name), name
+    assert set(tmeshkit.__all__) <= set(dir(tmeshkit))
+    with pytest.raises(AttributeError):
+        tmeshkit.no_such_name
+    # a submodule is not in the table: the import system falls back to it
+    from tmeshkit import verify
+    assert verify.__name__ == "tmeshkit.verify"
+
+
+TRACER_PROBE = """
+import sys
+sys.path[:0] = [sys.argv[1]]
+import tracing, workloads
+tracing.Tracer().install()
+unwrapped = []
+for module, qualname in tracing.TRACED:
+    obj = sys.modules["tmeshkit." + module]
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    if not hasattr(obj, "__wrapped__"):
+        unwrapped.append(module + "." + qualname)
+print(len(tracing.TRACED), unwrapped)
+"""
+
+
+def test_benchmark_tracer_installs_every_traced_function(tmp_path):
+    # the tracer finds each traced module in sys.modules once the
+    # benchmark's workloads are imported; a module the cli only loads
+    # inside a command would be missing there
+    assert _python(TRACER_PROBE, str(PERFBENCH), cwd=tmp_path) == "27 []"
+
+
+BAD_INPUTS = {
+    # running example, extents 17,13,4: direction and slice out of range
+    "slice-direction-9": (["export", "--mesh", "{re}", "--slice", "9=3",
+                           "--out", "{tmp}/s.svg"], 2),
+    "slice-beyond-extent": (["export", "--mesh", "{re}", "--slice", "3=6",
+                             "--out", "{tmp}/s.svg"], 2),
+    "slice-far-beyond-extent": (["export", "--mesh", "{re}", "--slice", "2=99",
+                                 "--out", "{tmp}/s.svg"], 2),
+    "slice-direction-0": (["export", "--mesh", "{re}", "--slice", "0=1",
+                           "--out", "{tmp}/s.svg"], 2),
+    "mesh-is-directory": (["lin-indep", "--mesh", "{tmp}"], 4),
+    "mesh-not-utf8": (["check", "--mesh", "{binary}"], 4),
+    "mesh-nested-too-deep": (["check", "--mesh", "{deep}"], 4),
+    "mesh-without-directions": (["lin-indep", "--mesh", "{dim0}"], 4),
+    "new-out-unwritable": (["new", "--dim", "2", "--extents", "6,6",
+                            "--degrees", "1,1", "--out", "{nodir}/m.json"], 2),
+    "refine-out-unwritable": (["refine", "--mesh", "{m}", "--at", "3,3",
+                               "--dir", "1", "--out", "{nodir}/m.json"], 2),
+    "export-out-unwritable": (["export", "--mesh", "{m}",
+                               "--out", "{nodir}/s.svg"], 2),
+    "check-json-unwritable": (["check", "--mesh", "{m}", "--which", "admissible",
+                               "--json", "{nodir}/r.json"], 2),
+    "verify-json-unwritable": (["verify", "--suite", "thm61", "--seeds", "1",
+                                "--json", "{nodir}/v.json"], 2),
+    "new-breakpoint-not-integer": (["new", "--dim", "2", "--extents", "8,8",
+                                    "--degrees", "1,1", "--breakpoints",
+                                    "0,8;0,x", "--out", "{tmp}/n.json"], 2),
+    "new-extent-not-integer": (["new", "--dim", "2", "--extents", "8,x",
+                                "--degrees", "1,1", "--out", "{tmp}/n.json"], 2),
+    "new-without-directions": (["new", "--dim", "0", "--extents", "",
+                                "--degrees", "", "--out", "{tmp}/n.json"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, case):
+    argv, code = BAD_INPUTS[case]
+    paths = {"tmp": tmp_path, "nodir": tmp_path / "no-such-dir",
+             "re": tmp_path / "re.json", "m": tmp_path / "m.json",
+             "binary": tmp_path / "binary.json", "deep": tmp_path / "deep.json",
+             "dim0": tmp_path / "dim0.json"}
+    paths["re"].write_bytes(
+        DATA.joinpath("running_example_p321.json").read_bytes())
+    assert run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
+               "--breakpoints", "0,1,2,4,5,6;0,1,2,4,5,6",
+               "--out", str(paths["m"])) == 0
+    paths["binary"].write_bytes(b'{"dim": "\xff\xfe"}')
+    paths["deep"].write_text("[" * 100_000)
+    data = json.loads(paths["m"].read_text())
+    paths["dim0"].write_text(json.dumps(data | {
+        "dim": 0, "extents": [], "degrees": [], "parametric_knots": [],
+        "breakpoints": [], "refinements": []}))
+    capsys.readouterr()
+    assert run(*(arg.format(**paths) for arg in argv)) == code
+    err = capsys.readouterr().err
+    assert [line.startswith("error: ") for line in err.splitlines()] == [True]
+    assert "Traceback" not in err

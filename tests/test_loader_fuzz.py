@@ -1,9 +1,16 @@
-"""Loader fuzz: mutated copies of the shipped mesh files and of a region
-file either load as exactly the mesh or region they describe, or are
-rejected as malformed (`check` and `refine` exit 4) without a traceback.
+"""Loader and argument fuzz.
 
-Mutations drop a key or list entry, replace a value by one of another
-type or out of range, or make a list one entry shorter or longer.
+Mutated copies of the shipped mesh files and of a region file either
+load as exactly the mesh or region they describe, or are rejected as
+malformed (`check` and `refine` exit 4) without a traceback.  Mutations
+drop a key or list entry, replace a value by one of another type or out
+of range, or make a list one entry shorter or longer.
+
+Command lines for all six commands, drawn from valid and malformed flag
+values, input paths that are missing, unreadable or not meshes, and
+outputs that cannot be written, exit with a documented code (0-5) and
+print at most one error line.
+
 Examples are derandomized and capped so the module runs in seconds.
 """
 
@@ -154,3 +161,74 @@ def test_mutated_region_files_load_or_are_rejected(data):
         assert len(box) == region.dim
         assert all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
                    for span in box for x in span)
+
+
+# None leaves an optional flag out.  Extents stay small: the lattice
+# limit bounds the rasters, not the entity complex, so a large admitted
+# extent would only test memory.
+CLI_FLAGS = {
+    "new": (("--dim", ("2", "3", "1", "0", "-1", "x")),
+            ("--extents", ("8,8", "6,6,6", "8", "8,x", "", "0,8", "5000,5000")),
+            ("--degrees", ("1,1", "3,2,1", "1", "-1,1", "x,1", "", "9,9")),
+            ("--breakpoints", ("0,1,2,4,6,7,8;0,1,2,4,6,7,8", "0,4,8;0,x",
+                               ";", "0,8", "8,0;0,8", "0,2,4,6;0,2,4,6;0,3,6",
+                               None)),
+            ("--out", ("{out}", "{nodir}", "{dir}", ""))),
+    "refine": (("--mesh", ("{m2}", "{m3}", "{missing}", "{dir}", "{binary}",
+                           "{garbage}", "")),
+               ("--at", ("4,7/2", "7/2,2,2", "x,y", "1/0,1", "", "3/2,3/2",
+                         "-1,100", "4")),
+               ("--dir", ("1", "2", "3", "0", "-1", "x")),
+               ("--out", ("{out}", "{nodir}", "{dir}", None))),
+    "check": (("--mesh", ("{m2}", "{m3}", "{missing}", "{dir}", "{binary}",
+                          "{garbage}")),
+              ("--which", ("all", "admissible", "aas,sdc", "wgas,wdc", "bogus",
+                           "", "all,aas", None)),
+              ("--json", ("{out}", "{nodir}", "{dir}", None))),
+    "lin-indep": (("--mesh", ("{m2}", "{m3}", "{missing}", "{dir}", "{binary}",
+                              "{garbage}")),),
+    "verify": (("--suite", ("thm61", "thm62", "conj63", "props", "bogus")),
+               ("--seeds", ("1", "0", "-3", "x")),
+               ("--seed", ("0", "5", "x", None)),
+               ("--json", ("{out}", "{nodir}", "{dir}", None))),
+    "export": (("--mesh", ("{m2}", "{m3}", "{missing}", "{dir}", "{binary}")),
+               ("--slice", ("3=2", "1=0", "2=4", "9=3", "0=1", "2=99", "1",
+                            "a=b", "1=2=3", None)),
+               ("--layers", ("skeleton,atj,gtj,anchors", "skeleton", "anchors",
+                             "bogus", "", None)),
+               ("--out", ("{out}", "{nodir}", "{dir}"))),
+}
+
+
+def _cli_inputs(tmp_path):
+    """Fresh input files for one example, since `refine` rewrites its input."""
+    paths = {"m2": tmp_path / "m2.json", "m3": tmp_path / "m3.json",
+             "missing": tmp_path / "missing.json", "dir": tmp_path / "dir",
+             "binary": tmp_path / "binary.json",
+             "garbage": tmp_path / "garbage.json",
+             "out": tmp_path / "out.json", "nodir": tmp_path / "no-dir" / "x"}
+    paths["m2"].write_text(json.dumps(SHIPPED["corner_tjunction_triple_p33.json"]))
+    paths["m3"].write_text(json.dumps(SHIPPED["crossing_hanging_edges_p321.json"]))
+    paths["dir"].mkdir(exist_ok=True)
+    paths["binary"].write_bytes(bytes(range(256)))
+    paths["garbage"].write_text('{"format_version": 1, "dim": [}')
+    return paths
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_cli_arguments_exit_0_to_5_with_at_most_one_error_line(
+        tmp_path, capsys, data):
+    paths = _cli_inputs(tmp_path)
+    command = data.draw(st.sampled_from(sorted(CLI_FLAGS)))
+    argv = [command]
+    for flag, values in CLI_FLAGS[command]:
+        value = data.draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value.format(**paths)]
+    argv += data.draw(st.sampled_from(((),) * 4 + (("--bogus",), ("stray",))))
+    capsys.readouterr()
+    code = _run(*argv)
+    err = capsys.readouterr().err
+    assert code in range(6), (argv, code, err)
+    assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
