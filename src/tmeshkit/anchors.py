@@ -102,17 +102,16 @@ class AnchorArrays(NamedTuple):
 
     `local[j]` is the (n_anchors, p_j + 2) int64 array of local knot
     vectors in direction j; `support` the (n_anchors, d, 2) int64 array
-    of index supports; `in_gkv[j]` the (n_anchors, N_j + 1) bool array
-    whose entry [a, n] says whether n is in anchor a's global knot vector.
+    of index supports.  A local vector is a run of the global one, so
+    inside the support they hold the same indices.
     """
     local: tuple
     support: np.ndarray
-    in_gkv: tuple
 
 
 def anchor_arrays(mesh: TMesh) -> AnchorArrays:
-    """The anchors' local vectors, supports and global-vector membership
-    as arrays, built from the memoized tuples."""
+    """The anchors' local vectors and supports as arrays, built from the
+    memoized tuples."""
     def build():
         anchors = anchor_set(mesh)
         n, d = len(anchors), mesh.dim
@@ -123,12 +122,5 @@ def anchor_arrays(mesh: TMesh) -> AnchorArrays:
             .reshape(n, mesh.domain.degrees[j] + 2) for j in range(d))
         support = np.stack([np.stack([v[:, 0], v[:, -1]], axis=1)
                             for v in local], axis=1)
-        in_gkv = []
-        for j in range(d):
-            gkvs = [global_knot_vector(mesh, a, j) for a in anchors]
-            rows = np.zeros((n, mesh.domain.extents[j] + 1), dtype=bool)
-            rows[np.repeat(np.arange(n), [len(g) for g in gkvs]),
-                 [x for g in gkvs for x in g]] = True
-            in_gkv.append(rows)
-        return AnchorArrays(local=local, support=support, in_gkv=tuple(in_gkv))
+        return AnchorArrays(local=local, support=support)
     return mesh.memo("anchor_arrays", build)

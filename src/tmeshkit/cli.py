@@ -14,17 +14,17 @@ when they run, so `new` and `refine` never load numpy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 from .mesh import (IndexDomain, MeshError, NonIntegerMidpoint,
                    create_tensor_mesh, find_cell_containing, is_admissible,
                    subdiv)
-from .meshio import (MeshFormatError, load_mesh, mesh_to_dict, region_to_json,
-                     save_mesh)
+from .meshio import (MeshFormatError, entity_to_json, load_mesh, mesh_to_dict,
+                     parse_rational, region_to_json, save_mesh)
 # imported here, not in _cmd_export: the benchmark's tracer finds the
 # module in sys.modules once the cli is loaded
 from .svgexport import render_slice_svg
@@ -70,7 +70,8 @@ def _build_parser() -> _Parser:
 
     p_ref = sub.add_parser("refine", help="bisect the cell containing a point")
     p_ref.add_argument("--mesh", required=True)
-    p_ref.add_argument("--at", required=True, help="x1,..,xd (rationals allowed)")
+    p_ref.add_argument("--at", required=True,
+                       help="x1,..,xd (rationals allowed, no exponents)")
     p_ref.add_argument("--dir", type=int, required=True, help="direction, 1-based")
     p_ref.add_argument("--out", help="output file (default: rewrite input)")
 
@@ -154,7 +155,7 @@ def _cmd_new(args) -> int:
 def _cmd_refine(args) -> int:
     mesh = _load(args.mesh)
     try:
-        point = tuple(Fraction(x) for x in args.at.split(","))
+        point = tuple(parse_rational(x) for x in args.at.split(","))
     except (ValueError, ZeroDivisionError):
         print(f"error: bad point {args.at!r}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -178,8 +179,6 @@ def _cmd_refine(args) -> int:
 
 
 def _witness_json(name: str, witnesses) -> list:
-    from .meshio import entity_to_json
-
     out = []
     for w in witnesses[:20]:
         if name == "admissible":
@@ -246,7 +245,7 @@ def _cmd_verify(args) -> int:
         print(f"error: --seeds must be at least 1, got {args.seeds}",
               file=sys.stderr)
         return EXIT_PRECONDITION
-    stream = list(verify.mesh_stream(args.seed, args.seeds))
+    stream = verify.mesh_stream(args.seed, args.seeds)   # built as it is read
     if args.suite == "thm61":
         rep = verify.crosscheck_aas_sdc(stream)
         ok = rep["ok"]
@@ -275,10 +274,9 @@ def _cmd_verify(args) -> int:
         print(f"props: {rep['pairs']} overlap pairs, "
               f"{rep['probes']} separation probes, {'ok' if ok else 'FAILED'}")
     if args.json_out:
-        payload = {k: v for k, v in rep.items()}
         with _writing(args.json_out):
             Path(args.json_out).write_text(
-                json.dumps(payload, indent=2, default=str) + "\n",
+                json.dumps(rep, indent=2, default=str) + "\n",
                 encoding="utf-8")
     return 0 if ok else EXIT_CHECK_FAILED
 
@@ -288,7 +286,7 @@ def _props_suite(stream) -> tuple[dict, bool]:
 
     overlap = verify.overlap_pair_suite(10_000, seed=1234)
     reports = [verify.separation_probe_suite(mesh, probes=200, seed=seed)
-               for seed, mesh in stream[:5]]
+               for seed, mesh in itertools.islice(stream, 5)]
     rep = {"pairs": overlap["pairs"],
            "probes": sum(r["probes"] for r in reports)}
     failed = [f for r in reports for f in r["failures"]]

@@ -17,6 +17,7 @@ import numpy as np
 from .anchors import (anchor_arrays, anchor_set, index_support,
                       local_knot_vector)
 from .mesh import Entity, TMesh
+from .regions import meeting_pairs
 
 
 class SameAnchor(ValueError):
@@ -59,35 +60,9 @@ def strongly_partially_overlap(mesh: TMesh, a1: Entity, a2: Entity) -> bool:
     return misses <= 1
 
 
-def _candidate_pairs(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (ia < ib, in lexicographic order) of anchors whose
-    closed supports intersect; all other pairs satisfy both relations
-    outright (a disjoint direction differs and overlaps).
-
-    Sort and sweep: with the supports sorted by their lower bound in
-    direction 0, the partners of one support that meet it there are the
-    run of later ones starting no later than its upper bound; the other
-    directions filter those.  Memory is linear in anchors plus pairs.
-    """
-    n = len(support)
-    order = np.argsort(support[:, 0, 0], kind="stable")
-    lo0 = support[order, 0, 0]
-    ends = np.searchsorted(lo0, support[order, 0, 1], side="right")
-    counts = ends - np.arange(1, n + 1)
-    owner = np.repeat(np.arange(n), counts)   # sorted position of the first
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    ia, ib = order[owner], order[owner + 1 + np.arange(len(owner)) - starts]
-    lo = np.maximum(support[ia, 1:, 0], support[ib, 1:, 0])
-    hi = np.minimum(support[ia, 1:, 1], support[ib, 1:, 1])
-    keep = (lo <= hi).all(axis=1)
-    ia, ib = ia[keep], ib[keep]
-    ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
-    rank = np.lexsort((ib, ia))
-    return ia[rank], ib[rank]
-
-
 def _pair_flags(mesh: TMesh):
-    """Candidate pairs with their per-direction `knots_overlap` and
+    """Anchor pairs whose closed supports meet (all others satisfy both
+    relations outright) with their per-direction `knots_overlap` and
     `differs` flags, each a (pairs, d) bool array, built once per mesh.
 
     For pairs of strictly increasing vectors of one length, overlap is the
@@ -95,7 +70,7 @@ def _pair_flags(mesh: TMesh):
     every such entry of the first vector found in the second."""
     def build():
         arrays = anchor_arrays(mesh)
-        ia, ib = _candidate_pairs(arrays.support)
+        ia, ib = meeting_pairs(arrays.support)
         overlap, differs = [], []
         for v in arrays.local:
             v1, v2 = v[ia], v[ib]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -149,6 +150,8 @@ class IndexDomain:
                     raise ValueError("parametric_knots[k] must have N_k + 1 entries")
                 if any(seq[i] >= seq[i + 1] for i in range(len(seq) - 1)):
                     raise ValueError("parametric knots must be strictly increasing")
+                if max(-seq[0], seq[-1]) > sys.float_info.max:
+                    raise ValueError("parametric knots must fit in a float")
         object.__setattr__(self, "parametric_knots", knots)
 
     @property
@@ -438,18 +441,18 @@ def is_admissible(mesh: TMesh) -> tuple[bool, tuple]:
     ("tjunction_in_frame", k, entity).
     """
     def build():
+        from .anchors import global_knot_vector
         from .topology import find_tjunctions
 
         dom = mesh.domain
+        whole = tuple((0, n_k) for n_k in dom.extents)
         violations = []
         for k, n_k in enumerate(dom.extents):
             f = dom.frame_width(k)
-            mask = skeleton_mask(mesh, k)
-            for n in [*range(0, f + 1), *range(n_k - f, n_k + 1)]:
-                sel = tuple(slice(None) if kk != k else slice(2 * n, 2 * n + 1)
-                            for kk in range(dom.dim))
-                if not mask[sel].all():
-                    violations.append(("slice_not_in_skeleton", k, n))
+            full = global_knot_vector(mesh, whole, k)
+            violations += [("slice_not_in_skeleton", k, n)
+                           for n in [*range(0, f + 1), *range(n_k - f, n_k + 1)]
+                           if n not in full]
         if mesh.dim >= 2:
             for tj in find_tjunctions(mesh):
                 for k in (tj.odir, tj.pdir):

@@ -37,6 +37,14 @@ def _int_from_json(v) -> int:
     return v
 
 
+def parse_rational(text: str) -> Fraction:
+    """An integer, decimal or "num/den" string as a Fraction.  No exponent:
+    `Fraction("1e<k>")` computes 10 ** k, a cost unbounded by the length."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
 def _num_from_json(v):
     if isinstance(v, bool):
         raise MeshFormatError(f"not a number: {v!r}")
@@ -44,7 +52,7 @@ def _num_from_json(v):
         return Fraction(v)
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            return parse_rational(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise MeshFormatError(f"bad rational {v!r}") from exc
     raise MeshFormatError(f"bad number {v!r}")
@@ -115,8 +123,8 @@ def save_mesh(mesh: TMesh, path) -> None:
 def load_mesh(path) -> TMesh:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # JSON text is UTF-8, and nesting past the parser's depth is malformed
+    except (ValueError, RecursionError) as exc:
+        # JSON text is UTF-8; too deep nesting and too long integers are malformed
         raise MeshFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MeshFormatError("top-level JSON value must be an object")

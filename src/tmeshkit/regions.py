@@ -85,6 +85,34 @@ def _box_covered(box: Box, cover: Sequence[Box]) -> bool:
     return True
 
 
+def meeting_pairs(boxes):
+    """Index pairs (ia < ib, in lexicographic order) of the intersecting
+    closed boxes of an (n, d, 2) integer array; numpy loads only here.
+
+    Sort and sweep: with the boxes sorted by their lower bound in
+    direction 0, the partners of one box that meet it there are the run
+    of later ones starting no later than its upper bound; the other
+    directions filter those.  Memory is linear in boxes plus pairs.
+    """
+    import numpy as np
+
+    n = len(boxes)
+    order = np.argsort(boxes[:, 0, 0], kind="stable")
+    lo0 = boxes[order, 0, 0]
+    ends = np.searchsorted(lo0, boxes[order, 0, 1], side="right")
+    counts = ends - np.arange(1, n + 1)
+    owner = np.repeat(np.arange(n), counts)   # sorted position of the first
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    ia, ib = order[owner], order[owner + 1 + np.arange(len(owner)) - starts]
+    lo = np.maximum(boxes[ia, 1:, 0], boxes[ib, 1:, 0])
+    hi = np.minimum(boxes[ia, 1:, 1], boxes[ib, 1:, 1])
+    keep = (lo <= hi).all(axis=1)
+    ia, ib = ia[keep], ib[keep]
+    ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
+    rank = np.lexsort((ib, ia))
+    return ia[rank], ib[rank]
+
+
 class BoxRegion:
     """A finite union of closed boxes with exact set semantics.
 

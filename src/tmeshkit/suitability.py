@@ -18,7 +18,7 @@ import numpy as np
 
 from .anchors import _window, anchor_arrays, global_knot_vector
 from .mesh import MeshError, TMesh
-from .regions import Box, BoxRegion
+from .regions import Box, BoxRegion, meeting_pairs
 from .topology import TJunction, find_tjunctions
 
 
@@ -52,15 +52,15 @@ def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
     """Abstract extension inside the slice x_j = n, as an exact region.
 
     The supports that contain n, cut to the slice, split into those of
-    anchors with n in their global knot vector and the rest; the region
-    is the union of the non-empty pairwise intersections across the two
-    sets, found in one broadcast over the distinct boxes of each set,
-    and normalized."""
+    anchors with n in their local (so global) knot vector and the rest;
+    the region is the union of the non-empty pairwise intersections across
+    the two sets, found in one broadcast over the distinct boxes of each
+    set, and normalized."""
     def build():
         d = mesh.dim
         arrays = anchor_arrays(mesh)
         meets = (arrays.support[:, j, 0] <= n) & (n <= arrays.support[:, j, 1])
-        inside = arrays.in_gkv[j][meets, n]
+        inside = (arrays.local[j][meets] == n).any(axis=1)
         if inside.all() or not inside.any():
             return AbstractExtension(direction=j, index=n,
                                      region=BoxRegion.empty(d))
@@ -82,10 +82,8 @@ def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
 
 def atj_union(mesh: TMesh, i: int) -> BoxRegion:
     """Union of the abstract extensions over all slices of direction i."""
-    region = BoxRegion.empty(mesh.dim)
-    for n in range(mesh.domain.extents[i] + 1):
-        region = region.union(atj_slice(mesh, i, n).region)
-    return region
+    return BoxRegion(mesh.dim, {box for n in range(mesh.domain.extents[i] + 1)
+                                for box in atj_slice(mesh, i, n).region.boxes})
 
 
 def is_aas(mesh: TMesh) -> tuple[bool, tuple]:
@@ -134,10 +132,11 @@ def gtj(mesh: TMesh, tj: TJunction) -> GeometricExtension:
         vectors = []
         for k in range(dom.dim):
             p = dom.degrees[k]
-            gkv = global_knot_vector(mesh, t, k)
             if k == i:
                 vectors.append((t[i][0],))
-            elif k == j:
+                continue
+            gkv = global_knot_vector(mesh, t, k)
+            if k == j:
                 if p % 2 == 0:
                     vectors.append(_window(gkv, t[j][0], p // 2, p + 1, t))
                 else:
@@ -173,19 +172,17 @@ def gtj_union(mesh: TMesh, i: int) -> BoxRegion:
 def _gtj_disjointness(mesh: TMesh, require_pdir_differs: bool) -> tuple[bool, tuple]:
     """Witnesses (t1, t2, intersection box), in junction-pair order, for
     the pairs with different orthogonal (and, if required, pointing)
-    directions whose extension boxes meet; all pairs in one broadcast."""
+    directions whose extension boxes meet."""
     tjs = find_tjunctions(mesh)
     boxes = np.array([gtj(mesh, tj).region for tj in tjs],
                      dtype=np.int64).reshape(len(tjs), mesh.dim, 2)
+    ia, ib = meeting_pairs(boxes)
     odir = np.array([tj.odir for tj in tjs])
-    pairs = odir[:, None] != odir[None, :]
+    keep = odir[ia] != odir[ib]
     if require_pdir_differs:
         pdir = np.array([tj.pdir for tj in tjs])
-        pairs &= pdir[:, None] != pdir[None, :]
-    for k in range(mesh.dim):
-        lo, hi = boxes[:, k, 0], boxes[:, k, 1]
-        pairs &= np.maximum.outer(lo, lo) <= np.minimum.outer(hi, hi)
-    ia, ib = np.nonzero(np.triu(pairs, 1))
+        keep &= pdir[ia] != pdir[ib]
+    ia, ib = ia[keep], ib[keep]
     lo = np.maximum(boxes[ia, :, 0], boxes[ib, :, 0]).tolist()
     hi = np.minimum(boxes[ia, :, 1], boxes[ib, :, 1]).tolist()
     witnesses = tuple((tjs[a], tjs[b], tuple(zip(l, h)))

@@ -127,10 +127,8 @@ def _layer_region(mesh, k, n, kind) -> BoxRegion:
     if kind == "atj":
         if k is not None:
             return atj_slice(mesh, k, n).region
-        region = BoxRegion.empty(mesh.dim)
-        for j in range(mesh.dim):
-            region = region.union(atj_union(mesh, j))
-        return region
+        return BoxRegion(mesh.dim, {box for j in range(mesh.dim)
+                                    for box in atj_union(mesh, j).boxes})
     boxes = []
     for tj in find_tjunctions(mesh):
         if k is not None and tj.odir != k:

@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .anchors import anchor_set, index_support, local_knot_vector
+from .anchors import (anchor_set, global_knot_vector, index_support,
+                      local_knot_vector)
 from .dualcompat import is_sdc, is_wdc, knots_overlap
 from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
                    dyadic_active_breakpoints, entity_hull, hull_inside,
@@ -304,13 +305,10 @@ def rank_verdict_stable(report: RankReport,
 
 
 def complete_slices(mesh: TMesh, k: int) -> tuple:
-    """Indices whose full slice x_k = n lies in the k-orthogonal skeleton."""
-    from .mesh import skeleton_mask
-
-    mask = skeleton_mask(mesh, k)
-    axes = tuple(a for a in range(mesh.dim) if a != k)
-    ok = mask.all(axis=axes) if axes else mask
-    return tuple(n for n in range(mesh.domain.extents[k] + 1) if ok[2 * n])
+    """Indices whose full slice x_k = n lies in the k-orthogonal skeleton:
+    the global knot vector of the whole domain."""
+    return global_knot_vector(
+        mesh, tuple((0, n) for n in mesh.domain.extents), k)
 
 
 def unity_sample_bounds(mesh: TMesh) -> tuple:

@@ -134,3 +134,15 @@ def test_index_support_is_window_hull():
     mb = info["mbar"]
     top = ((mb, mb), (3, 5), (1, 3))
     assert index_support(band, top)[0] == (mb - 2, mb + 2)
+
+
+def test_knot_membership_in_the_support_reads_the_local_vector(corpus200):
+    # a local vector is a contiguous run of the global one, which is what
+    # lets atj_slice read membership from the local windows
+    for _, mesh in corpus200["meshes"]:
+        for a in anchor_set(mesh):
+            for j, (lo, hi) in enumerate(index_support(mesh, a)):
+                gkv = set(global_knot_vector(mesh, a, j))
+                lkv = set(local_knot_vector(mesh, a, j))
+                for n in range(lo, hi + 1):
+                    assert (n in gkv) == (n in lkv), (a, j, n)

@@ -166,6 +166,34 @@ def test_verify_suites_run(tmp_path):
     assert payload["pairs"] == 10_000 and payload["probes"] > 0
 
 
+# suite and --seeds: the meshes the suite reads, its stdout and its report;
+# conj63 reads only its own WGAS stream, and props only five meshes
+VERIFY_READS = {
+    ("conj63", "3"): (3, "conj63: 3 wgas meshes, 0 candidate counterexamples\n",
+                      {"checked": 3, "wgas": 3, "candidates": []}),
+    ("props", "7"): (5, "props: 10000 overlap pairs, 800 separation probes, ok\n",
+                     {"pairs": 10000, "probes": 800}),
+}
+
+
+@pytest.mark.parametrize("suite, seeds", sorted(VERIFY_READS))
+def test_verify_builds_only_the_meshes_it_reads(tmp_path, capsys, monkeypatch,
+                                                suite, seeds):
+    from tmeshkit import verify
+
+    calls, build = [], verify.random_admissible_mesh
+    monkeypatch.setattr(verify, "random_admissible_mesh",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    built, out, payload = VERIFY_READS[suite, seeds]
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run("verify", "--suite", suite, "--seeds", seeds, "--seed", "3",
+               "--json", str(report)) == 0
+    assert capsys.readouterr().out == out
+    assert json.loads(report.read_text()) == payload
+    assert len(calls) == built
+
+
 def test_verify_rejects_empty_stream(capsys):
     # no mesh checked is no agreement: every suite refuses to run vacuously
     for suite in ("thm61", "thm62", "conj63", "props"):
@@ -300,6 +328,13 @@ BAD_INPUTS = {
                                 "--degrees", "1,1", "--out", "{tmp}/n.json"], 2),
     "new-without-directions": (["new", "--dim", "0", "--extents", "",
                                 "--degrees", "", "--out", "{tmp}/n.json"], 2),
+    # Fraction("1e<k>") computes 10 ** k; the repr of 10 ** 5000 is past
+    # int's digit limit, so this ended in a traceback
+    "refine-point-exponent": (["refine", "--mesh", "{m}", "--at", "1e5000,1",
+                               "--dir", "1", "--out", "{tmp}/r.json"], 2),
+    "mesh-knot-exponent": (["lin-indep", "--mesh", "{knot_exp}"], 4),
+    "mesh-knot-beyond-float": (["lin-indep", "--mesh", "{knot_big}"], 4),
+    "mesh-integer-too-long": (["check", "--mesh", "{long_int}"], 4),
 }
 
 
@@ -309,7 +344,9 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, case):
     paths = {"tmp": tmp_path, "nodir": tmp_path / "no-such-dir",
              "re": tmp_path / "re.json", "m": tmp_path / "m.json",
              "binary": tmp_path / "binary.json", "deep": tmp_path / "deep.json",
-             "dim0": tmp_path / "dim0.json"}
+             "dim0": tmp_path / "dim0.json", "knot_exp": tmp_path / "knot_exp.json",
+             "knot_big": tmp_path / "knot_big.json",
+             "long_int": tmp_path / "long_int.json"}
     paths["re"].write_bytes(
         DATA.joinpath("running_example_p321.json").read_bytes())
     assert run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
@@ -321,6 +358,11 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, case):
     paths["dim0"].write_text(json.dumps(data | {
         "dim": 0, "extents": [], "degrees": [], "parametric_knots": [],
         "breakpoints": [], "refinements": []}))
+    for name, knot in (("knot_exp", "1e400"), ("knot_big", 10 ** 400)):
+        paths[name].write_text(json.dumps(data | {"parametric_knots": [
+            [0, 1, 2, 3, 4, 5, knot], list(range(7))]}))
+    paths["long_int"].write_text(json.dumps(data).replace(
+        '"dim": 2', '"dim": ' + "2" * 5000))
     capsys.readouterr()
     assert run(*(arg.format(**paths) for arg in argv)) == code
     err = capsys.readouterr().err

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from tmeshkit.regions import BoxRegion, DimensionMismatch, make_box
+from tmeshkit.regions import (BoxRegion, DimensionMismatch, box_intersection,
+                              make_box, meeting_pairs)
 
 
 def R(*boxes):
@@ -117,3 +119,23 @@ def test_membership_against_dense_probe_grid():
             got = r.contains_point(pt)
             assert inter.contains_point(pt) == got
             assert norm.contains_point(pt) == got
+
+
+def test_meeting_pairs_equal_brute_force():
+    # small coordinates make touching faces, point boxes and duplicates common
+    rng = random.Random(11)
+    for trial in range(300):
+        d, n = rng.randint(1, 3), rng.choice((0, 1, 2, 5, 12, 30))
+        boxes = []
+        for _ in range(n):
+            box = []
+            for _ in range(d):
+                lo = rng.randint(0, 6)
+                box.append((lo, lo + rng.choice((0, 0, 1, 2, 4))))
+            boxes.append(tuple(box))
+        if n > 2 and trial % 3 == 0:
+            boxes[-1] = boxes[0]
+        ia, ib = meeting_pairs(np.array(boxes, dtype=np.int64).reshape(n, d, 2))
+        assert list(zip(ia.tolist(), ib.tolist())) == [
+            (a, b) for a in range(n) for b in range(a + 1, n)
+            if box_intersection(boxes[a], boxes[b]) is not None]

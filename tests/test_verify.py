@@ -3,11 +3,12 @@ import pytest
 
 from tmeshkit import fixtures as fx
 from tmeshkit.dualcompat import is_sdc, is_wdc
-from tmeshkit.mesh import build_framed_mesh, is_admissible
+from tmeshkit.mesh import build_framed_mesh, hull_in_skeleton, is_admissible
 from tmeshkit.suitability import atj_slice, is_sgas, is_wgas
 from tmeshkit.verify import (RankReport, atj_slice_oracle,
-                             child_anchor_inheritance, crosscheck_aas_sdc,
-                             crosscheck_sgas_aas, dc_scan_oracle,
+                             child_anchor_inheritance, complete_slices,
+                             crosscheck_aas_sdc, crosscheck_sgas_aas,
+                             dc_scan_oracle,
                              evaluation_matrix, gtj_disjointness_oracle,
                              linear_independence_rank, mesh_stream,
                              partition_of_unity, random_admissible_mesh,
@@ -55,6 +56,21 @@ def test_unity_bounds_require_complete_slices():
     mesh, _ = fx.crossing_hanging_edges((3, 2, 1))  # minimal: no unity region
     with pytest.raises(ValueError):
         unity_sample_bounds(mesh)
+
+
+def test_complete_slices_equal_slice_by_slice_skeleton_checks():
+    fixtures = [fx.opposing_hanging_pair(2, 1)[0], fx.corner_tjunction_triple()[0],
+                fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
+                fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0]]
+    stream = [m for _, m in mesh_stream(5150, 6, max_steps=12)]
+    for mesh in fixtures + stream:
+        extents = mesh.domain.extents
+        for k in range(mesh.dim):
+            expected = tuple(
+                n for n in range(extents[k] + 1)
+                if hull_in_skeleton(mesh, k, [(n, n) if a == k else (0, e)
+                                              for a, e in enumerate(extents)]))
+            assert complete_slices(mesh, k) == expected
 
 
 def test_generator_reproducible_and_admissible():
