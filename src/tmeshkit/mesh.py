@@ -17,9 +17,13 @@ lattice (`skeleton_mask`, `cell_labels`), exact because every entity
 bound is an integer.  A domain may hold at most `MAX_LATTICE_POINTS`
 lattice points, prod_k (2 N_k + 1), so one bool raster stays within
 16 MiB and the int32 `cell_labels` raster within 64 MiB; `IndexDomain`
-raises `ValueError` past it.  numpy is imported only when a raster is
-built (and by `check_three_direction_assumption`), so building,
-refining, saving and loading a mesh never load it.
+raises `ValueError` past it.  The lattice does not bound the complex,
+so a mesh may also hold at most `MAX_ENTITIES` entities: about 150 MiB
+at the ~150 bytes an entity costs at peak while a tensor mesh is built.
+`create_tensor_mesh` and `subdiv` raise `MeshError` past it, before
+they build anything.  numpy is imported only when a raster is built
+(and by `check_three_direction_assumption`), so building, refining,
+saving and loading a mesh never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
 log.  Derived structures (lattice rasters, T-junction tables, knot
@@ -48,6 +52,7 @@ Component = tuple  # (a, b) ints: a == b singleton, a < b open interval
 Entity = tuple     # tuple of d Components
 
 MAX_LATTICE_POINTS = 1 << 24  # prod_k (2 N_k + 1) a domain may have
+MAX_ENTITIES = 1 << 20        # entities of all dimensions a mesh may have
 
 
 class MeshError(Exception):
@@ -110,7 +115,8 @@ class IndexDomain:
     """Box-shaped index domain with degrees and parametric knots.
 
     parametric_knots[k] maps index i to the knot value xi_i in direction
-    k; it defaults to the identity and must be strictly increasing.
+    k; it defaults to the identity and must be strictly increasing, also
+    after conversion to float.
     """
 
     extents: tuple
@@ -152,6 +158,12 @@ class IndexDomain:
                     raise ValueError("parametric knots must be strictly increasing")
                 if max(-seq[0], seq[-1]) > sys.float_info.max:
                     raise ValueError("parametric knots must fit in a float")
+                # spline evaluation is float: knots equal as floats would
+                # give zero-width spans and a spuriously deficient rank
+                floats = [float(x) for x in seq]
+                if any(floats[i] >= floats[i + 1] for i in range(len(seq) - 1)):
+                    raise ValueError(
+                        "parametric knots must be distinct as floats")
         object.__setattr__(self, "parametric_knots", knots)
 
     @property
@@ -194,6 +206,12 @@ class TMesh:
             return value
 
 
+def _check_entity_count(count: int) -> None:
+    if count > MAX_ENTITIES:
+        raise MeshError(f"the mesh would have {count} entities, more than "
+                        f"the limit of {MAX_ENTITIES}")
+
+
 def create_tensor_mesh(domain: IndexDomain, breakpoints: Sequence[Sequence[int]] | None = None) -> TMesh:
     """Initial tensor-product mesh from per-direction breakpoint sequences.
 
@@ -215,6 +233,7 @@ def create_tensor_mesh(domain: IndexDomain, breakpoints: Sequence[Sequence[int]]
         if seq[0] != 0 or seq[-1] != n:
             raise MeshError(f"direction {k}: breakpoints must run from 0 to {n}")
         bps.append(seq)
+    _check_entity_count(math.prod(2 * len(seq) - 1 for seq in bps))
     per_dir = []
     for seq in bps:
         comps = [(v, v) for v in seq]
@@ -266,6 +285,9 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
     qj = (a, b)
     replaced = {kappa: [e for e in bucket if e[j] == qj and hull_inside(e, box)]
                 for kappa, bucket in mesh.entities.items() if j not in kappa}
+    # each replaced entity becomes two halves and a middle
+    _check_entity_count(sum(map(len, mesh.entities.values()))
+                        + 2 * sum(map(len, replaced.values())))
     entities = dict(mesh.entities)
     for kappa, old in replaced.items():
         entities[kappa] = entities[kappa].difference(old).union(

@@ -133,8 +133,17 @@ class BoxRegion:
         self.boxes = tuple(sorted(frozen))
 
     @classmethod
+    def _trusted(cls, dim: int, boxes: Iterable[Box]) -> "BoxRegion":
+        """A region of boxes this class built from valid boxes of
+        dimension `dim`: sorted, not validated again."""
+        region = cls.__new__(cls)
+        region.dim = dim
+        region.boxes = tuple(sorted(boxes))
+        return region
+
+    @classmethod
     def empty(cls, dim: int) -> "BoxRegion":
-        return cls(dim)
+        return cls._trusted(dim, ())
 
     @classmethod
     def from_box(cls, box: Box) -> "BoxRegion":
@@ -160,12 +169,12 @@ class BoxRegion:
                 inter = box_intersection(b1, b2)
                 if inter is not None:
                     out.append(inter)
-        return BoxRegion(self.dim, set(out))
+        return BoxRegion._trusted(self.dim, set(out))
 
     def union(self, other: "BoxRegion") -> "BoxRegion":
         if self.dim != other.dim:
             raise DimensionMismatch("region dimension mismatch")
-        return BoxRegion(self.dim, set(self.boxes) | set(other.boxes))
+        return BoxRegion._trusted(self.dim, set(self.boxes) | set(other.boxes))
 
     def subset(self, other: "BoxRegion") -> bool:
         if self.dim != other.dim:
@@ -179,7 +188,7 @@ class BoxRegion:
         """Overlap-free deterministic form: atomize over all box bounds,
         then greedily merge adjacent atoms axis by axis."""
         if not self.boxes:
-            return BoxRegion(self.dim)
+            return BoxRegion._trusted(self.dim, ())
         cuts = [sorted({b[k][0] for b in self.boxes} | {b[k][1] for b in self.boxes})
                 for k in range(self.dim)]
         atoms = set()
@@ -194,7 +203,7 @@ class BoxRegion:
                 if merged != boxes:
                     boxes = merged
                     changed = True
-        return BoxRegion(self.dim, boxes)
+        return BoxRegion._trusted(self.dim, boxes)
 
     @staticmethod
     def _merge_axis(boxes: set, axis: int) -> set:

@@ -19,14 +19,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .anchors import (anchor_set, global_knot_vector, index_support,
-                      local_knot_vector)
+from .anchors import (anchor_arrays, anchor_set, global_knot_vector,
+                      index_support, local_knot_vector)
 from .dualcompat import is_sdc, is_wdc, knots_overlap
 from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
                    dyadic_active_breakpoints, entity_hull, hull_inside,
                    point_in_skeleton, subdiv)
 from .regions import BoxRegion, _box_covered, box_intersection
-from .splines import bspline_eval_array, parametric_support
+from .splines import bspline_eval_array
 from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
 from .topology import (ClassificationAmbiguous, NotFound, TJunction,
                        find_separating_tjunction, find_tjunctions)
@@ -238,43 +238,54 @@ class RankReport:
         return sum(1 for s in self.singular_values if s > threshold * top)
 
 
+def _float_knots(mesh: TMesh, k: int) -> np.ndarray:
+    """The parametric knots of direction k as floats, indexable by index."""
+    return np.array([float(x) for x in mesh.domain.parametric_knots[k]])
+
+
 def _gauss_points(mesh: TMesh, cells) -> np.ndarray:
+    """p_k + 1 Gauss-Legendre points per direction in every cell: cells
+    in sorted order, each cell's points in ij-`meshgrid` order."""
     dom = mesh.domain
-    rules = {p: np.polynomial.legendre.leggauss(p + 1)[0]
-             for p in set(dom.degrees)}
-    blocks = []
-    for cell in sorted(cells):
-        axes = []
-        for k, (a, b) in enumerate(cell):
-            xa = float(dom.parametric_knots[k][a])
-            xb = float(dom.parametric_knots[k][b])
-            g = rules[dom.degrees[k]]
-            axes.append(0.5 * (xa + xb) + 0.5 * (xb - xa) * g)
-        grid = np.meshgrid(*axes, indexing="ij")
-        blocks.append(np.stack([ax.ravel() for ax in grid], axis=-1))
-    return np.concatenate(blocks, axis=0)
+    spans = np.array(sorted(cells), dtype=np.int64).reshape(-1, dom.dim, 2)
+    axes = []   # (cells, p_k + 1) coordinates per direction
+    for k in range(dom.dim):
+        knots = _float_knots(mesh, k)
+        xa, xb = knots[spans[:, k, 0]][:, None], knots[spans[:, k, 1]][:, None]
+        g = np.polynomial.legendre.leggauss(dom.degrees[k] + 1)[0]
+        axes.append(0.5 * (xa + xb) + 0.5 * (xb - xa) * g)
+    n = len(spans)
+    shape = (n, *(ax.shape[1] for ax in axes))
+    coords = []
+    for k, ax in enumerate(axes):
+        # direction k varies along axis k + 1 of the (cell, point...) grid
+        view = ax.reshape((n,) + (1,) * k + ax.shape[1:] + (1,) * (dom.dim - 1 - k))
+        coords.append(np.broadcast_to(view, shape).ravel())
+    return np.stack(coords, axis=-1)
 
 
 def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
-    """Collocation matrix: one column per anchor, one row per point."""
+    """Collocation matrix: one column per anchor, one row per point.
+
+    Tensor-product evaluation (de Boor, "A Practical Guide to Splines",
+    1978, ch. XVII): per direction, each distinct local knot vector is
+    evaluated once on the distinct coordinates, and the matrix is the
+    product of the gathered tables.  A value outside its spline's
+    support is exactly 0.0, and the directions multiply in order 0..d-1,
+    so every entry has the bits of the per-anchor product.
+    """
     dom = mesh.domain
-    anchors = anchor_set(mesh)
-    mat = np.zeros((len(points), len(anchors)))
-    for col, a in enumerate(anchors):
-        supp = parametric_support(mesh, a)
-        inside = np.ones(len(points), dtype=bool)
-        for k, (lo, hi) in enumerate(supp):
-            inside &= (points[:, k] >= lo) & (points[:, k] <= hi)
-        idx = np.nonzero(inside)[0]
-        if not idx.size:
-            continue
-        vals = np.ones(idx.size)
-        for k in range(dom.dim):
-            knots_k = dom.parametric_knots[k]
-            window = [float(knots_k[m]) for m in local_knot_vector(mesh, a, k)]
-            vals *= bspline_eval_array(window, dom.degrees[k], points[idx, k],
-                                       domain_right=float(knots_k[-1]))
-        mat[idx, col] = vals
+    local = anchor_arrays(mesh).local
+    mat = np.ones((len(points), len(local[0])))
+    for k in range(dom.dim):
+        windows, w_inv = np.unique(local[k], axis=0, return_inverse=True)
+        ts, t_inv = np.unique(points[:, k], return_inverse=True)
+        knots = _float_knots(mesh, k)
+        table = np.empty((len(ts), len(windows)))
+        for col, w in enumerate(windows):
+            table[:, col] = bspline_eval_array(knots[w], dom.degrees[k], ts,
+                                               domain_right=knots[-1])
+        mat *= table[t_inv[:, None], w_inv.reshape(-1)[None, :]]
     return mat
 
 

@@ -335,6 +335,15 @@ BAD_INPUTS = {
     "mesh-knot-exponent": (["lin-indep", "--mesh", "{knot_exp}"], 4),
     "mesh-knot-beyond-float": (["lin-indep", "--mesh", "{knot_big}"], 4),
     "mesh-integer-too-long": (["check", "--mesh", "{long_int}"], 4),
+    # 0, 10^-400, 2*10^-400, ...: increasing, but equal as floats
+    "mesh-knots-equal-as-floats-check": (["check", "--mesh", "{knot_tiny}"], 4),
+    "mesh-knots-equal-as-floats-lin-indep": (["lin-indep", "--mesh",
+                                              "{knot_tiny}"], 4),
+    # a full 2047 x 2047 tensor mesh: its 4095^2 lattice points are within
+    # the lattice limit, its 4095^2 entities beyond the entity limit
+    "new-entities-beyond-limit": (["new", "--dim", "2", "--extents", "2047,2047",
+                                   "--degrees", "1,1", "--out", "{tmp}/n.json"], 2),
+    "mesh-entities-beyond-limit": (["check", "--mesh", "{many}"], 4),
 }
 
 
@@ -346,7 +355,9 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, case):
              "binary": tmp_path / "binary.json", "deep": tmp_path / "deep.json",
              "dim0": tmp_path / "dim0.json", "knot_exp": tmp_path / "knot_exp.json",
              "knot_big": tmp_path / "knot_big.json",
-             "long_int": tmp_path / "long_int.json"}
+             "long_int": tmp_path / "long_int.json",
+             "knot_tiny": tmp_path / "knot_tiny.json",
+             "many": tmp_path / "many.json"}
     paths["re"].write_bytes(
         DATA.joinpath("running_example_p321.json").read_bytes())
     assert run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
@@ -363,6 +374,12 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, case):
             [0, 1, 2, 3, 4, 5, knot], list(range(7))]}))
     paths["long_int"].write_text(json.dumps(data).replace(
         '"dim": 2', '"dim": ' + "2" * 5000))
+    tiny = [f"{i}/1{'0' * 400}" for i in range(4)]
+    paths["knot_tiny"].write_text(json.dumps(data | {"parametric_knots": [
+        [*tiny, 4, 5, 6], list(range(7))]}))
+    paths["many"].write_text(json.dumps(data | {
+        "extents": [2047, 2047], "parametric_knots": [],
+        "breakpoints": [list(range(2048))] * 2}))
     capsys.readouterr()
     assert run(*(arg.format(**paths) for arg in argv)) == code
     err = capsys.readouterr().err

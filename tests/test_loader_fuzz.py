@@ -163,12 +163,12 @@ def test_mutated_region_files_load_or_are_rejected(data):
                    for span in box for x in span)
 
 
-# None leaves an optional flag out.  Extents stay small: the lattice
-# limit bounds the rasters, not the entity complex, so a large admitted
-# extent would only test memory.
+# None leaves an optional flag out.  2047,2047 passes the lattice limit
+# and is refused by the entity limit before any entity is built.
 CLI_FLAGS = {
     "new": (("--dim", ("2", "3", "1", "0", "-1", "x")),
-            ("--extents", ("8,8", "6,6,6", "8", "8,x", "", "0,8", "5000,5000")),
+            ("--extents", ("8,8", "6,6,6", "8", "8,x", "", "0,8", "5000,5000",
+                           "2047,2047")),
             ("--degrees", ("1,1", "3,2,1", "1", "-1,1", "x,1", "", "9,9")),
             ("--breakpoints", ("0,1,2,4,6,7,8;0,1,2,4,6,7,8", "0,4,8;0,x",
                                ";", "0,8", "8,0;0,8", "0,2,4,6;0,2,4,6;0,3,6",

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from tmeshkit import fixtures as fx
-from tmeshkit.mesh import (MAX_LATTICE_POINTS, CellOutsideActiveRegion,
+from tmeshkit import mesh as tmesh
+from tmeshkit.mesh import (MAX_ENTITIES, MAX_LATTICE_POINTS,
+                           CellOutsideActiveRegion,
                            DimensionTooSmall, IndexDomain, MeshError,
                            NonIntegerMidpoint, NotACell, active_region,
                            build_framed_mesh, check_three_direction_assumption,
@@ -48,6 +50,32 @@ def test_domain_validation():
         IndexDomain(extents=(4, 4), degrees=(1,))
     with pytest.raises(ValueError):
         IndexDomain(extents=(4,), degrees=(1,), parametric_knots=[[0, 1, 1, 2, 3]])
+    # spline evaluation is float: increasing fractions that round together
+    tiny = Fraction(1, 10 ** 400)
+    with pytest.raises(ValueError, match="distinct as floats"):
+        IndexDomain(extents=(4,), degrees=(1,),
+                    parametric_knots=[[0, tiny, 2 * tiny, 3, 4]])
+    with pytest.raises(ValueError, match="distinct as floats"):
+        IndexDomain(extents=(4,), degrees=(1,),
+                    parametric_knots=[[0, 1, 2, 3, 3 + Fraction(1, 2 ** 60)]])
+
+
+def test_entity_limit(monkeypatch):
+    # 2047 x 513 entities are too many: refused before any is made
+    assert 2047 * 511 <= MAX_ENTITIES < 2047 * 513
+    with pytest.raises(MeshError, match="entities"):
+        create_tensor_mesh(IndexDomain(extents=(1023, 256), degrees=(1, 1)),
+                           [range(1024), range(257)])
+    # a bisection is allowed exactly up to its child's entity count
+    mesh = create_tensor_mesh(IndexDomain(extents=(8, 8), degrees=(1, 1)),
+                              [[0, 1, 2, 4, 6, 7, 8]] * 2)
+    cell = ((2, 4), (2, 4))
+    child = sum(map(len, subdiv(mesh, cell, 0).entities.values()))
+    monkeypatch.setattr(tmesh, "MAX_ENTITIES", child)
+    subdiv(mesh, cell, 0)
+    monkeypatch.setattr(tmesh, "MAX_ENTITIES", child - 1)
+    with pytest.raises(MeshError, match="entities"):
+        subdiv(mesh, cell, 0)
 
 
 def test_lattice_size_limit():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tmeshkit import regions
 from tmeshkit.regions import (BoxRegion, DimensionMismatch, box_intersection,
                               make_box, meeting_pairs)
 
@@ -106,6 +107,25 @@ def test_algebra_laws_on_random_regions(dim):
             pt = tuple(Fraction(rng.randint(0, 32), 4) for _ in range(dim))
             expected = r1.contains_point(pt) and r2.contains_point(pt)
             assert r1.intersect(r2).contains_point(pt) == expected
+
+
+def test_algebra_results_skip_validation_but_match_it(monkeypatch):
+    # intersect, union, normalize and empty build their results from
+    # valid boxes, so make_box is not called again; the boxes are the
+    # sorted tuples the validating constructor would store
+    rng = random.Random(5)
+    pairs = [(_random_region(rng, d), _random_region(rng, d))
+             for d in (1, 2, 3) for _ in range(10)]
+    calls = []
+    monkeypatch.setattr(regions, "make_box",
+                        lambda b: calls.append(b) or make_box(b))
+    results = [out for r1, r2 in pairs
+               for out in (r1.intersect(r2), r1.union(r2), r1.normalize(),
+                           BoxRegion.empty(r1.dim))]
+    assert calls == []
+    monkeypatch.undo()
+    for out in results:
+        assert out.boxes == BoxRegion(out.dim, out.boxes).boxes
 
 
 def test_membership_against_dense_probe_grid():

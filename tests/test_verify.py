@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tmeshkit import fixtures as fx
 from tmeshkit.dualcompat import is_sdc, is_wdc
-from tmeshkit.mesh import build_framed_mesh, hull_in_skeleton, is_admissible
+from tmeshkit.anchors import anchor_set
+from tmeshkit.mesh import (build_framed_mesh, hull_in_skeleton, hull_inside,
+                           is_admissible)
+from tmeshkit.splines import tspline_eval
 from tmeshkit.suitability import atj_slice, is_sgas, is_wgas
 from tmeshkit.verify import (RankReport, atj_slice_oracle,
                              child_anchor_inheritance, complete_slices,
@@ -14,7 +19,18 @@ from tmeshkit.verify import (RankReport, atj_slice_oracle,
                              partition_of_unity, random_admissible_mesh,
                              rank_verdict_stable, replay_prefix,
                              unity_sample_bounds,
-                             wgas_wdc_counterexample_search)
+                             wgas_wdc_counterexample_search, _gauss_points)
+
+
+def _fixture_meshes():
+    return [fx.opposing_hanging_pair(2, 1)[0], fx.corner_tjunction_triple()[0],
+            fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
+            fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0]]
+
+
+def _active_cells(mesh):
+    active = mesh.domain.active_spans()
+    return [c for c in mesh.cells if hull_inside(c, active)]
 
 
 def test_rank_on_tensor_mesh():
@@ -31,17 +47,61 @@ def test_rank_on_tensor_mesh():
 
 def test_rank_detects_duplicated_column():
     mesh = build_framed_mesh((1, 1), [[0, 2, 4, 6, 8], [0, 2, 4, 6, 8]])
-    from tmeshkit.verify import _gauss_points
-    from tmeshkit.mesh import hull_inside
-
-    active = mesh.domain.active_spans()
-    cells = [c for c in mesh.cells if hull_inside(c, active)]
-    pts = _gauss_points(mesh, cells)
+    pts = _gauss_points(mesh, _active_cells(mesh))
     mat = evaluation_matrix(mesh, pts)
     doubled = np.hstack([mat, mat[:, :1]])
     svals = np.linalg.svd(doubled, compute_uv=False)
     rank = int((svals > 1e-8 * svals[0]).sum())
     assert rank == mat.shape[1] < doubled.shape[1]
+
+
+def test_evaluation_matrix_equals_pointwise_tspline_eval():
+    # every 7th Gauss point of the WDC meshes of two streams, all anchors;
+    # tspline_eval is the scalar per-anchor product the tables replace.
+    # Single-direction meshes include 3-D ones whose bits change if the
+    # directions are multiplied out of order
+    checked = 0
+    streams = itertools.chain(
+        mesh_stream(20260810, 40, max_steps=40),
+        mesh_stream(20260810, 12, max_steps=40, direction_mode="single"))
+    for _, mesh in streams:
+        if not is_wdc(mesh)[0]:
+            continue
+        pts = _gauss_points(mesh, _active_cells(mesh))[::7]
+        mat = evaluation_matrix(mesh, pts)
+        expected = [[tspline_eval(mesh, a, x) for a in anchor_set(mesh)]
+                    for x in pts]
+        assert np.array_equal(mat, np.array(expected))
+        checked += mat.size
+    assert checked > 0
+
+
+def test_gauss_points_equal_per_cell_meshgrid():
+    def reference(mesh, cells):
+        dom = mesh.domain
+        blocks = []
+        for cell in sorted(cells):
+            axes = []
+            for k, (a, b) in enumerate(cell):
+                xa = float(dom.parametric_knots[k][a])
+                xb = float(dom.parametric_knots[k][b])
+                g = np.polynomial.legendre.leggauss(dom.degrees[k] + 1)[0]
+                axes.append(0.5 * (xa + xb) + 0.5 * (xb - xa) * g)
+            grid = np.meshgrid(*axes, indexing="ij")
+            blocks.append(np.stack([ax.ravel() for ax in grid], axis=-1))
+        return np.concatenate(blocks, axis=0)
+
+    fixtures = _fixture_meshes()
+    stream = [m for _, m in mesh_stream(5150, 6, max_steps=12)]
+    for mesh in fixtures + stream:
+        cells = _active_cells(mesh)
+        assert np.array_equal(_gauss_points(mesh, cells), reference(mesh, cells))
+
+
+def test_evaluation_matrix_of_no_points_is_empty():
+    mesh = fx.running_example_3d()[0]
+    mat = evaluation_matrix(mesh, np.empty((0, mesh.dim)))
+    assert mat.shape == (0, len(anchor_set(mesh)))
 
 
 def test_partition_of_unity_on_fixtures():
@@ -59,9 +119,7 @@ def test_unity_bounds_require_complete_slices():
 
 
 def test_complete_slices_equal_slice_by_slice_skeleton_checks():
-    fixtures = [fx.opposing_hanging_pair(2, 1)[0], fx.corner_tjunction_triple()[0],
-                fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
-                fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0]]
+    fixtures = _fixture_meshes()
     stream = [m for _, m in mesh_stream(5150, 6, max_steps=12)]
     for mesh in fixtures + stream:
         extents = mesh.domain.extents
@@ -146,9 +204,7 @@ def test_pair_scans_equal_oracles(corpus200):
         return is_wgas(m)[0]
 
     stream = [m for _, m in mesh_stream(424243, 3, max_steps=18, keep=keep)]
-    fixtures = [fx.opposing_hanging_pair(2, 1)[0], fx.corner_tjunction_triple()[0],
-                fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
-                fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0]]
+    fixtures = _fixture_meshes()
     corpus = [m for _, m in corpus200["meshes"][:20]]
     witnessed = set()
     for mesh in fixtures + corpus + stream:
