@@ -116,11 +116,3 @@ def supports_overlap(mesh: TMesh, a1: Entity, a2: Entity) -> bool:
     s1, s2 = index_support(mesh, a1), index_support(mesh, a2)
     return all(max(l1, l2) <= min(h1, h2) for (l1, h1), (l2, h2) in zip(s1, s2))
 
-
-def parametric_support(mesh: TMesh, anchor: Entity) -> tuple:
-    """Closed parametric box spanned by the mapped local knot vectors."""
-    spans = []
-    for j, (lo, hi) in enumerate(index_support(mesh, anchor)):
-        knots_j = mesh.domain.parametric_knots[j]
-        spans.append((float(knots_j[lo]), float(knots_j[hi])))
-    return tuple(spans)

@@ -8,10 +8,30 @@ abstract extensions of different directions never meet, SGAS when
 geometric extensions of junctions with different orthogonal directions
 never meet, and WGAS when that is only required for junctions that also
 differ in pointing direction.
+
+`atj_slice` builds one extension as an exact region, for the SVG layers,
+the Thm 6.2 containment and the `check` payloads.  `is_aas` builds none:
+it paints every slice of a direction at once on the half-integer lattice
+of the skeleton rasters.  By distributivity the union of the in x out
+support intersections is (union of in) & (union of out), and out is all
+minus in, so two summed-area counts per direction give the extension.
+Only the slices that some but not all of their supports have in their
+knot vectors are painted; the others are empty.  Witness regions of
+d <= 3 meshes are read from those rasters, where `BoxRegion.normalize`
+is canonical; in higher dimension they take the exact region path.
+
+Memory: the counts are int32, since a count is at most the number of
+anchors and so at most `MAX_ENTITIES` < 2^31.  The two count arrays of
+direction j hold (live slices + 1) x prod_{k != j} (2 N_k + 2) entries
+each: at most about one lattice (half of one for large extents), so
+at most about `MAX_LATTICE_POINTS`, and only while j is painted.  The
+bool rasters kept for the pair step hold at most about half a lattice
+of bytes per direction.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,28 +106,129 @@ def atj_union(mesh: TMesh, i: int) -> BoxRegion:
                                 for box in atj_slice(mesh, i, n).region.boxes})
 
 
+def _paint(shape: tuple, start: np.ndarray, stop: np.ndarray,
+           axes: list) -> np.ndarray:
+    """How many boxes cover each point of an int32 raster of `shape`.
+
+    Box b spans [start[b, k], stop[b, k]) on each axis k in `axes` and
+    the single index start[b, k] on every other axis.  A difference array
+    gets +1 or -1 at the 2^len(axes) corners of each box, by the parity
+    of the stops among the corner's indices, and a running sum along each
+    of `axes` turns it into counts (the summed-area table of Crow,
+    SIGGRAPH 1984).  Every stop must lie inside `shape`."""
+    counts = np.zeros(shape, dtype=np.int32)
+    strides = np.array(counts.strides) // counts.itemsize
+    plus, minus = [start @ strides], []
+    for k in axes:
+        step = (stop[:, k] - start[:, k]) * strides[k]
+        plus, minus = (plus + [c + step for c in minus],
+                       minus + [c + step for c in plus])
+    flat = counts.reshape(-1)
+    # an int32 value: with a Python int, add.at takes a generic path,
+    # about 20x slower on 768 indices under numpy 2.4
+    np.add.at(flat, np.concatenate(plus), np.int32(1))
+    if minus:
+        np.add.at(flat, np.concatenate(minus), np.int32(-1))
+    for k in axes:
+        np.add.accumulate(counts, axis=k, out=counts)
+    return counts
+
+
+def _slice_rasters(mesh: TMesh) -> list:
+    """Every abstract extension of direction j, as (live_j, R_j).
+
+    live_j lists the slices n where some but not all supports that meet
+    n have n in their local knot vector; the other slices hold no
+    in x out pair, so their extension is empty.  R_j is a bool raster,
+    len(live_j) long on axis j and the half-integer lattice on every
+    other axis k (2 N_k + 1 long, the closed interval [a, b] at indices
+    2a..2b), and R_j[p] paints `atj_slice(mesh, j, live_j[p])`.  It is
+    (inside > 0) & (every > inside), where `every` counts the supports
+    over their live slices and `inside` over the live entries of their
+    local knot vectors; see the module docstring for the memory bound."""
+    d, extents = mesh.dim, mesh.domain.extents
+    arrays = anchor_arrays(mesh)
+    lo, hi = arrays.support[..., 0], arrays.support[..., 1]
+    out = []
+    for j, n_j in enumerate(extents):
+        local = arrays.local[j].ravel()
+        meets = np.cumsum(np.bincount(lo[:, j], minlength=n_j + 2)
+                          - np.bincount(hi[:, j] + 1, minlength=n_j + 2))
+        inside = np.bincount(local, minlength=n_j + 1)
+        live = np.flatnonzero((inside > 0) & (inside < meets[:n_j + 1]))
+        shape = tuple(len(live) + 1 if k == j else 2 * e + 2
+                      for k, e in enumerate(extents))
+        view = tuple(slice(0, s - 1) for s in shape)
+        if not len(live):
+            out.append((live, np.zeros(shape, dtype=bool)[view]))
+            continue
+        start, stop = 2 * lo, 2 * hi + 1
+        start[:, j] = np.searchsorted(live, lo[:, j])
+        stop[:, j] = np.searchsorted(live, hi[:, j], side="right")
+        every = _paint(shape, start, stop, list(range(d)))
+        width = arrays.local[j].shape[1]
+        at = np.minimum(np.searchsorted(live, local), len(live) - 1)
+        hit = live[at] == local
+        start = np.repeat(start, width, axis=0)[hit]
+        start[:, j] = at[hit]
+        inside = _paint(shape, start, np.repeat(stop, width, axis=0)[hit],
+                        [k for k in range(d) if k != j])
+        inside, every = inside[view], every[view]
+        out.append((live, (inside > 0) & (every > inside)))
+    return out
+
+
 def is_aas(mesh: TMesh) -> tuple[bool, tuple]:
     """Abstract analysis-suitability; witnesses are intersecting slice pairs
-    (i, n, j, m, intersection region)."""
+    (i, n, j, m, intersection region), ordered by (i, j, n, m).
+
+    The slices come from `_slice_rasters`, without building one
+    `atj_slice`.  Live slices (i, n) and (j, m) meet at the lattice
+    points of R_i at n with even index 2m along axis j that R_j at m
+    holds at even index 2n along axis i.  Their intersection has
+    dimension d - 2.  For d <= 3 that is at most 1, where
+    `BoxRegion.normalize` is canonical (the maximal intervals of the
+    set), so the region is read from the raster: a point for d = 2, the
+    maximal runs of the third axis for d = 3.  In higher dimension
+    normalize is not canonical, so the region is the exact intersection
+    of the two `atj_slice` regions, normalized, built only for the pairs
+    the rasters found."""
     def build():
         d = mesh.dim
-        nonempty = {}
-        for j in range(d):
-            for n in range(mesh.domain.extents[j] + 1):
-                ext = atj_slice(mesh, j, n)
-                if not ext.region.is_empty():
-                    nonempty.setdefault(j, []).append(ext)
+        live, rasters = zip(*_slice_rasters(mesh))
         witnesses = []
-        dirs = sorted(nonempty)
-        for ai in range(len(dirs)):
-            for bi in range(ai + 1, len(dirs)):
-                for e1 in nonempty[dirs[ai]]:
-                    for e2 in nonempty[dirs[bi]]:
-                        inter = e1.region.intersect(e2.region)
-                        if not inter.is_empty():
-                            witnesses.append((e1.direction, e1.index,
-                                              e2.direction, e2.index,
-                                              inter.normalize()))
+        for i, j in itertools.combinations(range(d), 2):
+            meet = (rasters[i].take(2 * live[j], axis=j)
+                    & rasters[j].take(2 * live[i], axis=i))
+            points = np.argwhere(np.moveaxis(meet, (i, j), (0, 1)))
+            if not len(points):
+                continue
+            points[:, 0] = live[i][points[:, 0]]
+            points[:, 1] = live[j][points[:, 1]]
+            if d > 3:
+                for n, m in dict.fromkeys(map(tuple, points[:, :2].tolist())):
+                    region = atj_slice(mesh, i, n).region.intersect(
+                        atj_slice(mesh, j, m).region).normalize()
+                    witnesses.append((i, n, j, m, region))
+                continue
+            # runs of consecutive points on the third axis, if there is one
+            fresh = np.ones(len(points), dtype=bool)
+            fresh[1:] = (points[1:, :2] != points[:-1, :2]).any(axis=1)
+            if d == 3:
+                fresh[1:] |= points[1:, 2] != points[:-1, 2] + 1
+            first = np.flatnonzero(fresh)
+            last = np.append(first[1:], len(points)) - 1
+            rest = [k for k in range(d) if k not in (i, j)]
+            regions = {}
+            for (n, m, *x0), x1 in zip(points[first].tolist(),
+                                       points[last, 2:].tolist()):
+                box = [None] * d
+                box[i], box[j] = (n, n), (m, m)
+                for k, a, b in zip(rest, x0, x1):
+                    box[k] = (a // 2, b // 2)
+                regions.setdefault((n, m), []).append(tuple(box))
+            witnesses.extend((i, n, j, m, BoxRegion._trusted(d, boxes))
+                             for (n, m), boxes in regions.items())
         return (not witnesses, tuple(witnesses))
     return mesh.memo("aas", build)
 

@@ -4,9 +4,9 @@ This module is the acceptance engine: it regenerates expected values by
 routes independent of the production code paths (brute-force overlap,
 unpruned dual-compatibility pair scans, pairwise extension-box
 intersection, direct skeleton and T-junction scans, pairwise extension
-enumeration, collocation rank), probes the separating-junction search,
-and drives seeded, replayable streams of random admissible meshes
-through the classifier cross-checks.
+enumeration and slice-pair intersection, collocation rank), probes the
+separating-junction search, and drives seeded, replayable streams of
+random admissible meshes through the classifier cross-checks.
 """
 
 from __future__ import annotations
@@ -219,6 +219,23 @@ def atj_slice_oracle(mesh: TMesh, j: int, n: int) -> BoxRegion:
             if all(lo <= hi for lo, hi in inter):
                 boxes.append(inter)
     return BoxRegion(mesh.dim, set(boxes))
+
+
+def aas_oracle(mesh: TMesh) -> tuple[bool, tuple]:
+    """Abstract suitability by intersecting the normalized oracle slices
+    pairwise: witnesses (i, n, j, m, normalized intersection), ordered by
+    (i, j, n, m), as `is_aas` reports them."""
+    slices = [[(n, atj_slice_oracle(mesh, j, n).normalize())
+               for n in range(mesh.domain.extents[j] + 1)]
+              for j in range(mesh.dim)]
+    witnesses = []
+    for i, j in itertools.combinations(range(mesh.dim), 2):
+        for n, r1 in slices[i]:
+            for m, r2 in slices[j]:
+                inter = r1.intersect(r2)
+                if not inter.is_empty():
+                    witnesses.append((i, n, j, m, inter.normalize()))
+    return (not witnesses, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ from tmeshkit.anchors import anchor_set, local_knot_vector
 from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.suitability import is_aas, is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
-from tmeshkit.verify import linear_independence_rank, partition_of_unity
+from tmeshkit.verify import (aas_oracle, linear_independence_rank,
+                             partition_of_unity)
+
+
+def _aas_bytes(result):
+    ok, witnesses = result
+    return ok, [(i, n, j, m, region.boxes) for i, n, j, m, region in witnesses]
 
 
 def test_one_dimensional_mesh_stack():
@@ -19,7 +25,8 @@ def test_one_dimensional_mesh_stack():
     anchors = anchor_set(mesh)
     assert anchors
     assert all(len(local_knot_vector(mesh, a, 0)) == 4 for a in anchors)
-    assert is_aas(mesh)[0] and is_sdc(mesh)[0] and is_wdc(mesh)[0]
+    assert is_aas(mesh) == (True, ())
+    assert is_sdc(mesh)[0] and is_wdc(mesh)[0]
     report = linear_independence_rank(mesh)
     assert report.independent
     assert partition_of_unity(mesh, samples=200, seed=3) < 1e-10
@@ -44,3 +51,20 @@ def test_four_dimensional_mesh_stack():
     report = linear_independence_rank(refined)
     assert report.independent
     assert partition_of_unity(refined, samples=200, seed=4) < 1e-10
+
+
+def test_four_dimensional_crossing_extensions():
+    # junctions orthogonal to directions 3 and 2 whose abstract extensions
+    # meet in a 2-D region: the exact witness path of d >= 4
+    mesh = build_framed_mesh((1, 1, 1, 1), [[0, 2, 4]] * 4)
+    mesh = subdiv(mesh, ((1, 3),) * 4, 3)
+    mesh = subdiv(mesh, ((1, 3), (1, 3), (1, 3), (1, 2)), 2)
+    assert is_admissible(mesh)[0]
+    assert {t.odir for t in find_tjunctions(mesh)} == {2, 3}
+    ok, witnesses = is_aas(mesh)
+    assert not ok and not is_sdc(mesh)[0]
+    assert _aas_bytes((ok, witnesses)) == _aas_bytes(aas_oracle(mesh))
+    assert [w[:4] for w in witnesses] == [(2, 2, 3, 2)]
+    # an L of two boxes, each spanning directions 0 and 1
+    assert witnesses[0][4].boxes == (((0, 5), (3, 5), (2, 2), (2, 2)),
+                                     ((3, 5), (0, 3), (2, 2), (2, 2)))

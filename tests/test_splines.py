@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from tmeshkit import fixtures as fx
-from tmeshkit.anchors import anchor_set
+from tmeshkit.anchors import anchor_set, index_support
 from tmeshkit.mesh import build_framed_mesh
 from tmeshkit.splines import (DegenerateKnots, bspline_eval,
-                              bspline_eval_array, parametric_support,
-                              supports_overlap, tspline, tspline_eval)
+                              bspline_eval_array, supports_overlap, tspline,
+                              tspline_eval)
+
+
+def _parametric_support(mesh, anchor):
+    """Closed parametric box spanned by the mapped local knot vectors."""
+    knots = mesh.domain.parametric_knots
+    return tuple((float(knots[j][lo]), float(knots[j][hi]))
+                 for j, (lo, hi) in enumerate(index_support(mesh, anchor)))
 
 
 def test_hat_function():
@@ -77,7 +84,7 @@ def test_value_zero_outside_support_and_bounded():
     mesh, _ = fx.opposing_hanging_pair(2, 1)
     rng = random.Random(5)
     for a in anchor_set(mesh):
-        lo_hi = parametric_support(mesh, a)
+        lo_hi = _parametric_support(mesh, a)
         for _ in range(20):
             pt = tuple(rng.uniform(0, n) for n in mesh.domain.extents)
             v = tspline_eval(mesh, a, pt)

@@ -1,5 +1,8 @@
+from importlib import resources
+
 from tmeshkit import fixtures as fx
 from tmeshkit.mesh import build_framed_mesh, is_admissible
+from tmeshkit.meshio import load_mesh
 from tmeshkit.regions import BoxRegion
 from tmeshkit.suitability import (atj_slice, atj_union, gtj, gtj_union, is_aas,
                                   is_sgas, is_wgas)
@@ -61,6 +64,18 @@ def test_crossing_edges_verdicts():
         assert is_wgas(mesh)[0]
         ok_sgas, witnesses = is_sgas(mesh)
         assert not ok_sgas and witnesses
+
+
+def test_is_aas_builds_no_slice_extension():
+    # the witnesses of a non-AAS 3-D mesh come from the slice rasters; no
+    # atj_slice is built on the way
+    path = resources.files("tmeshkit").joinpath(
+        "data/crossing_hanging_edges_p321.json")
+    mesh = load_mesh(path)
+    ok, witnesses = is_aas(mesh)
+    assert mesh.dim == 3 and not ok and witnesses
+    assert not [key for key in mesh._memo
+                if isinstance(key, tuple) and key[0] == "atj"]
 
 
 def test_running_example_slice_region_vs_oracle():

@@ -9,8 +9,9 @@ from tmeshkit.anchors import anchor_set
 from tmeshkit.mesh import (build_framed_mesh, hull_in_skeleton, hull_inside,
                            is_admissible)
 from tmeshkit.splines import tspline_eval
-from tmeshkit.suitability import atj_slice, is_sgas, is_wgas
-from tmeshkit.verify import (RankReport, atj_slice_oracle,
+from tmeshkit.suitability import (atj_slice, is_aas, is_sgas, is_wgas,
+                                  _slice_rasters)
+from tmeshkit.verify import (RankReport, aas_oracle, atj_slice_oracle,
                              child_anchor_inheritance, complete_slices,
                              crosscheck_aas_sdc, crosscheck_sgas_aas,
                              dc_scan_oracle,
@@ -223,10 +224,48 @@ def test_pair_scans_equal_oracles(corpus200):
     assert witnessed == {"sdc", "wdc", "sgas", "wgas"}
 
 
+def _aas_bytes(result):
+    ok, witnesses = result
+    return ok, [(i, n, j, m, region.boxes) for i, n, j, m, region in witnesses]
+
+
 def test_atj_slices_equal_oracle_bytes(corpus200):
-    # the oracle's intersection set normalizes to the same boxes, in order
+    # the oracle's intersection set normalizes to the same boxes, in order;
+    # on every corpus mesh, is_aas equals the pairwise loop over the oracle
+    # slices, witness order and region boxes included
     for _, mesh in corpus200["meshes"][:10]:
         for j in range(mesh.dim):
             for n in range(mesh.domain.extents[j] + 1):
                 assert (atj_slice(mesh, j, n).region.boxes
                         == atj_slice_oracle(mesh, j, n).normalize().boxes)
+    runs = 0
+    for _, mesh in corpus200["meshes"]:
+        ours = _aas_bytes(is_aas(mesh))
+        assert ours == _aas_bytes(aas_oracle(mesh))
+        if mesh.dim == 3:
+            runs += sum(len(boxes) for *_, boxes in ours[1])
+    assert runs > 1000
+
+
+def test_slice_rasters_paint_the_oracle_slices(corpus200):
+    # every slice of every corpus mesh: a live slice's raster is the
+    # lattice painting of the oracle's boxes, the closed interval [a, b]
+    # at indices 2a..2b; the oracle finds nothing on the other slices
+    for _, mesh in corpus200["meshes"]:
+        extents = mesh.domain.extents
+        for j, (live, raster) in enumerate(_slice_rasters(mesh)):
+            assert raster.shape == tuple(len(live) if k == j else 2 * e + 1
+                                         for k, e in enumerate(extents))
+            for n in range(extents[j] + 1):
+                oracle = atj_slice_oracle(mesh, j, n)
+                if n not in live:
+                    assert oracle.is_empty()
+                    continue
+                painted = np.zeros(raster.shape[:j] + raster.shape[j + 1:],
+                                   dtype=bool)
+                for box in oracle.boxes:
+                    painted[tuple(slice(2 * a, 2 * b + 1)
+                                  for k, (a, b) in enumerate(box)
+                                  if k != j)] = True
+                p = live.tolist().index(n)
+                assert np.array_equal(raster.take(p, axis=j), painted)
