@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import Entity, MeshError, TMesh, hull_inside, skeleton_mask
+from .mesh import (Entity, MeshError, TMesh, check_index_box, hull_inside,
+                   skeleton_mask)
 from .regions import Box
 
 
@@ -38,14 +39,19 @@ def anchor_set(mesh: TMesh) -> tuple:
 
 
 def global_knot_vector(mesh: TMesh, entity: Entity, j: int) -> tuple[int, ...]:
-    """Strictly increasing indices n with P_{j,n}(entity) inside the skeleton."""
+    """Strictly increasing indices n with P_{j,n}(entity) inside the skeleton.
+
+    `entity` may be any closed integer box of the domain; one outside it
+    raises (`check_index_box`)."""
     def build():
+        check_index_box(mesh, entity)
         mask = skeleton_mask(mesh, j)
         sel = tuple(slice(None) if k == j else slice(2 * a, 2 * b + 1)
                     for k, (a, b) in enumerate(entity))
         axes = tuple(k for k in range(mesh.dim) if k != j)
         ok = mask[sel].all(axis=axes) if axes else mask[sel]
         return tuple(np.flatnonzero(ok[::2]).tolist())
+    # `mesh.subdiv` reads this key to carry the vector to a child
     return mesh.memo(("gkv", entity, j), build)
 
 

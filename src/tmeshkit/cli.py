@@ -257,8 +257,9 @@ def _cmd_verify(args) -> int:
         print(f"thm62: {rep['checked']} sgas meshes checked "
               f"({rep['skipped']} skipped), {'ok' if ok else 'FAILED'}")
     elif args.suite == "conj63":
-        wgas_stream = list(verify.mesh_stream(
-            args.seed, args.seeds, keep=lambda m: is_wgas(m)[0]))
+        # built as it is read: one mesh and its memo at a time
+        wgas_stream = verify.mesh_stream(args.seed, args.seeds,
+                                         keep=lambda m: is_wgas(m)[0])
         rep = verify.wgas_wdc_counterexample_search(wgas_stream)
         ok = True  # candidates are logged, never asserted
         print(f"conj63: {rep['wgas']} wgas meshes, "

@@ -28,10 +28,38 @@ saving and loading a mesh never load it.
 Meshes are immutable; refinement returns a new mesh and records a replay
 log.  Derived structures (lattice rasters, T-junction tables, knot
 vectors) are memoized per instance; the memo is build-once and safe for
-concurrent readers.  `subdiv` seeds a child's skeleton masks from its
-parent's, when the parent has them: a bisection in direction j only adds
-j-orthogonal hyperfaces, so the other masks are shared read-only and the
-j-th is copied and grown by the new slabs.
+concurrent readers.  The box queries (`hull_in_skeleton`,
+`open_entity_meets_skeleton`, `anchors.global_knot_vector`) take closed
+integer boxes of the domain and raise for any other (`check_index_box`).
+
+Refinement is local, and `subdiv` hands the child every memo entry of
+its parent that the bisection provably leaves unchanged.  Bisecting a
+cell at x_j = m replaces, inside the closed refinement box D, the
+entities whose j-component is the cell's by their halves and middles.
+As point sets nothing moves: the skeletons grow only by the hyperfaces
+{x_j = m} over the split cells, and only the split cells change.  So:
+
+- skeleton masks: a split k-hyperface's closure is the union of its
+  halves' and middle's, so mask k != j is shared (read-only); mask j is
+  copied and grown by those hyperfaces, all inside closed D.
+- `cell_labels`: the raster is copied.  Each split cell q keeps its
+  label, read at its first interior lattice point, for its lower half;
+  the slab {x_j = m} over q's open interior becomes -1, and the upper
+  half gets a new label, appended to the cells tuple.
+- `("gkv", box, k)` reads mask k over the box's closure off direction k.
+  It is carried when k != j, as mask k is shared, and when the box
+  misses closed D in a direction other than j, as mask j grew only
+  inside D.
+- `("gtj", t)` is carried when t's closure misses closed D in a
+  direction other than j.  T-junction detection reads t's valence and
+  associated cell within half a lattice step of its closure, so outside
+  D, where no mask and no cell changed: t keeps its directions and its
+  cell, and every knot vector its extension reads is unchanged by the
+  rule above.
+- No entry keyed by an entity the bisection replaced is carried (those
+  lie in D with the cell's j-component), so the memo holds keys of the
+  child only and does not grow along a refinement chain.  Every other
+  entry is rebuilt when it is first asked for.
 """
 
 from __future__ import annotations
@@ -254,7 +282,8 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
     The refinement box D extends through the frame to the domain boundary
     in every other direction where the cell touches the active-region
     boundary; every entity inside D sharing the cell's j-component is
-    replaced by its three children.
+    replaced by its three children.  The child starts with the parent's
+    memo entries that this leaves unchanged (see the module docstring).
     """
     dom = mesh.domain
     d = dom.dim
@@ -300,31 +329,59 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
                   breakpoints=mesh.breakpoints,
                   entities=entities,
                   refinement_log=mesh.refinement_log + ((cell, j),))
-    _seed_skeleton_masks(mesh, child, j, m, replaced[()])
+    _seed_memo(mesh, child, j, qj, box, replaced[()])
     return child
 
 
-def _seed_skeleton_masks(parent: TMesh, child: TMesh, j: int, m: int,
-                         split_cells: list) -> None:
-    """Give the child the parent's skeleton masks, if it has them.
-
-    A bisection in direction j never replaces a j-orthogonal hyperface,
-    and a split k-hyperface keeps its closure, so only skeleton j grows:
-    by the new hyperface {x_j = m} of each split cell.  The other masks
-    are shared, which their read-only flag makes safe.
-    """
-    if ("skeleton_mask", j) not in parent._memo:
-        return  # masks are built, and seeded, all d at once
-    masks = [parent._memo[("skeleton_mask", k)] for k in range(child.dim)]
-    grown = masks[j].copy()
-    for q in split_cells:
-        sel = [slice(2 * a, 2 * b + 1) for a, b in q]
-        sel[j] = 2 * m
-        grown[tuple(sel)] = True
-    grown.setflags(write=False)
-    masks[j] = grown
-    for k, mask in enumerate(masks):
-        child._memo[("skeleton_mask", k)] = mask
+def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
+               box: list, split_cells: list) -> None:
+    """Hand the child every memo entry of the parent that bisecting the
+    cells with j-component qj inside the refinement box `box` (D) leaves
+    unchanged; the module docstring gives the rules and why they hold."""
+    memo = parent._memo
+    if not memo:
+        return
+    seeded = child._memo
+    a, b = qj
+    m = (a + b) // 2
+    if ("skeleton_mask", j) in memo:   # masks are built all d at once
+        grown = memo[("skeleton_mask", j)].copy()
+        for q in split_cells:
+            sel = [slice(2 * lo, 2 * hi + 1) for lo, hi in q]
+            sel[j] = 2 * m
+            grown[tuple(sel)] = True
+        grown.setflags(write=False)
+        for k in range(child.dim):
+            seeded[("skeleton_mask", k)] = (
+                grown if k == j else memo[("skeleton_mask", k)])
+    if "cell_labels" in memo:
+        grid, cells = memo["cell_labels"]
+        grid, cells = grid.copy(), list(cells)
+        for q in split_cells:
+            label = grid[tuple(2 * lo + 1 for lo, _ in q)]
+            cells[label] = q[:j] + ((a, m),) + q[j + 1:]
+            sel = [slice(2 * lo + 1, 2 * hi) for lo, hi in q]
+            sel[j] = 2 * m
+            grid[tuple(sel)] = -1
+            sel[j] = slice(2 * m + 1, 2 * b)
+            grid[tuple(sel)] = len(cells)
+            cells.append(q[:j] + ((m, b),) + q[j + 1:])
+        grid.setflags(write=False)
+        seeded["cell_labels"] = (grid, tuple(cells))
+    others = [(k, lo, hi) for k, (lo, hi) in enumerate(box) if k != j]
+    for key, value in tuple(memo.items()):   # a snapshot, for concurrent builds
+        kind = key[0]   # a string key's first letter matches neither kind
+        if kind != "gkv" and kind != "gtj":
+            continue
+        e = key[1]
+        for k, lo, hi in others:
+            if e[k][1] < lo or e[k][0] > hi:
+                break   # e misses closed D in direction k != j
+        else:
+            if kind == "gtj" or key[2] == j or (
+                    e[j] == qj and hull_inside(e, box)):
+                continue   # changed, or keyed by a replaced entity
+        seeded[key] = value
 
 
 def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:
@@ -414,8 +471,22 @@ def cell_labels(mesh: TMesh) -> tuple[np.ndarray, tuple]:
     return mesh.memo("cell_labels", build)
 
 
+def check_index_box(mesh: TMesh, box: Sequence[Sequence[int]]) -> None:
+    """Raise unless the box has one (a, b) pair per direction with
+    0 <= a <= b <= N_k, so a raster slice neither wraps nor comes back
+    empty for a box outside the closed domain."""
+    if len(box) != mesh.dim:
+        raise DimensionMismatch(
+            f"box of dim {len(box)} in a mesh of dim {mesh.dim}")
+    for k, ((a, b), n) in enumerate(zip(box, mesh.domain.extents)):
+        if not 0 <= a <= b <= n:
+            raise ValueError(f"bounds ({a}, {b}) of direction {k} are not "
+                             f"within 0 <= a <= b <= {n}")
+
+
 def hull_in_skeleton(mesh: TMesh, j: int, hull: Sequence[Sequence[int]]) -> bool:
     """Exact test: closed integer box inside the j-orthogonal skeleton."""
+    check_index_box(mesh, hull)
     mask = skeleton_mask(mesh, j)
     sel = tuple(slice(2 * a, 2 * b + 1) for a, b in hull)
     return bool(mask[sel].all())
@@ -423,6 +494,7 @@ def hull_in_skeleton(mesh: TMesh, j: int, hull: Sequence[Sequence[int]]) -> bool
 
 def open_entity_meets_skeleton(mesh: TMesh, j: int, entity: Entity) -> bool:
     """Exact test: does the open entity intersect the j-orthogonal skeleton?"""
+    check_index_box(mesh, entity)
     mask = skeleton_mask(mesh, j)
     sel = []
     for a, b in entity:

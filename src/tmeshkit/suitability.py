@@ -280,6 +280,7 @@ def gtj(mesh: TMesh, tj: TJunction) -> GeometricExtension:
         region = tuple((min(v), max(v)) for v in vectors)
         return GeometricExtension(tjunction=tj, vectors=tuple(vectors),
                                   region=region)
+    # `mesh.subdiv` reads this key to carry the extension to a child
     return mesh.memo(("gtj", tj.entity), build)
 
 

@@ -125,14 +125,38 @@ def _hyperfaces_by_plane(mesh: TMesh) -> dict:
     return planes
 
 
-def _gkv_direct(mesh: TMesh, planes: dict, entity: Entity, j: int) -> tuple:
+def _hyperface_bounds(mesh: TMesh) -> list:
+    """Per direction k: the k-orthogonal hyperfaces, sorted, and their
+    bounds as an (n, d, 2) array in the same order."""
+    out = []
+    for k in range(mesh.dim):
+        faces = sorted(mesh.entities[(k,)])
+        out.append((faces, np.array(faces, dtype=np.int64)
+                    .reshape(len(faces), mesh.dim, 2)))
+    return out
+
+
+def _gkv_direct(faces_by_dir: list, entity: Entity, j: int) -> tuple:
     """Global knot vector by covering each projection of the entity with
     the hyperface closures of its own plane, bypassing the raster used by
-    the production path."""
+    the production path.  A hyperface of plane x_j = n meets (contains)
+    the projection onto it exactly when its closure meets (contains) the
+    entity's in every other direction.  One bound comparison over all
+    j-orthogonal hyperfaces finds both kinds; a plane with a containing
+    hyperface is covered, and the other planes go to the exact cover
+    test with only the hyperfaces that meet the projection."""
+    faces, bounds = faces_by_dir[j]
     hull = entity_hull(entity)
-    return tuple(n for n in range(mesh.domain.extents[j] + 1)
-                 if _box_covered(hull[:j] + ((n, n),) + hull[j + 1:],
-                                 planes.get((j, n), ())))
+    lo, hi = np.array(hull).T
+    meets = (bounds[:, :, 0] <= hi) & (lo <= bounds[:, :, 1])
+    holds = (bounds[:, :, 0] <= lo) & (hi <= bounds[:, :, 1])
+    meets[:, j] = holds[:, j] = True
+    held = {faces[r][j][0] for r in np.flatnonzero(holds.all(axis=1)).tolist()}
+    cover = {}
+    for r in np.flatnonzero(meets.all(axis=1)).tolist():
+        cover.setdefault(faces[r][j][0], []).append(faces[r])
+    return tuple(n for n in sorted(cover) if n in held or _box_covered(
+        hull[:j] + ((n, n),) + hull[j + 1:], cover[n]))
 
 
 def tjunctions_oracle(mesh: TMesh) -> tuple:
@@ -183,12 +207,12 @@ def _anchor_knots_direct(mesh: TMesh) -> tuple:
         dom = mesh.domain
         kappa = tuple(k for k, p in enumerate(dom.degrees) if p % 2 == 1)
         active = dom.active_spans()
-        planes = _hyperfaces_by_plane(mesh)
+        faces_by_dir = _hyperface_bounds(mesh)
         out = []
         for a in mesh.entities[kappa]:
             if not hull_inside(a, active):
                 continue
-            gkvs = tuple(_gkv_direct(mesh, planes, a, k) for k in range(dom.dim))
+            gkvs = tuple(_gkv_direct(faces_by_dir, a, k) for k in range(dom.dim))
             spans = []
             for k, gkv in enumerate(gkvs):
                 p = dom.degrees[k]
@@ -401,8 +425,10 @@ def random_admissible_mesh(seed: int, *, dim: int | None = None,
     directions = (rng.randrange(d),) if direction_mode == "single" else range(d)
 
     steps = misses = 0
+    options = None   # listed once per accepted mesh, not per candidate
     while steps < max_steps and misses < 2 * max_steps:
-        options = bisection_options(mesh, directions)
+        if options is None:
+            options = bisection_options(mesh, directions)
         if not options:
             break
         cell, k = rng.choice(options)
@@ -410,7 +436,7 @@ def random_admissible_mesh(seed: int, *, dim: int | None = None,
         if keep is not None and not keep(candidate):
             misses += 1
             continue
-        mesh = candidate
+        mesh, options = candidate, None
         steps += 1
     return mesh
 

@@ -192,6 +192,33 @@ def test_skeleton_membership():
         point_in_skeleton(mesh, 0, (2, 2))
 
 
+def test_box_queries_refuse_boxes_outside_the_domain():
+    # a box past the closed domain used to read an empty raster slice
+    # (vacuously true) and reversed bounds wrapped negative indices
+    from tmeshkit.anchors import global_knot_vector
+
+    mesh = build_framed_mesh((1, 1), [[0, 2, 4], [0, 2, 4]])   # 6 x 6
+    queries = [lambda box: global_knot_vector(mesh, box, 0),
+               lambda box: tmesh.hull_in_skeleton(mesh, 0, box),
+               lambda box: tmesh.open_entity_meets_skeleton(mesh, 0, box)]
+    for query in queries:
+        for box in (((2, 2), (99, 99)), ((20, 30), (0, 6)), ((3, 1), (0, 6)),
+                    ((-1, 2), (0, 6)), ((0, 7), (1, 1))):
+            with pytest.raises(ValueError, match="not within 0 <= a <= b"):
+                query(box)
+        for box in (((2, 2),), ((2, 2), (0, 6), (0, 0))):
+            with pytest.raises(DimensionMismatch):
+                query(box)
+    assert global_knot_vector(mesh, ((2, 2), (6, 6)), 0) == (0, 1, 3, 5, 6)
+    assert global_knot_vector(mesh, ((0, 6), (0, 6)), 0) == (0, 1, 3, 5, 6)
+    assert tmesh.hull_in_skeleton(mesh, 0, ((3, 3), (0, 6)))
+    assert not tmesh.hull_in_skeleton(mesh, 0, ((0, 6), (0, 6)))
+    assert tmesh.open_entity_meets_skeleton(mesh, 0, ((0, 6), (2, 2)))
+    # a failed check memoizes nothing
+    assert not any(key[0] == "gkv" and key[1][1] == (99, 99)
+                   for key in mesh._memo if isinstance(key, tuple))
+
+
 def test_orth_entities():
     mesh = grid2d()
     everything = set().union(*mesh.entities.values())

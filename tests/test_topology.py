@@ -1,14 +1,16 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tmeshkit import fixtures as fx
-from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
+from tmeshkit.anchors import global_knot_vector
+from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh, cell_labels,
                            create_tensor_mesh, hull_inside, singleton_dirs,
                            skeleton_mask, subdiv)
-from tmeshkit.suitability import is_wgas
+from tmeshkit.suitability import gtj, is_wgas
 from tmeshkit.topology import (ClassificationAmbiguous, PreconditionViolated,
                                find_separating_tjunction, find_tjunctions,
                                min_connecting_box, tjunctions_by_odir)
@@ -69,11 +71,13 @@ def test_valences_are_three_or_four():
 def test_masks_carried_across_subdiv_equal_fresh_builds():
     # every candidate of the criterion-12 stream's first meshes, kept or not;
     # the oracles read the same buckets as production, so the buckets are
-    # checked here against the orientation of each entity and a replay
+    # checked here against the orientation of each entity and a replay.
+    # What subdiv carried is the candidate's memo before `keep` reads it,
+    # and each carried entry must equal a build on the replayed mesh
     candidates, kept = [], {}
 
     def keep(m):
-        candidates.append(m)
+        candidates.append((m, dict(m._memo)))
         ok = is_wgas(m)[0]
         if ok:
             kept[m.refinement_log] = m
@@ -81,7 +85,8 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
 
     list(mesh_stream(424243, 3, max_steps=18, keep=keep))
     shared = 0
-    for m in candidates:
+    carried = Counter()
+    for m, seeded in candidates:
         parent = kept.get(m.refinement_log[:-1])
         j = m.refinement_log[-1][1]
         fresh = replay_prefix(m, len(m.refinement_log))
@@ -96,8 +101,33 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
             if parent is not None and k != j:
                 assert mask is skeleton_mask(parent, k)  # shared, not rebuilt
                 shared += 1
+        if "cell_labels" in seeded:
+            labels, cells = seeded["cell_labels"]
+            fresh_labels, fresh_cells = cell_labels(fresh)
+            assert not labels.flags.writeable
+            assert sorted(cells) == sorted(fresh_cells)
+            # equal as maps from lattice point to cell (or to no cell, -1)
+            index = {q: n for n, q in enumerate(fresh_cells)}
+            relabel = np.array([index[q] for q in cells] + [-1])
+            assert np.array_equal(relabel[labels], fresh_labels)
+            carried["cell_labels"] += 1
+        fresh_tjs = {t.entity: t for t in find_tjunctions(fresh)}
+        whole = tuple((0, n) for n in m.domain.extents)
+        for key, value in seeded.items():
+            kind = key if isinstance(key, str) else key[0]
+            assert kind in ("skeleton_mask", "cell_labels", "gkv", "gtj")
+            if kind == "gkv":
+                # keyed by an entity of the child, never a replaced one
+                e = key[1]
+                assert e == whole or e in m.entities[singleton_dirs(e)]
+                assert value == global_knot_vector(fresh, key[1], key[2])
+            elif kind == "gtj":
+                assert key[1] in fresh_tjs   # still a T-junction
+                assert value == gtj(fresh, fresh_tjs[key[1]])
+            carried[kind] += 1
         assert find_tjunctions(m) == tjunctions_oracle(m)
     assert shared > 0
+    assert min(carried[kind] for kind in ("cell_labels", "gkv", "gtj")) > 0
 
 
 def test_corrupt_complex_is_ambiguous():
