@@ -41,8 +41,9 @@ def anchor_set(mesh: TMesh) -> tuple:
 def global_knot_vector(mesh: TMesh, entity: Entity, j: int) -> tuple[int, ...]:
     """Strictly increasing indices n with P_{j,n}(entity) inside the skeleton.
 
-    `entity` may be any closed integer box of the domain; one outside it
-    raises (`check_index_box`)."""
+    `entity` may be any closed integer box of the domain and `j` any
+    direction 0..d-1; anything else raises `ValueError` when the vector is
+    built (`check_index_box`, `skeleton_mask`)."""
     def build():
         check_index_box(mesh, entity)
         mask = skeleton_mask(mesh, j)

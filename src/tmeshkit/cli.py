@@ -214,7 +214,11 @@ def _cmd_check(args) -> int:
         if name not in checks:
             print(f"error: unknown check {name!r}", file=sys.stderr)
             return EXIT_USAGE
-        ok, witnesses = checks[name](mesh)
+        try:
+            ok, witnesses = checks[name](mesh)
+        except MeshError as exc:   # e.g. a pair scan past its limit
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
         all_ok &= ok
         mark = "pass" if ok else "FAIL"
         print(f"{name:<10} {mark}" + ("" if ok else f"  ({len(witnesses)} witnesses)"))

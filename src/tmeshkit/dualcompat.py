@@ -8,9 +8,18 @@ oracle in tmeshkit.verify).  Two splines weakly partially overlap when
 their vectors differ and overlap in some direction, and strongly
 partially overlap when their supports are disjoint or their vectors
 overlap in at least d-1 directions.
+
+Both classifiers read one scan per mesh (`_pair_flags`): the anchor
+pairs whose supports meet, from `regions.meeting_pairs`, with their
+overlap flags, computed `PAIR_CHUNK` pairs at a time so the temporaries
+stay bounded.  They return the failing pairs as a `Witnesses` sequence
+over index arrays, the flags and `anchor_arrays(mesh).local`, whose
+tuples are built when read.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +27,10 @@ from .anchors import (anchor_arrays, anchor_set, index_support,
                       local_knot_vector)
 from .mesh import Entity, TMesh
 from .regions import meeting_pairs
+from .witnesses import Witnesses
+
+
+PAIR_CHUNK = 1 << 14   # anchor pairs whose flags are computed at once
 
 
 class SameAnchor(ValueError):
@@ -71,25 +84,38 @@ def _pair_flags(mesh: TMesh):
     def build():
         arrays = anchor_arrays(mesh)
         ia, ib = meeting_pairs(arrays.support)
-        overlap, differs = [], []
-        for v in arrays.local:
-            v1, v2 = v[ia], v[ib]
-            lo = np.maximum(v1[:, :1], v2[:, :1])
-            hi = np.minimum(v1[:, -1:], v2[:, -1:])
-            in1 = (v1 >= lo) & (v1 <= hi)
-            in2 = (v2 >= lo) & (v2 <= hi)
-            found = (v1[:, :, None] == v2[:, None, :]).any(axis=2)
-            overlap.append((lo[:, 0] > hi[:, 0])
-                           | ((in1.sum(axis=1) == in2.sum(axis=1))
-                              & (found | ~in1).all(axis=1)))
-            differs.append((v1 != v2).any(axis=1))
-        shape = (len(ia), mesh.dim)
-        return (ia, ib, np.stack(overlap, axis=1).reshape(shape),
-                np.stack(differs, axis=1).reshape(shape))
+        overlap = np.empty((len(ia), mesh.dim), dtype=bool)
+        differs = np.empty_like(overlap)
+        for s in range(0, len(ia), PAIR_CHUNK):   # bounds the temporaries
+            rows = slice(s, s + PAIR_CHUNK)
+            for j, v in enumerate(arrays.local):
+                v1, v2 = v[ia[rows]], v[ib[rows]]
+                lo = np.maximum(v1[:, :1], v2[:, :1])
+                hi = np.minimum(v1[:, -1:], v2[:, -1:])
+                in1 = (v1 >= lo) & (v1 <= hi)
+                in2 = (v2 >= lo) & (v2 <= hi)
+                found = (v1[:, :, None] == v2[:, None, :]).any(axis=2)
+                overlap[rows, j] = ((lo[:, 0] > hi[:, 0])
+                                    | ((in1.sum(axis=1) == in2.sum(axis=1))
+                                       & (found | ~in1).all(axis=1)))
+                differs[rows, j] = (v1 != v2).any(axis=1)
+        return ia, ib, overlap, differs
     return mesh.memo("dc_pairs", build)
 
 
-def _dc_scan(mesh: TMesh, weak: bool) -> tuple[bool, tuple]:
+def _dc_rows(anchors: tuple, local: tuple, ia: np.ndarray, ib: np.ndarray,
+             overlap: np.ndarray, rows: np.ndarray) -> list:
+    """The witnesses (a1, a2, per-direction (v1, v2, overlaps)) of the
+    failing pairs `rows`; `local` is `anchor_arrays(mesh).local`."""
+    a, b = ia[rows], ib[rows]
+    v1 = zip(*[map(tuple, v[a].tolist()) for v in local])
+    v2 = zip(*[map(tuple, v[b].tolist()) for v in local])
+    return [(anchors[x], anchors[y], tuple(zip(w1, w2, flags)))
+            for x, y, w1, w2, flags in zip(a.tolist(), b.tolist(), v1, v2,
+                                           overlap[rows].tolist())]
+
+
+def _dc_scan(mesh: TMesh, weak: bool) -> tuple[bool, Witnesses]:
     """Witnesses, in (ia, ib) order, for the candidate pairs that fail the
     weak or the strong partial-overlap relation."""
     ia, ib, overlap, differs = _pair_flags(mesh)
@@ -97,23 +123,20 @@ def _dc_scan(mesh: TMesh, weak: bool) -> tuple[bool, tuple]:
         failing = ~(overlap & differs).any(axis=1)
     else:
         failing = (~overlap).sum(axis=1) > 1
-    anchors = anchor_set(mesh)
     failing = np.flatnonzero(failing)
-    ia, ib = ia[failing].tolist(), ib[failing].tolist()
-    vectors = {i: _vectors(mesh, anchors[i]) for i in {*ia, *ib}}
-    witnesses = tuple(
-        (anchors[a], anchors[b], tuple(zip(vectors[a], vectors[b], flags)))
-        for a, b, flags in zip(ia, ib, overlap[failing].tolist()))
+    witnesses = Witnesses(len(failing), partial(
+        _dc_rows, anchor_set(mesh), anchor_arrays(mesh).local,
+        ia[failing], ib[failing], overlap[failing]))
     return (not witnesses, witnesses)
 
 
-def is_wdc(mesh: TMesh) -> tuple[bool, tuple]:
+def is_wdc(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Weak dual-compatibility: every anchor pair weakly partially overlaps.
     Witnesses carry the per-direction vectors and overlap verdicts."""
     return mesh.memo("wdc", lambda: _dc_scan(mesh, weak=True))
 
 
-def is_sdc(mesh: TMesh) -> tuple[bool, tuple]:
+def is_sdc(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Strong dual-compatibility: every anchor pair strongly partially
     overlaps."""
     return mesh.memo("sdc", lambda: _dc_scan(mesh, weak=False))

@@ -438,10 +438,15 @@ def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
     points being set, which makes the raster an exact query structure.
     One pass over the hyperfaces builds all d masks and memoizes them;
     every mask is read-only, because refinement shares them with children.
+    A direction outside 0..d-1 raises `ValueError`; it is checked when the
+    mask is built, so a memo hit pays nothing.
     """
     def build():
         import numpy as np
 
+        if not 0 <= j < mesh.dim:   # grids[j] would wrap a negative j
+            raise ValueError(f"direction {j} out of range for a mesh of "
+                             f"dimension {mesh.dim}")
         shape = tuple(2 * n + 1 for n in mesh.domain.extents)
         grids = [np.zeros(shape, dtype=bool) for _ in range(mesh.dim)]
         for k, grid in enumerate(grids):

@@ -85,6 +85,9 @@ def _box_covered(box: Box, cover: Sequence[Box]) -> bool:
     return True
 
 
+MAX_CANDIDATE_PAIRS = 1 << 21   # box pairs one `meeting_pairs` sweep may test
+
+
 def meeting_pairs(boxes):
     """Index pairs (ia < ib, in lexicographic order) of the intersecting
     closed boxes of an (n, d, 2) integer array; numpy loads only here.
@@ -92,22 +95,34 @@ def meeting_pairs(boxes):
     Sort and sweep: with the boxes sorted by their lower bound in
     direction 0, the partners of one box that meet it there are the run
     of later ones starting no later than its upper bound; the other
-    directions filter those.  Memory is linear in boxes plus pairs.
+    directions filter those.  Memory is linear in boxes plus candidates,
+    the pairs that meet in direction 0.  Their count is known from the
+    sort alone, and above `MAX_CANDIDATE_PAIRS` the sweep raises
+    `MeshError` before it allocates anything per candidate.
     """
     import numpy as np
+
+    from .mesh import MeshError
 
     n = len(boxes)
     order = np.argsort(boxes[:, 0, 0], kind="stable")
     lo0 = boxes[order, 0, 0]
     ends = np.searchsorted(lo0, boxes[order, 0, 1], side="right")
     counts = ends - np.arange(1, n + 1)
+    total = int(counts.sum())
+    if total > MAX_CANDIDATE_PAIRS:
+        raise MeshError(f"the pair scan would test {total} candidate box "
+                        f"pairs, more than the limit of {MAX_CANDIDATE_PAIRS}")
     owner = np.repeat(np.arange(n), counts)   # sorted position of the first
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    ia, ib = order[owner], order[owner + 1 + np.arange(len(owner)) - starts]
-    lo = np.maximum(boxes[ia, 1:, 0], boxes[ib, 1:, 0])
-    hi = np.minimum(boxes[ia, 1:, 1], boxes[ib, 1:, 1])
-    keep = (lo <= hi).all(axis=1)
-    ia, ib = ia[keep], ib[keep]
+    partner = np.arange(1, total + 1)        # ... and of the second
+    partner -= np.repeat(np.cumsum(counts) - counts, counts)
+    partner += owner
+    ia, ib = order[owner], order[partner]
+    del owner, partner
+    for k in range(1, boxes.shape[1]):   # valid boxes meet iff these hold
+        keep = boxes[ia, k, 0] <= boxes[ib, k, 1]
+        keep &= boxes[ib, k, 0] <= boxes[ia, k, 1]
+        ia, ib = ia[keep], ib[keep]
     ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
     rank = np.lexsort((ib, ia))
     return ia[rank], ib[rank]

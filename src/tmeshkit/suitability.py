@@ -20,6 +20,13 @@ knot vectors are painted; the others are empty.  Witness regions of
 d <= 3 meshes are read from those rasters, where `BoxRegion.normalize`
 is canonical; in higher dimension they take the exact region path.
 
+SGAS and WGAS share one sweep: `_gtj_pairs` lists, once per mesh, the
+junction pairs with different orthogonal directions whose extension
+boxes meet, and WGAS keeps those whose pointing directions differ too.
+All three classifiers return a `Witnesses` sequence: the pair index
+arrays over the extension boxes, or for AAS one array of witness boxes,
+from which the witness tuples and regions are built when read.
+
 Memory: the counts are int32, since a count is at most the number of
 anchors and so at most `MAX_ENTITIES` < 2^31.  The two count arrays of
 direction j hold (live slices + 1) x prod_{k != j} (2 N_k + 2) entries
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +48,7 @@ from .anchors import _window, anchor_arrays, global_knot_vector
 from .mesh import MeshError, TMesh
 from .regions import Box, BoxRegion, meeting_pairs
 from .topology import TJunction, find_tjunctions
+from .witnesses import Witnesses
 
 
 class NonAdjacentCellBounds(MeshError):
@@ -178,7 +187,7 @@ def _slice_rasters(mesh: TMesh) -> list:
     return out
 
 
-def is_aas(mesh: TMesh) -> tuple[bool, tuple]:
+def is_aas(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Abstract analysis-suitability; witnesses are intersecting slice pairs
     (i, n, j, m, intersection region), ordered by (i, j, n, m).
 
@@ -192,11 +201,13 @@ def is_aas(mesh: TMesh) -> tuple[bool, tuple]:
     maximal runs of the third axis for d = 3.  In higher dimension
     normalize is not canonical, so the region is the exact intersection
     of the two `atj_slice` regions, normalized, built only for the pairs
-    the rasters found."""
+    the rasters found.  Either way the boxes are kept as one array and
+    each `BoxRegion` is built when its witness is read."""
     def build():
         d = mesh.dim
         live, rasters = zip(*_slice_rasters(mesh))
-        witnesses = []
+        # per witness (i, n, j, m) and its number of boxes; the boxes
+        heads, sizes, boxes = [], [], []
         for i, j in itertools.combinations(range(d), 2):
             meet = (rasters[i].take(2 * live[j], axis=j)
                     & rasters[j].take(2 * live[i], axis=i))
@@ -209,28 +220,53 @@ def is_aas(mesh: TMesh) -> tuple[bool, tuple]:
                 for n, m in dict.fromkeys(map(tuple, points[:, :2].tolist())):
                     region = atj_slice(mesh, i, n).region.intersect(
                         atj_slice(mesh, j, m).region).normalize()
-                    witnesses.append((i, n, j, m, region))
+                    heads.append([(i, n, j, m)])
+                    sizes.append([len(region.boxes)])
+                    boxes.append(np.array(region.boxes, dtype=np.int64)
+                                 .reshape(-1, d, 2))
                 continue
             # runs of consecutive points on the third axis, if there is one
-            fresh = np.ones(len(points), dtype=bool)
-            fresh[1:] = (points[1:, :2] != points[:-1, :2]).any(axis=1)
+            pair = np.ones(len(points), dtype=bool)   # a new (n, m)
+            pair[1:] = (points[1:, :2] != points[:-1, :2]).any(axis=1)
+            fresh = pair.copy()
             if d == 3:
                 fresh[1:] |= points[1:, 2] != points[:-1, 2] + 1
             first = np.flatnonzero(fresh)
             last = np.append(first[1:], len(points)) - 1
-            rest = [k for k in range(d) if k not in (i, j)]
-            regions = {}
-            for (n, m, *x0), x1 in zip(points[first].tolist(),
-                                       points[last, 2:].tolist()):
-                box = [None] * d
-                box[i], box[j] = (n, n), (m, m)
-                for k, a, b in zip(rest, x0, x1):
-                    box[k] = (a // 2, b // 2)
-                regions.setdefault((n, m), []).append(tuple(box))
-            witnesses.extend((i, n, j, m, BoxRegion._trusted(d, boxes))
-                             for (n, m), boxes in regions.items())
-        return (not witnesses, tuple(witnesses))
+            run = np.empty((len(first), d, 2), dtype=np.int64)
+            run[:, i] = points[first, :1]
+            run[:, j] = points[first, 1:2]
+            for c, k in enumerate(k for k in range(d) if k not in (i, j)):
+                run[:, k, 0] = points[first, 2 + c] // 2
+                run[:, k, 1] = points[last, 2 + c] // 2
+            opens = np.flatnonzero(pair[first])   # a witness's first run
+            n_m = points[first[opens], :2]
+            heads.append(np.stack([np.full(len(opens), i), n_m[:, 0],
+                                   np.full(len(opens), j), n_m[:, 1]], axis=1))
+            sizes.append(np.diff(opens, append=len(first)))
+            boxes.append(run)
+        heads = np.concatenate([np.empty((0, 4), np.int64), *heads])
+        sizes = np.concatenate([np.empty(0, np.int64), *sizes])
+        boxes = np.concatenate([np.empty((0, d, 2), np.int64), *boxes])
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        witnesses = Witnesses(len(heads),
+                              partial(_aas_rows, d, heads, starts, boxes))
+        return (not witnesses, witnesses)
     return mesh.memo("aas", build)
+
+
+def _aas_rows(d: int, heads: np.ndarray, starts: np.ndarray,
+              boxes: np.ndarray, rows: np.ndarray) -> list:
+    """The witnesses `rows`: witness w is heads[w] = (i, n, j, m) and the
+    region of boxes[starts[w]:starts[w + 1]]."""
+    lo, sizes = starts[rows], starts[rows + 1] - starts[rows]
+    ends = np.cumsum(sizes)
+    flat = boxes[np.repeat(lo - ends + sizes, sizes)
+                 + np.arange(sizes.sum())].tolist()
+    return [(i, n, j, m, BoxRegion._trusted(
+                d, [tuple(map(tuple, box)) for box in flat[end - size:end]]))
+            for (i, n, j, m), size, end in zip(heads[rows].tolist(),
+                                               sizes.tolist(), ends.tolist())]
 
 
 def gtj(mesh: TMesh, tj: TJunction) -> GeometricExtension:
@@ -291,34 +327,54 @@ def gtj_union(mesh: TMesh, i: int) -> BoxRegion:
     return BoxRegion(mesh.dim, set(boxes))
 
 
-def _gtj_disjointness(mesh: TMesh, require_pdir_differs: bool) -> tuple[bool, tuple]:
+def _gtj_pairs(mesh: TMesh) -> tuple:
+    """The junctions, their extension boxes as an (n, d, 2) int64 array,
+    and the index pairs (ia < ib, in lexicographic order) of junctions
+    with different orthogonal directions whose boxes meet: the SGAS
+    witnesses, of which WGAS keeps those whose pointing directions also
+    differ."""
+    def build():
+        tjs = find_tjunctions(mesh)
+        boxes = np.array([gtj(mesh, tj).region for tj in tjs],
+                         dtype=np.int64).reshape(len(tjs), mesh.dim, 2)
+        ia, ib = meeting_pairs(boxes)
+        odir = np.array([tj.odir for tj in tjs], dtype=np.int64)
+        keep = odir[ia] != odir[ib]
+        return tjs, boxes, ia[keep], ib[keep]
+    return mesh.memo("gtj_pairs", build)
+
+
+def _gas_rows(tjs: tuple, boxes: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+              rows: np.ndarray) -> list:
+    """The witnesses (t1, t2, intersection box) of pairs `rows`."""
+    a, b = ia[rows], ib[rows]
+    lo = np.maximum(boxes[a, :, 0], boxes[b, :, 0]).tolist()
+    hi = np.minimum(boxes[a, :, 1], boxes[b, :, 1]).tolist()
+    return [(tjs[x], tjs[y], tuple(zip(l, h)))
+            for x, y, l, h in zip(a.tolist(), b.tolist(), lo, hi)]
+
+
+def _gtj_disjointness(mesh: TMesh,
+                      require_pdir_differs: bool) -> tuple[bool, Witnesses]:
     """Witnesses (t1, t2, intersection box), in junction-pair order, for
     the pairs with different orthogonal (and, if required, pointing)
     directions whose extension boxes meet."""
-    tjs = find_tjunctions(mesh)
-    boxes = np.array([gtj(mesh, tj).region for tj in tjs],
-                     dtype=np.int64).reshape(len(tjs), mesh.dim, 2)
-    ia, ib = meeting_pairs(boxes)
-    odir = np.array([tj.odir for tj in tjs])
-    keep = odir[ia] != odir[ib]
+    tjs, boxes, ia, ib = _gtj_pairs(mesh)
     if require_pdir_differs:
-        pdir = np.array([tj.pdir for tj in tjs])
-        keep &= pdir[ia] != pdir[ib]
-    ia, ib = ia[keep], ib[keep]
-    lo = np.maximum(boxes[ia, :, 0], boxes[ib, :, 0]).tolist()
-    hi = np.minimum(boxes[ia, :, 1], boxes[ib, :, 1]).tolist()
-    witnesses = tuple((tjs[a], tjs[b], tuple(zip(l, h)))
-                      for a, b, l, h in zip(ia.tolist(), ib.tolist(), lo, hi))
+        pdir = np.array([tj.pdir for tj in tjs], dtype=np.int64)
+        keep = pdir[ia] != pdir[ib]
+        ia, ib = ia[keep], ib[keep]
+    witnesses = Witnesses(len(ia), partial(_gas_rows, tjs, boxes, ia, ib))
     return (not witnesses, witnesses)
 
 
-def is_sgas(mesh: TMesh) -> tuple[bool, tuple]:
+def is_sgas(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Strong geometric suitability: extensions of T-junctions with
     different orthogonal directions are disjoint."""
     return mesh.memo("sgas", lambda: _gtj_disjointness(mesh, False))
 
 
-def is_wgas(mesh: TMesh) -> tuple[bool, tuple]:
+def is_wgas(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Weak geometric suitability: disjointness only for pairs that differ
     in both the orthogonal and the pointing direction."""
     return mesh.memo("wgas", lambda: _gtj_disjointness(mesh, True))

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .anchors import (anchor_arrays, anchor_set, global_knot_vector,
-                      index_support, local_knot_vector)
+                      local_knot_vector)
 from .dualcompat import is_sdc, is_wdc, knots_overlap
 from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
                    dyadic_active_breakpoints, entity_hull, hull_inside,
@@ -585,44 +585,3 @@ def _shrink_candidate(mesh: TMesh) -> TMesh:
         if is_wgas(m)[0] and not is_wdc(m)[0]:
             return m
     return mesh
-
-
-def child_anchor_inheritance(mesh: TMesh, cell: Entity, j: int) -> dict:
-    """Check that each anchor created by one bisection inherits a parent:
-    an old anchor with identical off-direction local vectors and a
-    support containing the child's.
-
-    Applicable when the mesh and its refinement are both weakly
-    geometrically suitable and every active cell has active neighbors in
-    three directions; failures under satisfied preconditions are hard
-    failures.
-    """
-    from .mesh import check_three_direction_assumption
-
-    refined = subdiv(mesh, cell, j)
-    applicable = (mesh.dim >= 3
-                  and check_three_direction_assumption(mesh)
-                  and is_wgas(mesh)[0] and is_wgas(refined)[0])
-    report = {"applicable": applicable, "new_anchors": 0, "failures": []}
-    if not applicable:
-        return report
-    old = anchor_set(mesh)
-    old_set = set(old)
-    new_anchors = [a for a in anchor_set(refined) if a not in old_set]
-    report["new_anchors"] = len(new_anchors)
-    dims = [k for k in range(mesh.dim) if k != j]
-    for child in new_anchors:
-        child_vecs = {k: local_knot_vector(refined, child, k) for k in dims}
-        child_supp = index_support(refined, child)
-        parent = None
-        for a in old:
-            if all(local_knot_vector(mesh, a, k) == child_vecs[k] for k in dims):
-                parent_supp = index_support(mesh, a)
-                if all(pl <= cl and ch <= ph for (pl, ph), (cl, ch)
-                       in zip(parent_supp, child_supp)):
-                    parent = a
-                    break
-        if parent is None:
-            report["failures"].append(child)
-    report["ok"] = not report["failures"]
-    return report

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from tmeshkit.mesh import build_framed_mesh, subdiv  # noqa: E402
 from tmeshkit.verify import random_admissible_mesh  # noqa: E402
 
 CORPUS_SEED = 20260810
@@ -13,6 +14,32 @@ CORPUS_SEED = 20260810
 
 def corpus_subseed(k: int) -> int:
     return (CORPUS_SEED * 1_000_003 + k) % (1 << 62)
+
+
+def cross_mesh(L: int):
+    """The bicubic 3 x 3 grid of L x L cells (L a power of two), with the
+    middle row bisected in x down to unit width and the two other cells
+    of the middle column in y: 5 (L - 1) bisections.  The x-fine anchors
+    have long supports in y and the y-fine ones long supports in x, so
+    nearly every pair of them meets, and every classifier but
+    admissibility fails with a number of witnesses quadratic in L."""
+    mesh = build_framed_mesh((3, 3), [[0, L, 2 * L, 3 * L]] * 2)
+    lo, hi = L + 2, 2 * L + 2   # the middle band, past the frame of width 2
+
+    def halve(mesh, cell, j):
+        a, b = cell[j]
+        if b - a == 1:
+            return mesh
+        mesh = subdiv(mesh, cell, j)
+        for half in ((a, (a + b) // 2), ((a + b) // 2, b)):
+            mesh = halve(mesh, cell[:j] + (half,) + cell[j + 1:], j)
+        return mesh
+
+    for x in (2, lo, hi):
+        mesh = halve(mesh, ((x, x + L), (lo, hi)), 0)
+    for y in (2, hi):
+        mesh = halve(mesh, ((lo, hi), (y, y + L)), 1)
+    return mesh
 
 
 @pytest.fixture(scope="session")

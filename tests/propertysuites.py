@@ -11,14 +11,13 @@ import numpy as np
 from tmeshkit.anchors import (anchor_set, global_knot_vector, index_support,
                               local_knot_vector)
 from tmeshkit.dualcompat import knots_overlap
-from tmeshkit.mesh import (TMesh, check_three_direction_assumption,
+from tmeshkit.mesh import (Entity, TMesh, check_three_direction_assumption,
                            entity_hull, hull_in_skeleton, is_admissible,
                            open_entity_meets_skeleton, point_in_skeleton,
                            project_entity, subdiv)
-from tmeshkit.suitability import gtj
+from tmeshkit.suitability import gtj, is_wgas
 from tmeshkit.topology import find_separating_tjunction, find_tjunctions
-from tmeshkit.verify import (bisection_options, child_anchor_inheritance,
-                             random_admissible_mesh)
+from tmeshkit.verify import bisection_options, random_admissible_mesh
 
 
 def disjoint_union_violations(mesh: TMesh, samples: int = 10_000,
@@ -176,11 +175,48 @@ def _point_of_projection(mesh, anchor, i, n, in_skeleton):
     return None
 
 
+def child_anchor_inheritance(mesh: TMesh, cell: Entity, j: int) -> dict:
+    """Check that each anchor created by one bisection inherits a parent:
+    an old anchor with identical off-direction local vectors and a
+    support containing the child's.
+
+    Applicable when the mesh and its refinement are both weakly
+    geometrically suitable and every active cell has active neighbors in
+    three directions; failures under satisfied preconditions are hard
+    failures.
+    """
+    refined = subdiv(mesh, cell, j)
+    applicable = (mesh.dim >= 3
+                  and check_three_direction_assumption(mesh)
+                  and is_wgas(mesh)[0] and is_wgas(refined)[0])
+    report = {"applicable": applicable, "new_anchors": 0, "failures": []}
+    if not applicable:
+        return report
+    old = anchor_set(mesh)
+    old_set = set(old)
+    new_anchors = [a for a in anchor_set(refined) if a not in old_set]
+    report["new_anchors"] = len(new_anchors)
+    dims = [k for k in range(mesh.dim) if k != j]
+    for child in new_anchors:
+        child_vecs = {k: local_knot_vector(refined, child, k) for k in dims}
+        child_supp = index_support(refined, child)
+        parent = None
+        for a in old:
+            if all(local_knot_vector(mesh, a, k) == child_vecs[k] for k in dims):
+                parent_supp = index_support(mesh, a)
+                if all(pl <= cl and ch <= ph for (pl, ph), (cl, ch)
+                       in zip(parent_supp, child_supp)):
+                    parent = a
+                    break
+        if parent is None:
+            report["failures"].append(child)
+    report["ok"] = not report["failures"]
+    return report
+
+
 def child_anchor_suite(seed: int, wanted_steps: int = 50) -> dict:
     """Accumulate applicable child-anchor inheritance checks over random
     3D refinement steps until `wanted_steps` of them have been verified."""
-    from tmeshkit.suitability import is_wgas
-
     rng = random.Random(seed)
     applicable = 0
     failures = []

@@ -10,6 +10,7 @@ import pytest
 
 import tmeshkit
 from tmeshkit import fixtures as fx
+from tmeshkit import regions
 from tmeshkit.cli import main
 from tmeshkit.meshio import load_mesh, save_mesh
 
@@ -344,12 +345,19 @@ BAD_INPUTS = {
     "new-entities-beyond-limit": (["new", "--dim", "2", "--extents", "2047,2047",
                                    "--degrees", "1,1", "--out", "{tmp}/n.json"], 2),
     "mesh-entities-beyond-limit": (["check", "--mesh", "{many}"], 4),
+    # the running example's 33 030 candidate anchor pairs, under a limit
+    # the test lowers to 1000
+    "check-pairs-beyond-limit": (["check", "--mesh", "{re}", "--which", "sdc"],
+                                 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, case):
+def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                            case):
     argv, code = BAD_INPUTS[case]
+    if case == "check-pairs-beyond-limit":
+        monkeypatch.setattr(regions, "MAX_CANDIDATE_PAIRS", 1000)
     paths = {"tmp": tmp_path, "nodir": tmp_path / "no-such-dir",
              "re": tmp_path / "re.json", "m": tmp_path / "m.json",
              "binary": tmp_path / "binary.json", "deep": tmp_path / "deep.json",

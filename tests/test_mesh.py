@@ -219,6 +219,28 @@ def test_box_queries_refuse_boxes_outside_the_domain():
                    for key in mesh._memo if isinstance(key, tuple))
 
 
+def test_direction_queries_refuse_directions_outside_the_mesh():
+    # skeleton_mask(m, -1) was the mask of direction d - 1, memoized under
+    # a second key, and global_knot_vector ended in an IndexError
+    from tmeshkit.anchors import global_knot_vector
+
+    mesh = build_framed_mesh((1, 1), [[0, 2, 4], [0, 2, 4]])   # 6 x 6
+    queries = [lambda j: tmesh.skeleton_mask(mesh, j),
+               lambda j: global_knot_vector(mesh, ((2, 2), (2, 2)), j),
+               lambda j: tmesh.hull_in_skeleton(mesh, j, ((1, 1), (0, 6))),
+               lambda j: tmesh.open_entity_meets_skeleton(
+                   mesh, j, ((0, 6), (2, 2))),
+               lambda j: point_in_skeleton(mesh, j, (1, 1))]
+    for _ in range(2):   # with a cold memo, then with the masks memoized
+        for query in queries:
+            for j in (-1, -2, 2, 3):
+                with pytest.raises(ValueError, match="out of range"):
+                    query(j)
+        assert global_knot_vector(mesh, ((2, 2), (2, 2)), 1) == (0, 1, 3, 5, 6)
+    assert sorted(key[1] for key in mesh._memo
+                  if key[0] == "skeleton_mask") == [0, 1]
+
+
 def test_orth_entities():
     mesh = grid2d()
     everything = set().union(*mesh.entities.values())

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from propertysuites import child_anchor_inheritance
 
 from tmeshkit import fixtures as fx
 from tmeshkit.dualcompat import is_sdc, is_wdc
@@ -12,7 +13,7 @@ from tmeshkit.splines import tspline_eval
 from tmeshkit.suitability import (atj_slice, is_aas, is_sgas, is_wgas,
                                   _slice_rasters)
 from tmeshkit.verify import (RankReport, aas_oracle, atj_slice_oracle,
-                             child_anchor_inheritance, complete_slices,
+                             complete_slices,
                              crosscheck_aas_sdc, crosscheck_sgas_aas,
                              dc_scan_oracle,
                              evaluation_matrix, gtj_disjointness_oracle,
