@@ -6,8 +6,11 @@ that lie inside the active region.  Global knot vectors are obtained by
 ray tracing an entity through the mesh: index n enters the vector in
 direction j when the projection onto the slice x_j = n lies in the
 j-orthogonal skeleton.  Local vectors are centered windows of the global
-ones.  Everything is memoized per mesh; `anchor_arrays` stacks the
-per-anchor tuples into arrays for the classifiers' pair scans.
+ones.  The anchor set, the global vectors and `anchor_arrays` are
+memoized per mesh; a local vector and a support are read off the
+memoized global vector on each call.  `anchor_arrays` is the one
+per-anchor store: it stacks every anchor's local vectors and support
+into arrays for the classifiers' pair scans.
 """
 
 from __future__ import annotations
@@ -80,28 +83,21 @@ def local_knot_vector(mesh: TMesh, anchor: Entity, j: int) -> tuple[int, ...]:
     Odd degree: the anchor's singleton component is the middle entry.
     Even degree: the component's endpoints are the two middle entries.
     """
-    def build():
-        p = mesh.domain.degrees[j]
-        gkv = global_knot_vector(mesh, anchor, j)
-        a, b = anchor[j]
-        w = _window(gkv, a, (p + 1) // 2, p + 2, anchor)
-        if p % 2 == 0 and w[p // 2 + 1] != b:
-            raise InsufficientKnots(
-                f"anchor {anchor!r}: component endpoints not adjacent in "
-                f"direction {j}")
-        return w
-    return mesh.memo(("lkv", anchor, j), build)
+    gkv = global_knot_vector(mesh, anchor, j)
+    p = mesh.domain.degrees[j]
+    a, b = anchor[j]
+    w = _window(gkv, a, (p + 1) // 2, p + 2, anchor)
+    if p % 2 == 0 and w[p // 2 + 1] != b:
+        raise InsufficientKnots(
+            f"anchor {anchor!r}: component endpoints not adjacent in "
+            f"direction {j}")
+    return w
 
 
 def index_support(mesh: TMesh, anchor: Entity) -> Box:
     """Closed box spanned by the local knot vectors in every direction."""
-    def build():
-        spans = []
-        for j in range(mesh.dim):
-            w = local_knot_vector(mesh, anchor, j)
-            spans.append((w[0], w[-1]))
-        return tuple(spans)
-    return mesh.memo(("supp", anchor), build)
+    return tuple((w[0], w[-1]) for w in (local_knot_vector(mesh, anchor, j)
+                                         for j in range(mesh.dim)))
 
 
 class AnchorArrays(NamedTuple):
@@ -117,8 +113,8 @@ class AnchorArrays(NamedTuple):
 
 
 def anchor_arrays(mesh: TMesh) -> AnchorArrays:
-    """The anchors' local vectors and supports as arrays, built from the
-    memoized tuples."""
+    """The anchors' local vectors and supports as arrays, built once per
+    mesh from `local_knot_vector`."""
     def build():
         anchors = anchor_set(mesh)
         n, d = len(anchors), mesh.dim

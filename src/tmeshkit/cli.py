@@ -3,8 +3,9 @@
 Exit codes: 0 success (and all requested checks passed), 1 a requested
 check failed, 2 precondition violation (also a bad argument value or an
 unwritable output), 3 non-integer midpoint, 4 malformed or unreadable
-input file, 5 usage error (unknown flag etc.).  Directions on the
-command line are 1-based.
+input file, 5 usage error (unknown flag etc.).  `main` maps every
+`MeshError` a command raises to one `error:` line and exit 2, or 3 for
+a non-integer midpoint.  Directions on the command line are 1-based.
 
 Only the mesh, file and SVG modules are imported up front; `check`,
 `lin-indep` and `verify` import their classifier and harness modules
@@ -142,10 +143,10 @@ def _cmd_new(args) -> int:
         return EXIT_PRECONDITION
     try:
         domain = IndexDomain(extents=tuple(extents), degrees=tuple(degrees))
-        mesh = create_tensor_mesh(domain, breakpoints)
-    except (ValueError, MeshError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    mesh = create_tensor_mesh(domain, breakpoints)
     with _writing(args.out):
         save_mesh(mesh, args.out)
     print(f"wrote {args.out}")
@@ -162,15 +163,7 @@ def _cmd_refine(args) -> int:
     if len(point) != mesh.dim or not 1 <= args.dir <= mesh.dim:
         print("error: point/direction of wrong dimension", file=sys.stderr)
         return EXIT_PRECONDITION
-    try:
-        cell = find_cell_containing(mesh, point)
-        mesh = subdiv(mesh, cell, args.dir - 1)
-    except NonIntegerMidpoint as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MIDPOINT
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    mesh = subdiv(mesh, find_cell_containing(mesh, point), args.dir - 1)
     out = args.out or args.mesh
     with _writing(out):
         save_mesh(mesh, out)
@@ -214,11 +207,7 @@ def _cmd_check(args) -> int:
         if name not in checks:
             print(f"error: unknown check {name!r}", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            ok, witnesses = checks[name](mesh)
-        except MeshError as exc:   # e.g. a pair scan past its limit
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+        ok, witnesses = checks[name](mesh)
         all_ok &= ok
         mark = "pass" if ok else "FAIL"
         print(f"{name:<10} {mark}" + ("" if ok else f"  ({len(witnesses)} witnesses)"))
@@ -340,7 +329,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except MeshError as exc:   # e.g. knot windows that do not fit
+        print(f"error: {exc}", file=sys.stderr)
+        return (EXIT_MIDPOINT if isinstance(exc, NonIntegerMidpoint)
+                else EXIT_PRECONDITION)
 
 
 if __name__ == "__main__":

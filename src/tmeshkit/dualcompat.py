@@ -12,9 +12,9 @@ overlap in at least d-1 directions.
 Both classifiers read one scan per mesh (`_pair_flags`): the anchor
 pairs whose supports meet, from `regions.meeting_pairs`, with their
 overlap flags, computed `PAIR_CHUNK` pairs at a time so the temporaries
-stay bounded.  They return the failing pairs as a `Witnesses` sequence
-over index arrays, the flags and `anchor_arrays(mesh).local`, whose
-tuples are built when read.
+stay bounded.  Each call filters that memoized scan, and returns the
+failing pairs as a `Witnesses` sequence over index arrays, the flags
+and `anchor_arrays(mesh).local`, whose tuples are built when read.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .anchors import (anchor_arrays, anchor_set, index_support,
-                      local_knot_vector)
+from .anchors import anchor_arrays, anchor_set, local_knot_vector
 from .mesh import Entity, TMesh
 from .regions import meeting_pairs
 from .witnesses import Witnesses
@@ -65,10 +64,9 @@ def strongly_partially_overlap(mesh: TMesh, a1: Entity, a2: Entity) -> bool:
     """Disjoint supports, or overlap in at least d-1 directions."""
     if a1 == a2:
         raise SameAnchor("anchors must be distinct")
-    s1, s2 = index_support(mesh, a1), index_support(mesh, a2)
-    if any(max(l1, l2) > min(h1, h2) for (l1, h1), (l2, h2) in zip(s1, s2)):
-        return True
     v1, v2 = _vectors(mesh, a1), _vectors(mesh, a2)
+    if any(max(w1[0], w2[0]) > min(w1[-1], w2[-1]) for w1, w2 in zip(v1, v2)):
+        return True   # the supports, spanned by the vectors, are disjoint
     misses = sum(1 for w1, w2 in zip(v1, v2) if not knots_overlap(w1, w2))
     return misses <= 1
 
@@ -133,10 +131,10 @@ def _dc_scan(mesh: TMesh, weak: bool) -> tuple[bool, Witnesses]:
 def is_wdc(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Weak dual-compatibility: every anchor pair weakly partially overlaps.
     Witnesses carry the per-direction vectors and overlap verdicts."""
-    return mesh.memo("wdc", lambda: _dc_scan(mesh, weak=True))
+    return _dc_scan(mesh, weak=True)
 
 
 def is_sdc(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Strong dual-compatibility: every anchor pair strongly partially
     overlaps."""
-    return mesh.memo("sdc", lambda: _dc_scan(mesh, weak=False))
+    return _dc_scan(mesh, weak=False)

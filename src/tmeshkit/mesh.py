@@ -26,9 +26,13 @@ they build anything.  numpy is imported only when a raster is built
 saving and loading a mesh never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
-log.  Derived structures (lattice rasters, T-junction tables, knot
-vectors) are memoized per instance; the memo is build-once and safe for
-concurrent readers.  The box queries (`hull_in_skeleton`,
+log.  Derived structures (lattice rasters, T-junction tables, global
+knot vectors, anchor arrays, extensions, pair scans) are memoized per
+instance, each once, under the function that builds it.  What is only a
+window, filter or verdict over a memoized structure (a local knot
+vector, a support, the SGAS/WGAS/SDC/WDC and admissibility verdicts) is
+read off it on each call and not memoized.  The memo is build-once and
+safe for concurrent readers.  The box queries (`hull_in_skeleton`,
 `open_entity_meets_skeleton`, `anchors.global_knot_vector`) take closed
 integer boxes of the domain and raise for any other (`check_index_box`).
 
@@ -39,9 +43,10 @@ entities whose j-component is the cell's by their halves and middles.
 As point sets nothing moves: the skeletons grow only by the hyperfaces
 {x_j = m} over the split cells, and only the split cells change.  So:
 
-- skeleton masks: a split k-hyperface's closure is the union of its
-  halves' and middle's, so mask k != j is shared (read-only); mask j is
-  copied and grown by those hyperfaces, all inside closed D.
+- skeleton masks, one entry holding all d: a split k-hyperface's
+  closure is the union of its halves' and middle's, so mask k != j is
+  shared by identity (read-only); mask j is copied and grown by those
+  hyperfaces, all inside closed D.
 - `cell_labels`: the raster is copied.  Each split cell q keeps its
   label, read at its first interior lattice point, for its lower half;
   the slab {x_j = m} over q's open interior becomes -1, and the upper
@@ -344,16 +349,15 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
     seeded = child._memo
     a, b = qj
     m = (a + b) // 2
-    if ("skeleton_mask", j) in memo:   # masks are built all d at once
-        grown = memo[("skeleton_mask", j)].copy()
+    if "skeleton_mask" in memo:
+        masks = memo["skeleton_mask"]
+        grown = masks[j].copy()
         for q in split_cells:
             sel = [slice(2 * lo, 2 * hi + 1) for lo, hi in q]
             sel[j] = 2 * m
             grown[tuple(sel)] = True
         grown.setflags(write=False)
-        for k in range(child.dim):
-            seeded[("skeleton_mask", k)] = (
-                grown if k == j else memo[("skeleton_mask", k)])
+        seeded["skeleton_mask"] = masks[:j] + (grown,) + masks[j + 1:]
     if "cell_labels" in memo:
         grid, cells = memo["cell_labels"]
         grid, cells = grid.copy(), list(cells)
@@ -436,27 +440,25 @@ def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
     point g/2.  Because every entity has integer bounds, containment of a
     closed integer box in the skeleton is equivalent to all its lattice
     points being set, which makes the raster an exact query structure.
-    One pass over the hyperfaces builds all d masks and memoizes them;
-    every mask is read-only, because refinement shares them with children.
-    A direction outside 0..d-1 raises `ValueError`; it is checked when the
-    mask is built, so a memo hit pays nothing.
+    One pass over the hyperfaces builds all d masks, memoized together as
+    one tuple; every mask is read-only, because refinement shares them
+    with children.  A direction outside 0..d-1 raises `ValueError`.
     """
+    if not 0 <= j < mesh.dim:   # the tuple would wrap a negative j
+        raise ValueError(f"direction {j} out of range for a mesh of "
+                         f"dimension {mesh.dim}")
+
     def build():
         import numpy as np
 
-        if not 0 <= j < mesh.dim:   # grids[j] would wrap a negative j
-            raise ValueError(f"direction {j} out of range for a mesh of "
-                             f"dimension {mesh.dim}")
         shape = tuple(2 * n + 1 for n in mesh.domain.extents)
-        grids = [np.zeros(shape, dtype=bool) for _ in range(mesh.dim)]
+        grids = tuple(np.zeros(shape, dtype=bool) for _ in range(mesh.dim))
         for k, grid in enumerate(grids):
             for e in mesh.entities[(k,)]:
                 grid[tuple(slice(2 * a, 2 * b + 1) for a, b in e)] = True
             grid.setflags(write=False)
-            if k != j:
-                mesh._memo.setdefault(("skeleton_mask", k), grid)
-        return grids[j]
-    return mesh.memo(("skeleton_mask", j), build)
+        return grids
+    return mesh.memo("skeleton_mask", build)[j]
 
 
 def cell_labels(mesh: TMesh) -> tuple[np.ndarray, tuple]:
@@ -538,29 +540,28 @@ def is_admissible(mesh: TMesh) -> tuple[bool, tuple]:
 
     Violations are ("slice_not_in_skeleton", k, n) or
     ("tjunction_in_frame", k, entity).
+    Read on each call from the memoized knot vectors and T-junctions.
     """
-    def build():
-        from .anchors import global_knot_vector
-        from .topology import find_tjunctions
+    from .anchors import global_knot_vector
+    from .topology import find_tjunctions
 
-        dom = mesh.domain
-        whole = tuple((0, n_k) for n_k in dom.extents)
-        violations = []
-        for k, n_k in enumerate(dom.extents):
-            f = dom.frame_width(k)
-            full = global_knot_vector(mesh, whole, k)
-            violations += [("slice_not_in_skeleton", k, n)
-                           for n in [*range(0, f + 1), *range(n_k - f, n_k + 1)]
-                           if n not in full]
-        if mesh.dim >= 2:
-            for tj in find_tjunctions(mesh):
-                for k in (tj.odir, tj.pdir):
-                    f = dom.frame_width(k)
-                    t = tj.entity[k][0]
-                    if t <= f or t >= dom.extents[k] - f:
-                        violations.append(("tjunction_in_frame", k, tj.entity))
-        return (not violations, tuple(violations))
-    return mesh.memo("admissible", build)
+    dom = mesh.domain
+    whole = tuple((0, n_k) for n_k in dom.extents)
+    violations = []
+    for k, n_k in enumerate(dom.extents):
+        f = dom.frame_width(k)
+        full = global_knot_vector(mesh, whole, k)
+        violations += [("slice_not_in_skeleton", k, n)
+                       for n in [*range(0, f + 1), *range(n_k - f, n_k + 1)]
+                       if n not in full]
+    if mesh.dim >= 2:
+        for tj in find_tjunctions(mesh):
+            for k in (tj.odir, tj.pdir):
+                f = dom.frame_width(k)
+                t = tj.entity[k][0]
+                if t <= f or t >= dom.extents[k] - f:
+                    violations.append(("tjunction_in_frame", k, tj.entity))
+    return (not violations, tuple(violations))
 
 
 def check_three_direction_assumption(mesh: TMesh) -> bool:

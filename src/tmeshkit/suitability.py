@@ -23,9 +23,11 @@ is canonical; in higher dimension they take the exact region path.
 SGAS and WGAS share one sweep: `_gtj_pairs` lists, once per mesh, the
 junction pairs with different orthogonal directions whose extension
 boxes meet, and WGAS keeps those whose pointing directions differ too.
-All three classifiers return a `Witnesses` sequence: the pair index
-arrays over the extension boxes, or for AAS one array of witness boxes,
-from which the witness tuples and regions are built when read.
+Their verdicts are read off those memoized pairs on each call; `is_aas`
+memoizes its own result, the only cache of its raster scan.  All three
+classifiers return a `Witnesses` sequence: the pair index arrays over
+the extension boxes, or for AAS one array of witness boxes, from which
+the witness tuples and regions are built when read.
 
 Memory: the counts are int32, since a count is at most the number of
 anchors and so at most `MAX_ENTITIES` < 2^31.  The two count arrays of
@@ -371,10 +373,10 @@ def _gtj_disjointness(mesh: TMesh,
 def is_sgas(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Strong geometric suitability: extensions of T-junctions with
     different orthogonal directions are disjoint."""
-    return mesh.memo("sgas", lambda: _gtj_disjointness(mesh, False))
+    return _gtj_disjointness(mesh, False)
 
 
 def is_wgas(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Weak geometric suitability: disjointness only for pairs that differ
     in both the orthogonal and the pointing direction."""
-    return mesh.memo("wgas", lambda: _gtj_disjointness(mesh, True))
+    return _gtj_disjointness(mesh, True)

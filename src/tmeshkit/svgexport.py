@@ -121,22 +121,17 @@ def _skeleton_layer(mesh, k, n, axes, plane) -> str:
 
 
 def _layer_region(mesh, k, n, kind) -> BoxRegion:
-    from .suitability import atj_slice, atj_union, gtj
-    from .topology import find_tjunctions
+    from .suitability import atj_slice, atj_union, gtj_union
 
-    if kind == "atj":
-        if k is not None:
-            return atj_slice(mesh, k, n).region
+    if k is None:   # a 2-D mesh: the union over all directions
+        union = atj_union if kind == "atj" else gtj_union
         return BoxRegion(mesh.dim, {box for j in range(mesh.dim)
-                                    for box in atj_union(mesh, j).boxes})
-    boxes = []
-    for tj in find_tjunctions(mesh):
-        if k is not None and tj.odir != k:
-            continue
-        box = gtj(mesh, tj).region
-        if k is None or box[k][0] == n == box[k][1]:
-            boxes.append(box)
-    return BoxRegion(mesh.dim, set(boxes))
+                                    for box in union(mesh, j).boxes})
+    if kind == "atj":
+        return atj_slice(mesh, k, n).region
+    # the k-orthogonal extensions are flat in direction k
+    return BoxRegion(mesh.dim, [box for box in gtj_union(mesh, k).boxes
+                                if box[k] == (n, n)])
 
 
 def _region_layer(mesh, k, n, axes, plane, kind) -> str:

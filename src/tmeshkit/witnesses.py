@@ -7,11 +7,13 @@ pairs grow with the square of its size.  So a scan keeps its witnesses
 as index arrays over arrays it already holds, and `Witnesses` builds
 the tuples of the positions read, each time they are read.
 
-A builder holds arrays, junctions and anchors, never the mesh: the mesh
-memoizes the sequence, so a builder that held the mesh would close a
-reference cycle (mesh -> memo -> witnesses -> mesh) that only the
-cyclic garbage collector frees, and never if `gc.freeze` runs while
-the mesh is alive.
+A builder holds arrays, junctions and anchors, never the mesh.  The
+mesh memoizes the AAS sequence with its verdict, so a builder that held
+the mesh would close a reference cycle (mesh -> memo -> witnesses ->
+mesh) that only the cyclic garbage collector frees, and never if
+`gc.freeze` runs while the mesh is alive.  The pair classifiers build
+their sequence on each call, over memoized arrays, by the same rule, so
+no sequence keeps its mesh alive.
 """
 
 from __future__ import annotations

@@ -298,6 +298,11 @@ def test_benchmark_tracer_installs_every_traced_function(tmp_path):
     assert _python(TRACER_PROBE, str(PERFBENCH), cwd=tmp_path) == "27 []"
 
 
+# the mesh of `new --dim 2 --extents 8,8 --degrees 3,3 --breakpoints
+# "0,4,8;0,4,8"`, over the fields of a saved 6 x 6 mesh
+THIN = {"extents": [8, 8], "degrees": [3, 3], "parametric_knots": [],
+        "breakpoints": [[0, 4, 8]] * 2}
+
 BAD_INPUTS = {
     # running example, extents 17,13,4: direction and slice out of range
     "slice-direction-9": (["export", "--mesh", "{re}", "--slice", "9=3",
@@ -349,6 +354,11 @@ BAD_INPUTS = {
     # the test lowers to 1000
     "check-pairs-beyond-limit": (["check", "--mesh", "{re}", "--which", "sdc"],
                                  2),
+    # a bicubic 8 x 8 mesh sliced only at 0, 4, 8: no knot window fits, and
+    # these two ended in an InsufficientKnots traceback with exit 1
+    "lin-indep-knots-do-not-fit": (["lin-indep", "--mesh", "{thin}"], 2),
+    "export-knots-do-not-fit": (["export", "--mesh", "{thin}",
+                                 "--out", "{tmp}/s.svg"], 2),
 }
 
 
@@ -365,7 +375,7 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, monkeypatch,
              "knot_big": tmp_path / "knot_big.json",
              "long_int": tmp_path / "long_int.json",
              "knot_tiny": tmp_path / "knot_tiny.json",
-             "many": tmp_path / "many.json"}
+             "many": tmp_path / "many.json", "thin": tmp_path / "thin.json"}
     paths["re"].write_bytes(
         DATA.joinpath("running_example_p321.json").read_bytes())
     assert run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
@@ -388,8 +398,24 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, monkeypatch,
     paths["many"].write_text(json.dumps(data | {
         "extents": [2047, 2047], "parametric_knots": [],
         "breakpoints": [list(range(2048))] * 2}))
+    paths["thin"].write_text(json.dumps(data | THIN))
     capsys.readouterr()
     assert run(*(arg.format(**paths) for arg in argv)) == code
     err = capsys.readouterr().err
     assert [line.startswith("error: ") for line in err.splitlines()] == [True]
     assert "Traceback" not in err
+
+
+def test_check_exits_2_after_its_earlier_verdicts(tmp_path, capsys):
+    # admissibility fails, then AAS needs knot windows that do not fit:
+    # the admissibility line stays printed and no report is written
+    mesh_file, report = tmp_path / "thin.json", tmp_path / "r.json"
+    assert run("new", "--dim", "2", "--extents", "8,8", "--degrees", "3,3",
+               "--breakpoints", "0,4,8;0,4,8", "--out", str(mesh_file)) == 0
+    capsys.readouterr()
+    assert run("check", "--mesh", str(mesh_file), "--json", str(report)) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0].split()[:2] == ["admissible", "FAIL"]
+    assert len(out.splitlines()) == 1
+    assert [line.startswith("error: ") for line in err.splitlines()] == [True]
+    assert not report.exists()

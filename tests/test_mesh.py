@@ -237,8 +237,55 @@ def test_direction_queries_refuse_directions_outside_the_mesh():
                 with pytest.raises(ValueError, match="out of range"):
                     query(j)
         assert global_knot_vector(mesh, ((2, 2), (2, 2)), 1) == (0, 1, 3, 5, 6)
-    assert sorted(key[1] for key in mesh._memo
-                  if key[0] == "skeleton_mask") == [0, 1]
+    masks = [value for key, value in mesh._memo.items()
+             if (key if isinstance(key, str) else key[0]) == "skeleton_mask"]
+    assert len(masks) == 1 and len(masks[0]) == 2
+
+
+# the memo kinds of a classified mesh: each derived structure once, under
+# the function that builds it (and the oracle's direct knot vectors)
+MEMO_KINDS = {"skeleton_mask", "cell_labels", "tjunctions", "anchors", "gkv",
+              "anchor_arrays", "atj", "aas", "gtj", "gtj_pairs", "dc_pairs",
+              "direct_anchor_knots"}
+
+
+def test_classified_meshes_memoize_each_structure_once(corpus200):
+    # 2-D and 3-D corpus meshes, replayed for an empty memo and classified
+    # as a benchmark corpus op does; no window, filter or verdict over a
+    # memoized structure gets an entry of its own
+    import numpy as np
+
+    from tmeshkit import dualcompat, suitability, verify
+
+    seen = set()
+    for sub, built in corpus200["meshes"][:24]:
+        m = verify.replay_prefix(built, len(built.refinement_log))
+        ok = {name: check(m)[0] for name, check in (
+            ("admissible", is_admissible), ("aas", suitability.is_aas),
+            ("sgas", suitability.is_sgas), ("wgas", suitability.is_wgas),
+            ("sdc", dualcompat.is_sdc), ("wdc", dualcompat.is_wdc))}
+        if ok["sgas"]:
+            assert all(suitability.atj_union(m, i).subset(
+                suitability.gtj_union(m, i)) for i in range(m.dim))
+        if ok["sdc"]:
+            assert verify.linear_independence_rank(m).independent
+        if ok["wdc"]:
+            assert verify.partition_of_unity(m, samples=100, seed=sub) < 1e-10
+        seen |= {(m.dim, name, v) for name, v in ok.items()}
+        kinds = {key if isinstance(key, str) else key[0] for key in m._memo}
+        assert kinds <= MEMO_KINDS, kinds - MEMO_KINDS
+        masks = [value for key, value in m._memo.items()
+                 if (key if isinstance(key, str) else key[0]) == "skeleton_mask"]
+        assert len(masks) == 1 and len(masks[0]) == m.dim
+        for k, mask in enumerate(masks[0]):
+            assert not mask.flags.writeable
+            paint = np.zeros(mask.shape, dtype=bool)
+            for e in m.entities[(k,)]:
+                paint[tuple(slice(2 * a, 2 * b + 1) for a, b in e)] = True
+            assert np.array_equal(mask, paint)
+    # every branch above ran on both dimensions
+    assert {(d, name, True) for d in (2, 3)
+            for name in ("sgas", "sdc", "wdc")} <= seen
 
 
 def test_orth_entities():
