@@ -198,15 +198,18 @@ def _witness_json(name: str, witnesses) -> list:
 
 
 def _cmd_check(args) -> int:
-    mesh = _load(args.mesh)
     checks = _checks()
-    names = list(checks) if args.which == "all" else args.which.split(",")
-    report = {"format_version": 1, "mesh": args.mesh, "checks": {}}
-    all_ok = True
+    # the whole list is checked before the mesh is read; a repeat runs once
+    names = (list(checks) if args.which == "all"
+             else list(dict.fromkeys(args.which.split(","))))
     for name in names:
         if name not in checks:
             print(f"error: unknown check {name!r}", file=sys.stderr)
             return EXIT_USAGE
+    mesh = _load(args.mesh)
+    report = {"format_version": 1, "mesh": args.mesh, "checks": {}}
+    all_ok = True
+    for name in names:
         ok, witnesses = checks[name](mesh)
         all_ok &= ok
         mark = "pass" if ok else "FAIL"

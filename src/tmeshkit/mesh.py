@@ -61,6 +61,16 @@ As point sets nothing moves: the skeletons grow only by the hyperfaces
   D, where no mask and no cell changed: t keeps its directions and its
   cell, and every knot vector its extension reads is unchanged by the
   rule above.
+- `"tjunctions"`, the table, is the sorted merge of three parts.  A
+  parent junction whose closure misses closed D in a direction other
+  than j is carried as is, by the argument for `("gtj", t)`: its
+  associated cell's closure contains it, so that cell is not split
+  either.  Every other parent junction that is still an entity of the
+  child is re-probed (`topology.probe_tjunctions`); the replaced ones are
+  dropped.  The new (d-2)-entities, the halves of replaced
+  (d-2)-entities and the middles of replaced hyperfaces, are probed.  No
+  other entity needs a probe: the masks only grow, so a valence never
+  falls, and an old entity of valence 4 stays at 4.
 - No entry keyed by an entity the bisection replaced is carried (those
   lie in D with the cell's j-component), so the memo holds keys of the
   child only and does not grow along a refinement chain.  Every other
@@ -334,21 +344,33 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
                   breakpoints=mesh.breakpoints,
                   entities=entities,
                   refinement_log=mesh.refinement_log + ((cell, j),))
-    _seed_memo(mesh, child, j, qj, box, replaced[()])
+    _seed_memo(mesh, child, j, qj, box, replaced)
     return child
 
 
+def _misses(e: Entity, others: list) -> bool:
+    """Does e's closure miss closed D in one of the `others` directions,
+    (k, lo, hi) triples for every k != j?"""
+    for k, lo, hi in others:
+        if e[k][1] < lo or e[k][0] > hi:
+            return True
+    return False
+
+
 def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
-               box: list, split_cells: list) -> None:
+               box: list, replaced: dict) -> None:
     """Hand the child every memo entry of the parent that bisecting the
     cells with j-component qj inside the refinement box `box` (D) leaves
-    unchanged; the module docstring gives the rules and why they hold."""
+    unchanged, and the T-junction table re-probed near D; `replaced`
+    holds the entities the bisection replaced, per bucket.  The module
+    docstring gives the rules and why they hold."""
     memo = parent._memo
     if not memo:
         return
     seeded = child._memo
     a, b = qj
     m = (a + b) // 2
+    split_cells = replaced[()]
     if "skeleton_mask" in memo:
         masks = memo["skeleton_mask"]
         grown = masks[j].copy()
@@ -373,18 +395,38 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
         grid.setflags(write=False)
         seeded["cell_labels"] = (grid, tuple(cells))
     others = [(k, lo, hi) for k, (lo, hi) in enumerate(box) if k != j]
+    if "tjunctions" in memo and "skeleton_mask" in memo:
+        from .topology import ClassificationAmbiguous, probe_tjunctions
+
+        carried = []
+        probed = {ij: [] for ij in itertools.combinations(range(child.dim), 2)}
+        for t in memo["tjunctions"]:
+            e = t.entity
+            if _misses(e, others):
+                carried.append(t)
+            elif not (e[j] == qj and hull_inside(e, box)):   # not replaced
+                probed[min(t.odir, t.pdir), max(t.odir, t.pdir)].append(e)
+        for kappa, old in replaced.items():
+            if len(kappa) == 2:     # halves of replaced (d-2)-entities
+                probed[kappa] += [e[:j] + (half,) + e[j + 1:]
+                                  for e in old for half in ((a, m), (m, b))]
+            elif len(kappa) == 1:   # middles of replaced hyperfaces
+                probed[tuple(sorted(kappa + (j,)))] += [
+                    e[:j] + ((m, m),) + e[j + 1:] for e in old]
+        try:
+            seeded["tjunctions"] = tuple(sorted(
+                carried + probe_tjunctions(child, probed),
+                key=lambda t: t.entity))
+        except ClassificationAmbiguous:
+            pass   # a cold build reports the smallest corrupt entity
     for key, value in tuple(memo.items()):   # a snapshot, for concurrent builds
         kind = key[0]   # a string key's first letter matches neither kind
         if kind != "gkv" and kind != "gtj":
             continue
         e = key[1]
-        for k, lo, hi in others:
-            if e[k][1] < lo or e[k][0] > hi:
-                break   # e misses closed D in direction k != j
-        else:
-            if kind == "gtj" or key[2] == j or (
-                    e[j] == qj and hull_inside(e, box)):
-                continue   # changed, or keyed by a replaced entity
+        if not _misses(e, others) and (kind == "gtj" or key[2] == j or (
+                e[j] == qj and hull_inside(e, box))):
+            continue   # changed, or keyed by a replaced entity
         seeded[key] = value
 
 

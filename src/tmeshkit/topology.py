@@ -5,19 +5,19 @@ bounds three hyperfaces instead of four.  It carries an orthogonal
 direction (the singleton component strictly inside its associated cell),
 a pointing direction (the singleton component on the cell boundary), and
 the unique associated cell itself.  Detection reads only the lattice
-rasters of `tmeshkit.mesh` (`skeleton_mask`, `cell_labels`), with array
-gathers per (i, j)-orthogonal bucket and no Python loop per entity; the
-direct scans it replaces are kept as `tmeshkit.verify.tjunctions_oracle`.
+rasters of `tmeshkit.mesh` (`skeleton_mask`, `cell_labels`): one probe
+per entity, plain reads at flat lattice indices, shared by the cold build
+and the carry across `subdiv`.  The direct scans it replaces are kept as
+`tmeshkit.verify.tjunctions_oracle`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .mesh import (Entity, MeshError, TMesh, cell_labels, entity_hull,
                    point_in_skeleton, skeleton_mask)
@@ -49,64 +49,77 @@ class TJunction:
 def find_tjunctions(mesh: TMesh) -> tuple:
     """All T-junctions of the mesh, classified, sorted by entity.
 
-    Valence is four skeleton-mask probes, one per half-face around t, at
-    the lattice points beside t; they run as array gathers over the
-    interior entities of each (i, j)-orthogonal bucket.  A missing
-    i-orthogonal half-face makes i the orthogonal direction and the other
-    singleton direction the pointing one; the cell label at its probe is
-    the associated cell.  When several entities are corrupt, the smallest
-    is reported.
+    A cold build probes every (d-2)-entity with `probe_tjunctions`; a mesh
+    made by `subdiv` usually starts with the table carried from its
+    parent, re-probed only near the refinement box (`tmeshkit.mesh`).
     """
     def build():
-        d = mesh.dim
-        if d < 2:
-            return ()
-        masks = [skeleton_mask(mesh, k) for k in range(d)]
-        extents = np.array(mesh.domain.extents)
-        flat = itertools.chain.from_iterable
-        found, odirs, pdirs, probes, errors = [], [], [], [], []
-        for i, j in itertools.combinations(range(d), 2):
-            ents = list(mesh.entities[(i, j)])
-            lo = np.fromiter(flat(flat(ents)), np.int64,
-                             2 * d * len(ents))[::2].reshape(-1, d)
-            ij = [i, j]
-            sel = np.flatnonzero(((0 < lo[:, ij]) & (lo[:, ij] < extents[ij]))
-                                 .all(axis=1))
-            # beside t: 2a on its singletons i and j, 2a + 1 inside an interval
-            base = 2 * lo[sel] + 1
-            base[:, ij] -= 1
-            # probes 0, 1 step along j and read the i-mask; 2, 3 the reverse
-            around = np.repeat(base[None], 4, axis=0)
-            around[0, :, j] -= 1
-            around[1, :, j] += 1
-            around[2, :, i] -= 1
-            around[3, :, i] += 1
-            odir = np.array([i, i, j, j])
-            present = np.stack([masks[o][tuple(p.T)] for o, p in zip(odir, around)])
-            valence = present.sum(axis=0)
-            errors += [(ents[r], f"entity {ents[r]!r} has valence {v}; "
-                                 f"complex is corrupted")
-                       for r, v in zip(sel[valence < 3], valence[valence < 3])]
-            three = np.flatnonzero(valence == 3)
-            missing = present[:, three].argmin(axis=0)
-            found += [ents[r] for r in sel[three]]
-            odirs.append(odir[missing])
-            pdirs.append(i + j - odir[missing])
-            probes.append(around[missing, three])
-        out = []
-        if found:
-            labels, cells = cell_labels(mesh)
-            label = labels[tuple(np.concatenate(probes).T)]
-            errors += [(t, f"entity {t!r} has no associated cell")
-                       for t, c in zip(found, label) if c < 0]
-            out = [TJunction(entity=t, odir=int(o), pdir=int(p),
-                             ascell=cells[c], valence=3)
-                   for t, o, p, c in zip(found, np.concatenate(odirs),
-                                         np.concatenate(pdirs), label)]
-        if errors:
-            raise ClassificationAmbiguous(min(errors)[1])
-        return tuple(sorted(out, key=lambda t: t.entity))
+        pairs = itertools.combinations(range(mesh.dim), 2)
+        found = probe_tjunctions(mesh, {ij: mesh.entities[ij] for ij in pairs})
+        return tuple(sorted(found, key=lambda t: t.entity))
     return mesh.memo("tjunctions", build)
+
+
+def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
+    """The T-junctions among the (d-2)-entities in `buckets`, which maps a
+    pair i < j of directions to entities of the mesh whose singleton
+    directions are i and j.
+
+    Valence is four skeleton-mask reads, one per half-face around t, at
+    the lattice points beside t: t stands at 2a on a singleton {a} and
+    2a + 1 inside an interval (a, b), and the reads step from there along
+    j in the i-mask, then along i in the j-mask.  They are plain reads at
+    flat lattice indices of memoryviews over the rasters, one Python loop
+    step per entity.  A missing i-orthogonal half-face makes i the
+    orthogonal direction and the other singleton direction the pointing
+    one; the cell label at its probe is the associated cell.  Entities on
+    the domain boundary in i or j are skipped.  When several entities are
+    corrupt, the smallest is reported.
+    """
+    if not any(buckets.values()):
+        return []
+    extents = mesh.domain.extents
+    shape = [2 * n + 1 for n in extents]
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    double = [2 * s for s in strides]
+    masks = [memoryview(skeleton_mask(mesh, k)).cast("B")
+             for k in range(len(shape))]
+    found, errors = [], []
+    for (i, j), ents in buckets.items():
+        ni, nj, si, sj, mi, mj = (extents[i], extents[j], strides[i],
+                                  strides[j], masks[i], masks[j])
+        interiors = sum(strides) - si - sj   # the + 1 of every interval
+        for t in ents:
+            if not (0 < t[i][0] < ni and 0 < t[j][0] < nj):
+                continue
+            g = interiors
+            for c, s in zip(t, double):
+                g += c[0] * s
+            if mi[g - sj] + mi[g + sj] + mj[g - si] + mj[g + si] == 4:
+                continue   # most entities: no half-face missing
+            present = (mi[g - sj], mi[g + sj], mj[g - si], mj[g + si])
+            valence = sum(present)
+            if valence == 3:
+                missing = present.index(0)
+                odir, pdir = (i, j) if missing < 2 else (j, i)
+                found.append((t, odir, pdir, g + (-sj, sj, -si, si)[missing]))
+            else:
+                errors.append((t, f"entity {t!r} has valence {valence}; "
+                                  f"complex is corrupted"))
+    out = []
+    if found:
+        grid, cells = cell_labels(mesh)
+        labels = memoryview(grid).cast("B").cast("i")
+        for t, odir, pdir, g in found:
+            c = labels[g]
+            if c < 0:
+                errors.append((t, f"entity {t!r} has no associated cell"))
+            else:
+                out.append(TJunction(entity=t, odir=odir, pdir=pdir,
+                                     ascell=cells[c], valence=3))
+    if errors:
+        raise ClassificationAmbiguous(min(errors)[1])
+    return out
 
 
 def tjunctions_by_odir(mesh: TMesh, i: int) -> tuple:
@@ -151,6 +164,9 @@ def find_separating_tjunction(mesh: TMesh, x: Sequence[Scalar], y: Sequence[Scal
     Among all valid junctions the one met earliest along the segment from
     x is returned (ties broken by entity order) so output is deterministic.
     """
+    if not 0 <= i < mesh.dim:   # a negative i would wrap
+        raise PreconditionViolated(f"direction {i} out of range for a mesh "
+                                   f"of dimension {mesh.dim}")
     x = tuple(Fraction(v) for v in x)
     y = tuple(Fraction(v) for v in y)
     if len(x) != mesh.dim or len(y) != mesh.dim:

@@ -126,6 +126,27 @@ def test_unknown_flag_and_bad_json(tmp_path):
     assert run("lin-indep", "--mesh", str(missing)) == 4
 
 
+def test_check_validates_which_before_it_reads_the_mesh(tmp_path, capsys):
+    # sgas fails on this mesh: an unknown name later in the list must stop
+    # check before any verdict is printed, and a repeated name runs once
+    mesh_file = tmp_path / "fixture.json"
+    mesh_file.write_bytes(
+        DATA.joinpath("crossing_hanging_edges_p321.json").read_bytes())
+    for mesh, which in ((mesh_file, "sgas,bogus"), (mesh_file, "bogus"),
+                        (tmp_path / "missing.json", "sgas,bogus")):
+        assert run("check", "--mesh", str(mesh), "--which", which) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: unknown check 'bogus'"]
+    report = tmp_path / "report.json"
+    assert run("check", "--mesh", str(mesh_file), "--which", "sgas,wdc,sgas",
+               "--json", str(report)) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["sgas", "FAIL"], ["wdc", "pass"]]
+    assert list(json.loads(report.read_text())["checks"]) == ["sgas", "wdc"]
+
+
 def test_lin_indep_output(tmp_path, capsys):
     mesh_file = tmp_path / "m.json"
     save_mesh(fx.opposing_hanging_pair(2, 1)[0], mesh_file)

@@ -14,7 +14,8 @@ from tmeshkit.suitability import gtj, is_wgas
 from tmeshkit.topology import (ClassificationAmbiguous, PreconditionViolated,
                                find_separating_tjunction, find_tjunctions,
                                min_connecting_box, tjunctions_by_odir)
-from tmeshkit.verify import mesh_stream, replay_prefix, tjunctions_oracle
+from tmeshkit.verify import (mesh_stream, random_admissible_mesh, replay_prefix,
+                             tjunctions_oracle)
 
 
 def refined2d():
@@ -69,25 +70,30 @@ def test_valences_are_three_or_four():
 
 
 def test_masks_carried_across_subdiv_equal_fresh_builds():
-    # every candidate of the criterion-12 stream's first meshes, kept or not;
-    # the oracles read the same buckets as production, so the buckets are
-    # checked here against the orientation of each entity and a replay.
-    # What subdiv carried is the candidate's memo before `keep` reads it,
-    # and each carried entry must equal a build on the replayed mesh
+    # every candidate of the criterion-12 stream's first meshes, kept or not,
+    # and of a few short 4-D chains; the oracles read the same buckets as
+    # production, so the buckets are checked here against the orientation
+    # of each entity and a replay.  What subdiv carried is the candidate's
+    # memo before `keep` reads it, and each carried entry must equal a
+    # build on the replayed mesh
     candidates, kept = [], {}
 
     def keep(m):
         candidates.append((m, dict(m._memo)))
         ok = is_wgas(m)[0]
         if ok:
-            kept[m.refinement_log] = m
+            kept[m.breakpoints, m.refinement_log] = m
         return ok
 
     list(mesh_stream(424243, 3, max_steps=18, keep=keep))
+    for s in (1, 2):
+        random_admissible_mesh(s, dim=4, degrees=(1, 2, 1, 0), levels=1,
+                               base_cells=(2, 2, 2, 2), max_steps=10, keep=keep)
+    assert any(m.dim == 4 for m, seeded in candidates if "tjunctions" in seeded)
     shared = 0
     carried = Counter()
     for m, seeded in candidates:
-        parent = kept.get(m.refinement_log[:-1])
+        parent = kept.get((m.breakpoints, m.refinement_log[:-1]))
         j = m.refinement_log[-1][1]
         fresh = replay_prefix(m, len(m.refinement_log))
         assert len(m.entities) == 2 ** m.dim
@@ -98,9 +104,12 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
             mask = skeleton_mask(m, k)
             assert not mask.flags.writeable
             assert np.array_equal(mask, skeleton_mask(fresh, k))
-            if parent is not None and k != j:
-                assert mask is skeleton_mask(parent, k)  # shared, not rebuilt
-                shared += 1
+            if parent is not None:
+                # the premise of the T-junction carry: masks only grow
+                assert not (skeleton_mask(parent, k) & ~mask).any()
+                if k != j:
+                    assert mask is skeleton_mask(parent, k)  # shared, not rebuilt
+                    shared += 1
         if "cell_labels" in seeded:
             labels, cells = seeded["cell_labels"]
             fresh_labels, fresh_cells = cell_labels(fresh)
@@ -111,12 +120,16 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
             relabel = np.array([index[q] for q in cells] + [-1])
             assert np.array_equal(relabel[labels], fresh_labels)
             carried["cell_labels"] += 1
+        oracle = tjunctions_oracle(fresh)
         fresh_tjs = {t.entity: t for t in find_tjunctions(fresh)}
         whole = tuple((0, n) for n in m.domain.extents)
         for key, value in seeded.items():
             kind = key if isinstance(key, str) else key[0]
-            assert kind in ("skeleton_mask", "cell_labels", "gkv", "gtj")
-            if kind == "gkv":
+            assert kind in ("skeleton_mask", "cell_labels", "tjunctions",
+                            "gkv", "gtj")
+            if kind == "tjunctions":
+                assert value == find_tjunctions(fresh) == oracle
+            elif kind == "gkv":
                 # keyed by an entity of the child, never a replaced one
                 e = key[1]
                 assert e == whole or e in m.entities[singleton_dirs(e)]
@@ -125,9 +138,10 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
                 assert key[1] in fresh_tjs   # still a T-junction
                 assert value == gtj(fresh, fresh_tjs[key[1]])
             carried[kind] += 1
-        assert find_tjunctions(m) == tjunctions_oracle(m)
+        assert find_tjunctions(m) == oracle
     assert shared > 0
-    assert min(carried[kind] for kind in ("cell_labels", "gkv", "gtj")) > 0
+    assert min(carried[kind] for kind in ("cell_labels", "tjunctions", "gkv",
+                                          "gtj")) > 0
 
 
 def test_corrupt_complex_is_ambiguous():
@@ -167,6 +181,15 @@ def test_separating_tjunction_preconditions():
         find_separating_tjunction(mesh, (3, 5), (3, 3), 0)  # x not in skeleton
     with pytest.raises(PreconditionViolated):
         find_separating_tjunction(mesh, (3, 3), (3, 2), 0)  # y in skeleton
+
+
+@pytest.mark.parametrize("i", [2, 5, -2, -1])
+def test_separating_tjunction_refuses_directions_outside_the_mesh(i):
+    # these ended in IndexError (2, 5) and ValueError (-2), and -1 wrapped
+    # around to direction 1
+    mesh = fx.corner_cascade()[0]
+    with pytest.raises(PreconditionViolated, match="out of range"):
+        find_separating_tjunction(mesh, (3, 3), (3, 5), i)
 
 
 def test_min_connecting_box():
