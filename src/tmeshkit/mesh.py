@@ -12,18 +12,18 @@ look a bucket up instead of filtering by orientation.  The entities of a
 valid mesh are pairwise disjoint as point sets and their union is the
 closed domain.
 
-Point and containment queries are lookups in rasters on the half-integer
-lattice (`skeleton_mask`, `cell_labels`), exact because every entity
-bound is an integer.  A domain may hold at most `MAX_LATTICE_POINTS`
-lattice points, prod_k (2 N_k + 1), so one bool raster stays within
-16 MiB and the int32 `cell_labels` raster within 64 MiB; `IndexDomain`
-raises `ValueError` past it.  The lattice does not bound the complex,
-so a mesh may also hold at most `MAX_ENTITIES` entities: about 150 MiB
-at the ~150 bytes an entity costs at peak while a tensor mesh is built.
-`create_tensor_mesh` and `subdiv` raise `MeshError` past it, before
-they build anything.  numpy is imported only when a raster is built
-(and by `check_three_direction_assumption`), so building, refining,
-saving and loading a mesh never load it.
+Point and containment queries, and the T-junction probe, are lookups in
+the skeleton masks (`skeleton_mask`), d bool rasters on the half-integer
+lattice, exact because every entity bound is an integer.  A domain may
+hold at most `MAX_LATTICE_POINTS` lattice points, prod_k (2 N_k + 1), so
+each mask stays within 16 MiB; `IndexDomain` raises `ValueError` past
+it.  The lattice does not bound the complex, so a mesh may also hold at
+most `MAX_ENTITIES` entities: about 150 MiB at the ~150 bytes an entity
+costs at peak while a tensor mesh is built.  `create_tensor_mesh` and
+`subdiv` raise `MeshError` past it, before they build anything.  numpy
+is imported only when a raster is built (and by
+`check_three_direction_assumption`), so building, refining, saving and
+loading a mesh never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
 log.  Derived structures (lattice rasters, T-junction tables, global
@@ -47,26 +47,21 @@ As point sets nothing moves: the skeletons grow only by the hyperfaces
   closure is the union of its halves' and middle's, so mask k != j is
   shared by identity (read-only); mask j is copied and grown by those
   hyperfaces, all inside closed D.
-- `cell_labels`: the raster is copied.  Each split cell q keeps its
-  label, read at its first interior lattice point, for its lower half;
-  the slab {x_j = m} over q's open interior becomes -1, and the upper
-  half gets a new label, appended to the cells tuple.
 - `("gkv", box, k)` reads mask k over the box's closure off direction k.
   It is carried when k != j, as mask k is shared, and when the box
   misses closed D in a direction other than j, as mask j grew only
   inside D.
 - `("gtj", t)` is carried when t's closure misses closed D in a
-  direction other than j.  T-junction detection reads t's valence and
-  associated cell within half a lattice step of its closure, so outside
-  D, where no mask and no cell changed: t keeps its directions and its
-  cell, and every knot vector its extension reads is unchanged by the
-  rule above.
+  direction other than j.  T-junction detection reads t's valence within
+  half a lattice step of its closure, so outside D, where no mask
+  changed, and t keeps its directions.  It keeps its associated cell
+  too: that cell's closure contains t's, and a split cell lies in D.  So
+  every knot vector its extension reads is unchanged by the rule above.
 - `"tjunctions"`, the table, is the sorted merge of three parts.  A
   parent junction whose closure misses closed D in a direction other
-  than j is carried as is, by the argument for `("gtj", t)`: its
-  associated cell's closure contains it, so that cell is not split
-  either.  Every other parent junction that is still an entity of the
-  child is re-probed (`topology.probe_tjunctions`); the replaced ones are
+  than j is carried as is, by the argument for `("gtj", t)`.  Every
+  other parent junction that is still an entity of the child is
+  re-probed (`topology.probe_tjunctions`); the replaced ones are
   dropped.  The new (d-2)-entities, the halves of replaced
   (d-2)-entities and the middles of replaced hyperfaces, are probed.  No
   other entity needs a probe: the masks only grow, so a valence never
@@ -332,19 +327,21 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
     # each replaced entity becomes two halves and a middle
     _check_entity_count(sum(map(len, mesh.entities.values()))
                         + 2 * sum(map(len, replaced.values())))
-    entities = dict(mesh.entities)
+    added = {}   # per bucket: the halves (no j) or the middles (with j)
     for kappa, old in replaced.items():
-        entities[kappa] = entities[kappa].difference(old).union(
-            e[:j] + (half,) + e[j + 1:] for e in old
-            for half in ((a, m), (m, b)))
-        middles = tuple(sorted(kappa + (j,)))
-        entities[middles] = entities[middles].union(
-            e[:j] + ((m, m),) + e[j + 1:] for e in old)
+        added[kappa] = [e[:j] + (half,) + e[j + 1:] for e in old
+                        for half in ((a, m), (m, b))]
+        added[tuple(sorted(kappa + (j,)))] = [e[:j] + ((m, m),) + e[j + 1:]
+                                              for e in old]
+    entities = dict(mesh.entities)
+    for kappa, new in added.items():
+        entities[kappa] = entities[kappa].difference(
+            replaced.get(kappa, ())).union(new)
     child = TMesh(domain=dom,
                   breakpoints=mesh.breakpoints,
                   entities=entities,
                   refinement_log=mesh.refinement_log + ((cell, j),))
-    _seed_memo(mesh, child, j, qj, box, replaced)
+    _seed_memo(mesh, child, j, qj, box, replaced, added)
     return child
 
 
@@ -358,42 +355,23 @@ def _misses(e: Entity, others: list) -> bool:
 
 
 def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
-               box: list, replaced: dict) -> None:
+               box: list, replaced: dict, added: dict) -> None:
     """Hand the child every memo entry of the parent that bisecting the
     cells with j-component qj inside the refinement box `box` (D) leaves
-    unchanged, and the T-junction table re-probed near D; `replaced`
-    holds the entities the bisection replaced, per bucket.  The module
-    docstring gives the rules and why they hold."""
+    unchanged, and the T-junction table re-probed near D; `replaced` and
+    `added` hold the entities the bisection replaced and added, per
+    bucket.  The module docstring gives the rules and why they hold."""
     memo = parent._memo
     if not memo:
         return
     seeded = child._memo
-    a, b = qj
-    m = (a + b) // 2
-    split_cells = replaced[()]
     if "skeleton_mask" in memo:
         masks = memo["skeleton_mask"]
         grown = masks[j].copy()
-        for q in split_cells:
-            sel = [slice(2 * lo, 2 * hi + 1) for lo, hi in q]
-            sel[j] = 2 * m
-            grown[tuple(sel)] = True
+        for f in added[(j,)]:   # the middles of the split cells
+            grown[tuple(slice(2 * lo, 2 * hi + 1) for lo, hi in f)] = True
         grown.setflags(write=False)
         seeded["skeleton_mask"] = masks[:j] + (grown,) + masks[j + 1:]
-    if "cell_labels" in memo:
-        grid, cells = memo["cell_labels"]
-        grid, cells = grid.copy(), list(cells)
-        for q in split_cells:
-            label = grid[tuple(2 * lo + 1 for lo, _ in q)]
-            cells[label] = q[:j] + ((a, m),) + q[j + 1:]
-            sel = [slice(2 * lo + 1, 2 * hi) for lo, hi in q]
-            sel[j] = 2 * m
-            grid[tuple(sel)] = -1
-            sel[j] = slice(2 * m + 1, 2 * b)
-            grid[tuple(sel)] = len(cells)
-            cells.append(q[:j] + ((m, b),) + q[j + 1:])
-        grid.setflags(write=False)
-        seeded["cell_labels"] = (grid, tuple(cells))
     others = [(k, lo, hi) for k, (lo, hi) in enumerate(box) if k != j]
     if "tjunctions" in memo and "skeleton_mask" in memo:
         from .topology import ClassificationAmbiguous, probe_tjunctions
@@ -406,13 +384,9 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
                 carried.append(t)
             elif not (e[j] == qj and hull_inside(e, box)):   # not replaced
                 probed[min(t.odir, t.pdir), max(t.odir, t.pdir)].append(e)
-        for kappa, old in replaced.items():
-            if len(kappa) == 2:     # halves of replaced (d-2)-entities
-                probed[kappa] += [e[:j] + (half,) + e[j + 1:]
-                                  for e in old for half in ((a, m), (m, b))]
-            elif len(kappa) == 1:   # middles of replaced hyperfaces
-                probed[tuple(sorted(kappa + (j,)))] += [
-                    e[:j] + ((m, m),) + e[j + 1:] for e in old]
+        for kappa, new in added.items():
+            if len(kappa) == 2:   # halves of (d-2)-entities, middles of hyperfaces
+                probed[kappa] += new
         try:
             seeded["tjunctions"] = tuple(sorted(
                 carried + probe_tjunctions(child, probed),
@@ -434,8 +408,9 @@ def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:
     """The unique cell whose open box contains the (strictly interior) point.
 
     A scan on purpose: replay and `refine` query each fresh mesh once, and
-    on the 694-cell shipped running example a `cell_labels` raster takes
-    3 ms to build against 0.2 ms for one scan (2-vCPU Xeon, Python 3.11).
+    on the 694-cell shipped running example an int32 cell-label raster
+    took 3 ms to build against 0.2 ms for one scan (2-vCPU Xeon, Python
+    3.11).
     """
     if len(point) != mesh.dim:
         raise DimensionMismatch("point dimension mismatch")
@@ -501,23 +476,6 @@ def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
             grid.setflags(write=False)
         return grids
     return mesh.memo("skeleton_mask", build)[j]
-
-
-def cell_labels(mesh: TMesh) -> tuple[np.ndarray, tuple]:
-    """Int32 raster on the lattice of `skeleton_mask` plus the cells it
-    indexes: a point inside an open cell holds that cell's position in
-    the tuple, every other point -1."""
-    def build():
-        import numpy as np
-
-        cells = tuple(mesh.cells)
-        grid = np.full(tuple(2 * n + 1 for n in mesh.domain.extents), -1,
-                       dtype=np.int32)
-        for label, q in enumerate(cells):
-            grid[tuple(slice(2 * a + 1, 2 * b) for a, b in q)] = label
-        grid.setflags(write=False)
-        return grid, cells
-    return mesh.memo("cell_labels", build)
 
 
 def check_index_box(mesh: TMesh, box: Sequence[Sequence[int]]) -> None:
@@ -612,7 +570,13 @@ def check_three_direction_assumption(mesh: TMesh) -> bool:
 
     if mesh.dim < 3:
         raise DimensionTooSmall("needs at least 3 directions")
-    labels, cells = cell_labels(mesh)
+    cells = tuple(mesh.cells)
+    # int32 labels on the lattice of `skeleton_mask`: a point inside an
+    # open cell holds that cell's position in `cells`, every other point -1
+    labels = np.full(tuple(2 * n + 1 for n in mesh.domain.extents), -1,
+                     dtype=np.int32)
+    for label, q in enumerate(cells):
+        labels[tuple(slice(2 * a + 1, 2 * b) for a, b in q)] = label
     active = mesh.domain.active_spans()
     # one extra False entry, so label -1 (no cell) reads as inactive
     is_active = np.array([hull_inside(c, active) for c in cells] + [False])

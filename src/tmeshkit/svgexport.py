@@ -70,6 +70,9 @@ def render_slice_svg(mesh: TMesh, k: int | None = None, n: int | None = None,
     """Render the slice x_k = n (k, n in 0-based index coordinates), or the
     whole mesh when it is two-dimensional and k is None."""
     d = mesh.dim
+    if d not in (2, 3):
+        raise ValueError(f"SVG export draws 2-D meshes and slices of 3-D "
+                         f"meshes; this mesh is {d}-D")
     if d == 2 and k is None:
         axes = (0, 1)
     elif d == 3 and k is not None and n is not None:

@@ -4,10 +4,10 @@ A T-junction is a (d-2)-dimensional interior entity of valence 3: it
 bounds three hyperfaces instead of four.  It carries an orthogonal
 direction (the singleton component strictly inside its associated cell),
 a pointing direction (the singleton component on the cell boundary), and
-the unique associated cell itself.  Detection reads only the lattice
-rasters of `tmeshkit.mesh` (`skeleton_mask`, `cell_labels`): one probe
-per entity, plain reads at flat lattice indices, shared by the cold build
-and the carry across `subdiv`.  The direct scans it replaces are kept as
+the unique associated cell itself.  Detection reads only the skeleton
+masks of `tmeshkit.mesh` (`skeleton_mask`): one probe per entity, plain
+reads at flat lattice indices, shared by the cold build and the carry
+across `subdiv`.  The direct scans it replaces are kept as
 `tmeshkit.verify.tjunctions_oracle`.
 """
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mesh import (Entity, MeshError, TMesh, cell_labels, entity_hull,
-                   point_in_skeleton, skeleton_mask)
+from .mesh import (Entity, MeshError, TMesh, entity_hull, point_in_skeleton,
+                   skeleton_mask)
 from .regions import Scalar
 
 
@@ -72,7 +72,11 @@ def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
     flat lattice indices of memoryviews over the rasters, one Python loop
     step per entity.  A missing i-orthogonal half-face makes i the
     orthogonal direction and the other singleton direction the pointing
-    one; the cell label at its probe is the associated cell.  Entities on
+    one.  Its probe point lies inside the associated cell, and along each
+    direction k the nearest set points of mask k on the line through it
+    are the cell's bounds.  The walk to them starts at t's own bounds, so
+    only the directions where the cell is wider than t take more than one
+    read; a box that is not a cell of the mesh is an error.  Entities on
     the domain boundary in i or j are skipped.  When several entities are
     corrupt, the smallest is reported.
     """
@@ -84,6 +88,7 @@ def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
     double = [2 * s for s in strides]
     masks = [memoryview(skeleton_mask(mesh, k)).cast("B")
              for k in range(len(shape))]
+    cells = mesh.cells
     found, errors = [], []
     for (i, j), ents in buckets.items():
         ni, nj, si, sj, mi, mj = (extents[i], extents[j], strides[i],
@@ -99,27 +104,34 @@ def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
                 continue   # most entities: no half-face missing
             present = (mi[g - sj], mi[g + sj], mj[g - si], mj[g + si])
             valence = sum(present)
-            if valence == 3:
-                missing = present.index(0)
-                odir, pdir = (i, j) if missing < 2 else (j, i)
-                found.append((t, odir, pdir, g + (-sj, sj, -si, si)[missing]))
-            else:
+            if valence != 3:
                 errors.append((t, f"entity {t!r} has valence {valence}; "
                                   f"complex is corrupted"))
-    out = []
-    if found:
-        grid, cells = cell_labels(mesh)
-        labels = memoryview(grid).cast("B").cast("i")
-        for t, odir, pdir, g in found:
-            c = labels[g]
-            if c < 0:
-                errors.append((t, f"entity {t!r} has no associated cell"))
+                continue
+            missing = present.index(0)
+            odir, pdir = (i, j) if missing < 2 else (j, i)
+            step = 1 if missing % 2 else -1
+            p = g + step * strides[pdir]   # inside the associated cell
+            box = []
+            for k, (a, b) in enumerate(t):
+                c = 2 * a + (a < b) + (step if k == pdir else 0)
+                mk, sk = masks[k], double[k]
+                line = p - c * strides[k]   # lattice point 0 of p's k-line
+                lo, hi = (c - 1) // 2, max(b, (c + 2) // 2)
+                while lo > 0 and not mk[line + lo * sk]:
+                    lo -= 1
+                while hi < extents[k] and not mk[line + hi * sk]:
+                    hi += 1
+                box.append((lo, hi))
+            box = tuple(box)
+            if box in cells:
+                found.append(TJunction(entity=t, odir=odir, pdir=pdir,
+                                       ascell=box, valence=3))
             else:
-                out.append(TJunction(entity=t, odir=odir, pdir=pdir,
-                                     ascell=cells[c], valence=3))
+                errors.append((t, f"entity {t!r} has no associated cell"))
     if errors:
         raise ClassificationAmbiguous(min(errors)[1])
-    return out
+    return found
 
 
 def tjunctions_by_odir(mesh: TMesh, i: int) -> tuple:

@@ -116,23 +116,19 @@ def gtj_disjointness_oracle(mesh: TMesh,
 # ---------------------------------------------------------------------------
 # independent abstract-extension oracle
 
-def _hyperfaces_by_plane(mesh: TMesh) -> dict:
-    """The k-orthogonal hyperfaces grouped by their plane (k, x_k)."""
-    planes = {}
-    for k in range(mesh.dim):
-        for f in mesh.entities[(k,)]:
-            planes.setdefault((k, f[k][0]), []).append(f)
-    return planes
+def _bounds(entities: list, d: int) -> np.ndarray:
+    """The closures of the entities as an (n, d, 2) array, in order."""
+    return np.array(entities, dtype=np.int64).reshape(len(entities), d, 2)
 
 
 def _hyperface_bounds(mesh: TMesh) -> list:
-    """Per direction k: the k-orthogonal hyperfaces, sorted, and their
-    bounds as an (n, d, 2) array in the same order."""
+    """Per direction k: the k-orthogonal hyperfaces sorted plane-major, by
+    (x_k, face), and their bounds in the same order, so the faces of a
+    plane are one `searchsorted` slice of column `bounds[:, k, 0]`."""
     out = []
     for k in range(mesh.dim):
-        faces = sorted(mesh.entities[(k,)])
-        out.append((faces, np.array(faces, dtype=np.int64)
-                    .reshape(len(faces), mesh.dim, 2)))
+        faces = sorted(mesh.entities[(k,)], key=lambda f: (f[k], f))
+        out.append((faces, _bounds(faces, mesh.dim)))
     return out
 
 
@@ -164,28 +160,42 @@ def tjunctions_oracle(mesh: TMesh) -> tuple:
     bypassing the lattice rasters of the production path.  Raises when an
     interior (d-2)-entity has a valence other than 3 or 4, or a T-junction
     other than one associated cell.  A hyperface whose closure holds t lies
-    in a plane {x_k = t_k} through t, so hyperfaces are scanned by plane."""
+    in a plane {x_k = t_k} through t, so only that plane's hyperfaces are
+    compared with t; the cells whose closures hold t are found by one
+    comparison over all cells."""
     d = mesh.dim
     if d < 2:
         return ()
-    planes = _hyperfaces_by_plane(mesh)
+    faces_by_dir = _hyperface_bounds(mesh)
+    planes = [bounds[:, k, 0] for k, (_, bounds) in enumerate(faces_by_dir)]
+    cells = list(mesh.cells)
+    cell_bounds = _bounds(cells, d)
     out = []
     pairs = itertools.combinations(range(d), 2)
     for t, (i0, j0) in sorted((t, ij) for ij in pairs for t in mesh.entities[ij]):
         if any(t[k][0] in (0, mesh.domain.extents[k]) for k in (i0, j0)):
             continue
-        valence = sum(hull_inside(t, f) for k in (i0, j0)
-                      for f in planes.get((k, t[k][0]), ()))
+        lo, hi = np.array(t).T
+        valence = 0
+        for k in (i0, j0):
+            bounds = faces_by_dir[k][1][slice(*np.searchsorted(
+                planes[k], (t[k][0], t[k][0] + 1)))]
+            valence += int(((bounds[:, :, 0] <= lo)
+                            & (hi <= bounds[:, :, 1])).all(axis=1).sum())
         if valence == 4:
             continue
         # odir strictly inside the cell, pdir on its boundary
-        cells = [(q, k, m) for q in mesh.cells if hull_inside(t, q)
-                 for k, m in ((i0, j0), (j0, i0))
-                 if q[k][0] < t[k][0] < q[k][1] and t[m][0] in q[m]]
-        if valence != 3 or len(cells) != 1:
+        holding = ((cell_bounds[:, :, 0] <= lo)
+                   & (hi <= cell_bounds[:, :, 1])).all(axis=1)
+        candidates = [cells[r] for r in np.flatnonzero(holding).tolist()]
+        cells_of_t = [(q, k, m) for q in candidates
+                      for k, m in ((i0, j0), (j0, i0))
+                      if q[k][0] < t[k][0] < q[k][1] and t[m][0] in q[m]]
+        if valence != 3 or len(cells_of_t) != 1:
             raise ClassificationAmbiguous(
-                f"entity {t!r}: valence {valence}, {len(cells)} associated cells")
-        q, odir, pdir = cells[0]
+                f"entity {t!r}: valence {valence}, "
+                f"{len(cells_of_t)} associated cells")
+        q, odir, pdir = cells_of_t[0]
         out.append(TJunction(entity=t, odir=odir, pdir=pdir, ascell=q,
                              valence=valence))
     return tuple(out)

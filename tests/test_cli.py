@@ -173,6 +173,22 @@ def test_export_svg_and_region(tmp_path):
                             ("skeleton", "atj", "gtj", "anchors")) == text
 
 
+@pytest.mark.parametrize("dim", [1, 4])
+def test_export_names_an_unsupported_dimension(tmp_path, capsys, dim):
+    # these said "need a --slice k=n for 3D meshes", with or without a slice
+    mesh_file = tmp_path / "m.json"
+    assert run("new", "--dim", str(dim), "--extents", ",".join(["4"] * dim),
+               "--degrees", ",".join(["1"] * dim), "--out", str(mesh_file)) == 0
+    capsys.readouterr()
+    for slice_args in ([], ["--slice", "1=2"]):
+        assert run("export", "--mesh", str(mesh_file), *slice_args,
+                   "--out", str(tmp_path / "s.svg")) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: SVG export draws 2-D meshes and slices of 3-D "
+                       f"meshes; this mesh is {dim}-D\n")
+    assert not (tmp_path / "s.svg").exists()
+
+
 def test_verify_suites_run(tmp_path):
     assert run("verify", "--suite", "thm61", "--seeds", "6", "--seed", "3") == 0
     assert run("verify", "--suite", "thm62", "--seeds", "6", "--seed", "3") == 0

@@ -244,8 +244,8 @@ def test_direction_queries_refuse_directions_outside_the_mesh():
 
 # the memo kinds of a classified mesh: each derived structure once, under
 # the function that builds it (and the oracle's direct knot vectors)
-MEMO_KINDS = {"skeleton_mask", "cell_labels", "tjunctions", "anchors", "gkv",
-              "anchor_arrays", "atj", "aas", "gtj", "gtj_pairs", "dc_pairs",
+MEMO_KINDS = {"skeleton_mask", "tjunctions", "anchors", "gkv", "anchor_arrays",
+              "atj", "aas", "gtj", "gtj_pairs", "dc_pairs",
               "direct_anchor_knots"}
 
 

@@ -1,13 +1,15 @@
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import cross_mesh
 
 from tmeshkit import fixtures as fx
 from tmeshkit.anchors import global_knot_vector
-from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh, cell_labels,
+from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
                            create_tensor_mesh, hull_inside, singleton_dirs,
                            skeleton_mask, subdiv)
 from tmeshkit.suitability import gtj, is_wgas
@@ -61,12 +63,38 @@ def test_hanging_edge_3d_directions():
 
 def test_valences_are_three_or_four():
     # the oracle counts hyperfaces by scan and raises off valences 3 and 4
-    # (the criterion-12 stream is checked candidate by candidate below)
+    # (the criterion-12 stream is checked candidate by candidate below);
+    # the cross mesh's 16-wide cells give the probe its longest walks to
+    # the associated cell's bounds
     meshes = [refined2d(), fx.corner_tjunction_triple()[0],
               fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
-              fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0]]
+              fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0],
+              cross_mesh(16), random_admissible_mesh(4, dim=4, max_steps=12)]
     for mesh in meshes:
-        assert find_tjunctions(mesh) == tjunctions_oracle(mesh)
+        tjs = find_tjunctions(mesh)
+        assert tjs and tjs == tjunctions_oracle(mesh)
+
+
+def test_tjunction_probe_at_the_lattice_limit():
+    # 4095^2 lattice points, the most a domain may have; with the masks
+    # built, the probe reads only them, where an int32 cell-label raster
+    # took 64 MiB
+    dom = IndexDomain((2047, 2047), (1, 1))
+    mesh = create_tensor_mesh(dom, [[0, 1, 1023, 2045, 2046, 2047]] * 2)
+    mesh = subdiv(mesh, ((1, 1023), (1, 1023)), 0)
+    for k in range(2):
+        skeleton_mask(mesh, k)
+    tracemalloc.start()
+    try:
+        tjs = find_tjunctions(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # the bisection runs through the lower frame, so one junction hangs,
+    # in a cell 1022 wide in both directions
+    assert [(t.entity, t.odir, t.pdir, t.ascell) for t in tjs] == [
+        (((512, 512), (1023, 1023)), 0, 1, ((1, 1023), (1023, 2045)))]
 
 
 def test_masks_carried_across_subdiv_equal_fresh_builds():
@@ -110,23 +138,12 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
                 if k != j:
                     assert mask is skeleton_mask(parent, k)  # shared, not rebuilt
                     shared += 1
-        if "cell_labels" in seeded:
-            labels, cells = seeded["cell_labels"]
-            fresh_labels, fresh_cells = cell_labels(fresh)
-            assert not labels.flags.writeable
-            assert sorted(cells) == sorted(fresh_cells)
-            # equal as maps from lattice point to cell (or to no cell, -1)
-            index = {q: n for n, q in enumerate(fresh_cells)}
-            relabel = np.array([index[q] for q in cells] + [-1])
-            assert np.array_equal(relabel[labels], fresh_labels)
-            carried["cell_labels"] += 1
         oracle = tjunctions_oracle(fresh)
         fresh_tjs = {t.entity: t for t in find_tjunctions(fresh)}
         whole = tuple((0, n) for n in m.domain.extents)
         for key, value in seeded.items():
             kind = key if isinstance(key, str) else key[0]
-            assert kind in ("skeleton_mask", "cell_labels", "tjunctions",
-                            "gkv", "gtj")
+            assert kind in ("skeleton_mask", "tjunctions", "gkv", "gtj")
             if kind == "tjunctions":
                 assert value == find_tjunctions(fresh) == oracle
             elif kind == "gkv":
@@ -140,8 +157,7 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
             carried[kind] += 1
         assert find_tjunctions(m) == oracle
     assert shared > 0
-    assert min(carried[kind] for kind in ("cell_labels", "tjunctions", "gkv",
-                                          "gtj")) > 0
+    assert min(carried[kind] for kind in ("tjunctions", "gkv", "gtj")) > 0
 
 
 def test_corrupt_complex_is_ambiguous():
