@@ -417,7 +417,9 @@ def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:
     for cell in mesh.cells:
         if all(a < x < b for (a, b), x in zip(cell, point)):
             return cell
-    raise MeshError(f"no cell strictly contains {point!r}")
+    # as the mesh file writes numbers: (3, 7/2)
+    text = ", ".join(str(Fraction(x)) for x in point)
+    raise MeshError(f"no cell strictly contains ({text})")
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class TSpline:
 def tspline(mesh: TMesh, anchor: Entity) -> TSpline:
     vectors = tuple(local_knot_vector(mesh, anchor, j) for j in range(mesh.dim))
     return TSpline(anchor=anchor, local_vectors=vectors,
-                   support=index_support(mesh, anchor))
+                   support=tuple((w[0], w[-1]) for w in vectors))
 
 
 def tspline_eval(mesh: TMesh, anchor: Entity, point: Sequence[float]) -> float:

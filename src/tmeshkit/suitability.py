@@ -9,16 +9,15 @@ geometric extensions of junctions with different orthogonal directions
 never meet, and WGAS when that is only required for junctions that also
 differ in pointing direction.
 
-`atj_slice` builds one extension as an exact region, for the SVG layers,
-the Thm 6.2 containment and the `check` payloads.  `is_aas` builds none:
-it paints every slice of a direction at once on the half-integer lattice
+`_slice_region` builds one extension as an exact region from the anchor
+arrays; `atj_slice` memoizes it for the SVG layers, the Thm 6.2
+containment and the `check` payloads.  The AAS verdict builds none: it
+paints every slice of a direction at once on the half-integer lattice
 of the skeleton rasters.  By distributivity the union of the in x out
 support intersections is (union of in) & (union of out), and out is all
 minus in, so two summed-area counts per direction give the extension.
 Only the slices that some but not all of their supports have in their
-knot vectors are painted; the others are empty.  Witness regions of
-d <= 3 meshes are read from those rasters, where `BoxRegion.normalize`
-is canonical; in higher dimension they take the exact region path.
+knot vectors are painted; the others are empty.
 
 SGAS and WGAS share one sweep: `_gtj_pairs` lists, once per mesh, the
 junction pairs with different orthogonal directions whose extension
@@ -26,8 +25,9 @@ boxes meet, and WGAS keeps those whose pointing directions differ too.
 Their verdicts are read off those memoized pairs on each call; `is_aas`
 memoizes its own result, the only cache of its raster scan.  All three
 classifiers return a `Witnesses` sequence: the pair index arrays over
-the extension boxes, or for AAS one array of witness boxes, from which
-the witness tuples and regions are built when read.
+the extension boxes, or for AAS the (i, n, j, m) slice pairs, from which
+the witness tuples are built when read; an AAS witness's region is the
+intersection of its two `_slice_region`s.
 
 Memory: the counts are int32, since a count is at most the number of
 anchors and so at most `MAX_ENTITIES` < 2^31.  The two count arrays of
@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
-from .anchors import _window, anchor_arrays, global_knot_vector
+from .anchors import (AnchorArrays, _window, anchor_arrays,
+                      global_knot_vector)
 from .mesh import MeshError, TMesh
 from .regions import Box, BoxRegion, meeting_pairs
 from .topology import TJunction, find_tjunctions
@@ -79,35 +80,39 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
-    """Abstract extension inside the slice x_j = n, as an exact region.
+def _slice_region(arrays: AnchorArrays, d: int, j: int, n: int) -> BoxRegion:
+    """Abstract extension inside the slice x_j = n of the anchors in
+    `arrays`, as a normalized region.
 
     The supports that contain n, cut to the slice, split into those of
     anchors with n in their local (so global) knot vector and the rest;
     the region is the union of the non-empty pairwise intersections across
     the two sets, found in one broadcast over the distinct boxes of each
-    set, and normalized."""
+    set."""
+    meets = (arrays.support[:, j, 0] <= n) & (n <= arrays.support[:, j, 1])
+    inside = (arrays.local[j][meets] == n).any(axis=1)
+    if inside.all() or not inside.any():
+        return BoxRegion.empty(d)
+    sliced = arrays.support[meets].reshape(-1, 2 * d)   # a copy
+    sliced[:, 2 * j:2 * j + 2] = n
+    b_in = _unique_rows(sliced[inside]).reshape(-1, 1, d, 2)
+    b_out = _unique_rows(sliced[~inside]).reshape(1, -1, d, 2)
+    lo = np.maximum(b_in[..., 0], b_out[..., 0])
+    hi = np.minimum(b_in[..., 1], b_out[..., 1])
+    hit = (lo <= hi).all(axis=2)
+    rows = _unique_rows(np.stack([lo[hit], hi[hit]], axis=2)
+                        .reshape(-1, 2 * d))
+    spans = list(map(tuple, rows.reshape(-1, 2).tolist()))
+    boxes = list(zip(*[iter(spans)] * d))   # d spans per box
+    return BoxRegion(d, boxes).normalize()
+
+
+def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
+    """Abstract extension inside the slice x_j = n, as an exact region
+    (`_slice_region`), memoized per slice."""
     def build():
-        d = mesh.dim
-        arrays = anchor_arrays(mesh)
-        meets = (arrays.support[:, j, 0] <= n) & (n <= arrays.support[:, j, 1])
-        inside = (arrays.local[j][meets] == n).any(axis=1)
-        if inside.all() or not inside.any():
-            return AbstractExtension(direction=j, index=n,
-                                     region=BoxRegion.empty(d))
-        sliced = arrays.support[meets].reshape(-1, 2 * d)   # a copy
-        sliced[:, 2 * j:2 * j + 2] = n
-        b_in = _unique_rows(sliced[inside]).reshape(-1, 1, d, 2)
-        b_out = _unique_rows(sliced[~inside]).reshape(1, -1, d, 2)
-        lo = np.maximum(b_in[..., 0], b_out[..., 0])
-        hi = np.minimum(b_in[..., 1], b_out[..., 1])
-        hit = (lo <= hi).all(axis=2)
-        rows = _unique_rows(np.stack([lo[hit], hi[hit]], axis=2)
-                            .reshape(-1, 2 * d))
-        spans = list(map(tuple, rows.reshape(-1, 2).tolist()))
-        boxes = list(zip(*[iter(spans)] * d))   # d spans per box
-        return AbstractExtension(direction=j, index=n,
-                                 region=BoxRegion(d, boxes).normalize())
+        return AbstractExtension(direction=j, index=n, region=_slice_region(
+            anchor_arrays(mesh), mesh.dim, j, n))
     return mesh.memo(("atj", j, n), build)
 
 
@@ -193,82 +198,38 @@ def is_aas(mesh: TMesh) -> tuple[bool, Witnesses]:
     """Abstract analysis-suitability; witnesses are intersecting slice pairs
     (i, n, j, m, intersection region), ordered by (i, j, n, m).
 
-    The slices come from `_slice_rasters`, without building one
-    `atj_slice`.  Live slices (i, n) and (j, m) meet at the lattice
-    points of R_i at n with even index 2m along axis j that R_j at m
-    holds at even index 2n along axis i.  Their intersection has
-    dimension d - 2.  For d <= 3 that is at most 1, where
-    `BoxRegion.normalize` is canonical (the maximal intervals of the
-    set), so the region is read from the raster: a point for d = 2, the
-    maximal runs of the third axis for d = 3.  In higher dimension
-    normalize is not canonical, so the region is the exact intersection
-    of the two `atj_slice` regions, normalized, built only for the pairs
-    the rasters found.  Either way the boxes are kept as one array and
-    each `BoxRegion` is built when its witness is read."""
+    The verdict comes from `_slice_rasters`, without building one
+    `atj_slice`: live slices (i, n) and (j, m) meet when some lattice
+    point of R_i at n with even index 2m along axis j is held by R_j at m
+    at even index 2n along axis i.  Only the heads (i, n, j, m) are kept;
+    a witness's region, the normalized intersection of the two
+    `_slice_region`s, is built when the witness is read."""
     def build():
         d = mesh.dim
         live, rasters = zip(*_slice_rasters(mesh))
-        # per witness (i, n, j, m) and its number of boxes; the boxes
-        heads, sizes, boxes = [], [], []
+        heads = [np.empty((0, 4), np.int64)]
         for i, j in itertools.combinations(range(d), 2):
-            meet = (rasters[i].take(2 * live[j], axis=j)
-                    & rasters[j].take(2 * live[i], axis=i))
-            points = np.argwhere(np.moveaxis(meet, (i, j), (0, 1)))
-            if not len(points):
-                continue
-            points[:, 0] = live[i][points[:, 0]]
-            points[:, 1] = live[j][points[:, 1]]
-            if d > 3:
-                for n, m in dict.fromkeys(map(tuple, points[:, :2].tolist())):
-                    region = atj_slice(mesh, i, n).region.intersect(
-                        atj_slice(mesh, j, m).region).normalize()
-                    heads.append([(i, n, j, m)])
-                    sizes.append([len(region.boxes)])
-                    boxes.append(np.array(region.boxes, dtype=np.int64)
-                                 .reshape(-1, d, 2))
-                continue
-            # runs of consecutive points on the third axis, if there is one
-            pair = np.ones(len(points), dtype=bool)   # a new (n, m)
-            pair[1:] = (points[1:, :2] != points[:-1, :2]).any(axis=1)
-            fresh = pair.copy()
-            if d == 3:
-                fresh[1:] |= points[1:, 2] != points[:-1, 2] + 1
-            first = np.flatnonzero(fresh)
-            last = np.append(first[1:], len(points)) - 1
-            run = np.empty((len(first), d, 2), dtype=np.int64)
-            run[:, i] = points[first, :1]
-            run[:, j] = points[first, 1:2]
-            for c, k in enumerate(k for k in range(d) if k not in (i, j)):
-                run[:, k, 0] = points[first, 2 + c] // 2
-                run[:, k, 1] = points[last, 2 + c] // 2
-            opens = np.flatnonzero(pair[first])   # a witness's first run
-            n_m = points[first[opens], :2]
-            heads.append(np.stack([np.full(len(opens), i), n_m[:, 0],
-                                   np.full(len(opens), j), n_m[:, 1]], axis=1))
-            sizes.append(np.diff(opens, append=len(first)))
-            boxes.append(run)
-        heads = np.concatenate([np.empty((0, 4), np.int64), *heads])
-        sizes = np.concatenate([np.empty(0, np.int64), *sizes])
-        boxes = np.concatenate([np.empty((0, d, 2), np.int64), *boxes])
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        witnesses = Witnesses(len(heads),
-                              partial(_aas_rows, d, heads, starts, boxes))
+            meet = np.moveaxis(rasters[i].take(2 * live[j], axis=j)
+                               & rasters[j].take(2 * live[i], axis=i),
+                               (i, j), (0, 1))
+            n, m = np.nonzero(meet.any(axis=tuple(range(2, meet.ndim))))
+            heads.append(np.stack([np.full(len(n), i), live[i][n],
+                                   np.full(len(n), j), live[j][m]], axis=1))
+        heads = np.concatenate(heads)
+        witnesses = Witnesses(len(heads), partial(
+            _aas_rows, d, anchor_arrays(mesh), heads))
         return (not witnesses, witnesses)
     return mesh.memo("aas", build)
 
 
-def _aas_rows(d: int, heads: np.ndarray, starts: np.ndarray,
-              boxes: np.ndarray, rows: np.ndarray) -> list:
+def _aas_rows(d: int, arrays: AnchorArrays, heads: np.ndarray,
+              rows: np.ndarray) -> list:
     """The witnesses `rows`: witness w is heads[w] = (i, n, j, m) and the
-    region of boxes[starts[w]:starts[w + 1]]."""
-    lo, sizes = starts[rows], starts[rows + 1] - starts[rows]
-    ends = np.cumsum(sizes)
-    flat = boxes[np.repeat(lo - ends + sizes, sizes)
-                 + np.arange(sizes.sum())].tolist()
-    return [(i, n, j, m, BoxRegion._trusted(
-                d, [tuple(map(tuple, box)) for box in flat[end - size:end]]))
-            for (i, n, j, m), size, end in zip(heads[rows].tolist(),
-                                               sizes.tolist(), ends.tolist())]
+    normalized intersection of slices (i, n) and (j, m), each slice built
+    once per read."""
+    region = cache(partial(_slice_region, arrays, d))
+    return [(i, n, j, m, region(i, n).intersect(region(j, m)).normalize())
+            for i, n, j, m in heads[rows].tolist()]
 
 
 def gtj(mesh: TMesh, tj: TJunction) -> GeometricExtension:

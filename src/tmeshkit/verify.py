@@ -155,40 +155,61 @@ def _gkv_direct(faces_by_dir: list, entity: Entity, j: int) -> tuple:
         hull[:j] + ((n, n),) + hull[j + 1:], cover[n]))
 
 
+def _held_counts(bounds: np.ndarray, faces: np.ndarray, k: int) -> np.ndarray:
+    """How many of the k-orthogonal hyperfaces `faces` (bounds sorted
+    plane-major, as `_hyperface_bounds` gives them) hold each entity of
+    `bounds`, which all lie in planes {x_k = c}.  A hyperface that holds
+    an entity lies in the entity's plane, so each plane's entities are
+    compared with that plane's hyperfaces at once."""
+    counts = np.zeros(len(bounds), dtype=np.int64)
+    order = np.argsort(bounds[:, k, 0], kind="stable")
+    planes, first = np.unique(bounds[order, k, 0], return_index=True)
+    last = np.append(first[1:], len(order))
+    lo = np.searchsorted(faces[:, k, 0], planes)
+    hi = np.searchsorted(faces[:, k, 0], planes, side="right")
+    for a, b, fa, fb in zip(first.tolist(), last.tolist(), lo.tolist(),
+                            hi.tolist()):
+        rows = order[a:b]
+        t, f = bounds[rows, None], faces[None, fa:fb]
+        counts[rows] = ((f[..., 0] <= t[..., 0])
+                        & (t[..., 1] <= f[..., 1])).all(axis=2).sum(axis=1)
+    return counts
+
+
 def tjunctions_oracle(mesh: TMesh) -> tuple:
     """T-junctions by direct scans of hyperface and cell closures,
-    bypassing the lattice rasters of the production path.  Raises when an
-    interior (d-2)-entity has a valence other than 3 or 4, or a T-junction
-    other than one associated cell.  A hyperface whose closure holds t lies
-    in a plane {x_k = t_k} through t, so only that plane's hyperfaces are
-    compared with t; the cells whose closures hold t are found by one
-    comparison over all cells."""
-    d = mesh.dim
+    bypassing the lattice rasters of the production path.  Raises, for
+    the smallest such entity, when an interior (d-2)-entity has a valence
+    other than 3 or 4, or a T-junction other than one associated cell.
+    Valences are counted per (i, j) bucket and plane (`_held_counts`);
+    the cells whose closures hold an entity of valence other than 4 are
+    found by one comparison of all such entities with all cells."""
+    d, extents = mesh.dim, mesh.domain.extents
     if d < 2:
         return ()
     faces_by_dir = _hyperface_bounds(mesh)
-    planes = [bounds[:, k, 0] for k, (_, bounds) in enumerate(faces_by_dir)]
+    candidates = []   # (entity, i, j, valence) with valence != 4
+    for i0, j0 in itertools.combinations(range(d), 2):
+        ents = [t for t in mesh.entities[(i0, j0)]
+                if all(0 < t[k][0] < extents[k] for k in (i0, j0))]
+        bounds = _bounds(ents, d)
+        valence = sum(_held_counts(bounds, faces_by_dir[k][1], k)
+                      for k in (i0, j0))
+        candidates += [(t, i0, j0, v) for t, v in zip(ents, valence.tolist())
+                       if v != 4]
+    candidates.sort()
     cells = list(mesh.cells)
-    cell_bounds = _bounds(cells, d)
+    t_bounds = _bounds([t for t, *_ in candidates], d)[:, None]
+    c_bounds = _bounds(cells, d)[None]
+    holding = ((c_bounds[..., 0] <= t_bounds[..., 0])
+               & (t_bounds[..., 1] <= c_bounds[..., 1])).all(axis=2)
+    held = [[] for _ in candidates]
+    for r, c in zip(*(x.tolist() for x in np.nonzero(holding))):
+        held[r].append(cells[c])
     out = []
-    pairs = itertools.combinations(range(d), 2)
-    for t, (i0, j0) in sorted((t, ij) for ij in pairs for t in mesh.entities[ij]):
-        if any(t[k][0] in (0, mesh.domain.extents[k]) for k in (i0, j0)):
-            continue
-        lo, hi = np.array(t).T
-        valence = 0
-        for k in (i0, j0):
-            bounds = faces_by_dir[k][1][slice(*np.searchsorted(
-                planes[k], (t[k][0], t[k][0] + 1)))]
-            valence += int(((bounds[:, :, 0] <= lo)
-                            & (hi <= bounds[:, :, 1])).all(axis=1).sum())
-        if valence == 4:
-            continue
+    for (t, i0, j0, valence), around in zip(candidates, held):
         # odir strictly inside the cell, pdir on its boundary
-        holding = ((cell_bounds[:, :, 0] <= lo)
-                   & (hi <= cell_bounds[:, :, 1])).all(axis=1)
-        candidates = [cells[r] for r in np.flatnonzero(holding).tolist()]
-        cells_of_t = [(q, k, m) for q in candidates
+        cells_of_t = [(q, k, m) for q in around
                       for k, m in ((i0, j0), (j0, i0))
                       if q[k][0] < t[k][0] < q[k][1] and t[m][0] in q[m]]
         if valence != 3 or len(cells_of_t) != 1:

@@ -8,12 +8,13 @@ as index arrays over arrays it already holds, and `Witnesses` builds
 the tuples of the positions read, each time they are read.
 
 A builder holds arrays, junctions and anchors, never the mesh.  The
-mesh memoizes the AAS sequence with its verdict, so a builder that held
-the mesh would close a reference cycle (mesh -> memo -> witnesses ->
-mesh) that only the cyclic garbage collector frees, and never if
-`gc.freeze` runs while the mesh is alive.  The pair classifiers build
-their sequence on each call, over memoized arrays, by the same rule, so
-no sequence keeps its mesh alive.
+mesh memoizes the AAS sequence with its verdict: the (i, n, j, m) slice
+pairs and the anchor arrays, from which a read builds each pair's
+region.  A builder that held the mesh would close a reference cycle
+(mesh -> memo -> witnesses -> mesh) that only the cyclic garbage
+collector frees, and never if `gc.freeze` runs while the mesh is alive.
+The pair classifiers build their sequence on each call, over memoized
+arrays, by the same rule, so no sequence keeps its mesh alive.
 """
 
 from __future__ import annotations

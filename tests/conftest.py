@@ -42,6 +42,14 @@ def cross_mesh(L: int):
     return mesh
 
 
+def crossing_4d_mesh():
+    """A linear 4-D mesh with junctions orthogonal to directions 3 and 2
+    whose abstract extensions meet in a 2-D region."""
+    mesh = build_framed_mesh((1, 1, 1, 1), [[0, 2, 4]] * 4)
+    mesh = subdiv(mesh, ((1, 3),) * 4, 3)
+    return subdiv(mesh, ((1, 3), (1, 3), (1, 3), (1, 2)), 2)
+
+
 @pytest.fixture(scope="session")
 def corpus200():
     """The shared fuzz corpus: 200 seeded admissible meshes, d in {2, 3},

@@ -38,7 +38,7 @@ def test_new_refine_check_flow(tmp_path):
     assert run("check", "--mesh", str(mesh_file), "--which", "admissible") == 0
 
 
-def test_refine_exit_codes(tmp_path):
+def test_refine_exit_codes(tmp_path, capsys):
     mesh_file = tmp_path / "m.json"
     run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
         "--out", str(mesh_file))
@@ -51,6 +51,12 @@ def test_refine_exit_codes(tmp_path):
     # bad point text
     assert run("refine", "--mesh", str(mesh_file), "--at", "x,y",
                "--dir", "1") == 2
+    # a point on a face, written back as the file format writes numbers
+    capsys.readouterr()
+    assert run("refine", "--mesh", str(mesh_file), "--at", "3,7/2",
+               "--dir", "1") == 2
+    assert capsys.readouterr().err == (
+        "error: no cell strictly contains (3, 7/2)\n")
 
 
 def test_malformed_mesh_files_exit_4(tmp_path, capsys):
@@ -62,7 +68,7 @@ def test_malformed_mesh_files_exit_4(tmp_path, capsys):
     # a refinement point on a cell face; one breakpoint or knot list in 2-D
     for patch, message in (
             ({"refinements": [{"point": [2, "5/2"], "direction": 1}]},
-             "refinement 1: no cell strictly contains"),
+             "refinement 1: no cell strictly contains (2, 5/2)"),
             ({"breakpoints": data["breakpoints"][:1]}, "breakpoint lists"),
             ({"parametric_knots": data["parametric_knots"][:1]},
              "parametric_knots lists")):

@@ -1,6 +1,9 @@
 """Dimension edges: the machinery is generic in d, so exercise the ends of
 the desk-scale range (1D meshes, 4D meshes with 2-dimensional junctions)."""
 
+import pytest
+from conftest import crossing_4d_mesh
+
 from tmeshkit.mesh import (IndexDomain, build_framed_mesh, create_tensor_mesh,
                            is_admissible, subdiv)
 from tmeshkit.anchors import anchor_set, local_knot_vector
@@ -8,7 +11,7 @@ from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.suitability import is_aas, is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
 from tmeshkit.verify import (aas_oracle, linear_independence_rank,
-                             partition_of_unity)
+                             partition_of_unity, random_admissible_mesh)
 
 
 def _aas_bytes(result):
@@ -55,10 +58,8 @@ def test_four_dimensional_mesh_stack():
 
 def test_four_dimensional_crossing_extensions():
     # junctions orthogonal to directions 3 and 2 whose abstract extensions
-    # meet in a 2-D region: the exact witness path of d >= 4
-    mesh = build_framed_mesh((1, 1, 1, 1), [[0, 2, 4]] * 4)
-    mesh = subdiv(mesh, ((1, 3),) * 4, 3)
-    mesh = subdiv(mesh, ((1, 3), (1, 3), (1, 3), (1, 2)), 2)
+    # meet in a 2-D region, which normalize does not make canonical
+    mesh = crossing_4d_mesh()
     assert is_admissible(mesh)[0]
     assert {t.odir for t in find_tjunctions(mesh)} == {2, 3}
     ok, witnesses = is_aas(mesh)
@@ -68,3 +69,10 @@ def test_four_dimensional_crossing_extensions():
     # an L of two boxes, each spanning directions 0 and 1
     assert witnesses[0][4].boxes == (((0, 5), (3, 5), (2, 2), (2, 2)),
                                      ((3, 5), (0, 3), (2, 2), (2, 2)))
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_four_dimensional_aas_witnesses_equal_oracle(seed):
+    mesh = random_admissible_mesh(seed, dim=4, max_steps=14)
+    ours = _aas_bytes(is_aas(mesh))
+    assert not ours[0] and ours == _aas_bytes(aas_oracle(mesh))

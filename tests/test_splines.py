@@ -130,6 +130,8 @@ def test_tspline_dataclass():
     assert ts.anchor == a
     assert len(ts.local_vectors) == 2
     assert ts.support == tuple((v[0], v[-1]) for v in ts.local_vectors)
+    assert all(tspline(mesh, b).support == index_support(mesh, b)
+               for b in anchor_set(mesh))
 
 
 def test_partition_of_unity_tensor():

@@ -1,5 +1,8 @@
 from importlib import resources
 
+import pytest
+from conftest import crossing_4d_mesh
+
 from tmeshkit import fixtures as fx
 from tmeshkit.mesh import build_framed_mesh, is_admissible
 from tmeshkit.meshio import load_mesh
@@ -66,16 +69,28 @@ def test_crossing_edges_verdicts():
         assert not ok_sgas and witnesses
 
 
-def test_is_aas_builds_no_slice_extension():
-    # the witnesses of a non-AAS 3-D mesh come from the slice rasters; no
-    # atj_slice is built on the way
-    path = resources.files("tmeshkit").joinpath(
-        "data/crossing_hanging_edges_p321.json")
-    mesh = load_mesh(path)
+def _shipped_3d_mesh():
+    return load_mesh(resources.files("tmeshkit").joinpath(
+        "data/crossing_hanging_edges_p321.json"))
+
+
+@pytest.mark.parametrize("build, dim", [(_shipped_3d_mesh, 3),
+                                        (crossing_4d_mesh, 4)],
+                         ids=["3d", "4d"])
+def test_is_aas_builds_no_slice_extension(build, dim):
+    # the verdict comes from the slice rasters, and reading the witnesses
+    # builds their regions without memoizing an atj_slice
+    mesh = build()
     ok, witnesses = is_aas(mesh)
-    assert mesh.dim == 3 and not ok and witnesses
-    assert not [key for key in mesh._memo
+    assert mesh.dim == dim and not ok and witnesses
+
+    def atj_keys():
+        return [key for key in mesh._memo
                 if isinstance(key, tuple) and key[0] == "atj"]
+
+    assert not atj_keys()
+    assert all(not region.is_empty() for *_, region in witnesses)
+    assert not atj_keys()
 
 
 def test_running_example_slice_region_vs_oracle():

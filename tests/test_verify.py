@@ -1,10 +1,12 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
 from propertysuites import child_anchor_inheritance
 
 from tmeshkit import fixtures as fx
+from tmeshkit import verify
 from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.anchors import anchor_set
 from tmeshkit.mesh import (build_framed_mesh, hull_in_skeleton, hull_inside,
@@ -270,3 +272,38 @@ def test_slice_rasters_paint_the_oracle_slices(corpus200):
                                   if k != j)] = True
                 p = live.tolist().index(n)
                 assert np.array_equal(raster.take(p, axis=j), painted)
+
+
+def _names_reached(oracle) -> set:
+    """Every global and attribute name read by the oracle's code, its
+    nested code objects and the `verify` functions they name, transitively."""
+    names, seen, todo = set(), set(), [oracle.__code__]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        todo += [f.__code__ for f in map(vars(verify).get, code.co_names)
+                 if isinstance(f, types.FunctionType)
+                 and f.__module__ == verify.__name__]
+    return names
+
+
+ABSTRACT_EXTENSION_PATHS = {
+    "atj_slice", "_slice_region", "_slice_rasters", "is_aas", "anchor_arrays",
+    "global_knot_vector", "local_knot_vector", "skeleton_mask"}
+
+
+@pytest.mark.parametrize("oracle, checked", [
+    ("tjunctions_oracle", {"skeleton_mask", "probe_tjunctions",
+                           "find_tjunctions", "point_in_skeleton"}),
+    ("atj_slice_oracle", ABSTRACT_EXTENSION_PATHS),
+    ("aas_oracle", ABSTRACT_EXTENSION_PATHS),
+    ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap"}),
+    ("gtj_disjointness_oracle", {"meeting_pairs", "_gtj_pairs"}),
+])
+def test_oracles_reach_none_of_the_paths_they_check(oracle, checked):
+    # an oracle that shares code with the path it checks checks nothing
+    assert not _names_reached(getattr(verify, oracle)) & checked
