@@ -6,11 +6,11 @@ that lie inside the active region.  Global knot vectors are obtained by
 ray tracing an entity through the mesh: index n enters the vector in
 direction j when the projection onto the slice x_j = n lies in the
 j-orthogonal skeleton.  Local vectors are centered windows of the global
-ones.  The anchor set, the global vectors and `anchor_arrays` are
-memoized per mesh; a local vector and a support are read off the
-memoized global vector on each call.  `anchor_arrays` is the one
-per-anchor store: it stacks every anchor's local vectors and support
-into arrays for the classifiers' pair scans.
+ones.  The anchor set, the global vectors (once per line) and
+`anchor_arrays` are memoized per mesh, and a bad box or direction raises
+on every call; local vectors and supports are read off the global
+vectors on each call.  `anchor_arrays`, the one per-anchor store, stacks
+every anchor's local vectors and support into arrays for the pair scans.
 """
 
 from __future__ import annotations
@@ -45,18 +45,19 @@ def global_knot_vector(mesh: TMesh, entity: Entity, j: int) -> tuple[int, ...]:
     """Strictly increasing indices n with P_{j,n}(entity) inside the skeleton.
 
     `entity` may be any closed integer box of the domain and `j` any
-    direction 0..d-1; anything else raises `ValueError` when the vector is
-    built (`check_index_box`, `skeleton_mask`)."""
+    direction 0..d-1; anything else raises `ValueError` on every call.
+    Memoized per line: the box with its j-component widened to (0, N_j)."""
+    check_index_box(mesh, entity)
+    mask = skeleton_mask(mesh, j)
+    line = entity[:j] + ((0, mesh.domain.extents[j]),) + entity[j + 1:]
+
     def build():
-        check_index_box(mesh, entity)
-        mask = skeleton_mask(mesh, j)
-        sel = tuple(slice(None) if k == j else slice(2 * a, 2 * b + 1)
-                    for k, (a, b) in enumerate(entity))
+        sel = tuple(slice(2 * a, 2 * b + 1) for a, b in line)
         axes = tuple(k for k in range(mesh.dim) if k != j)
         ok = mask[sel].all(axis=axes) if axes else mask[sel]
         return tuple(np.flatnonzero(ok[::2]).tolist())
     # `mesh.subdiv` reads this key to carry the vector to a child
-    return mesh.memo(("gkv", entity, j), build)
+    return mesh.memo(("gkv", line, j), build)
 
 
 def _window(vector: Sequence[int], value: int, offset: int, length: int,

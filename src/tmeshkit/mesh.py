@@ -27,12 +27,12 @@ loading a mesh never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
 log.  Derived structures (lattice rasters, T-junction tables, global
-knot vectors, anchor arrays, extensions, pair scans) are memoized per
-instance, each once, under the function that builds it.  What is only a
-window, filter or verdict over a memoized structure (a local knot
-vector, a support, the SGAS/WGAS/SDC/WDC and admissibility verdicts) is
-read off it on each call and not memoized.  The memo is build-once and
-safe for concurrent readers.  The box queries (`hull_in_skeleton`,
+knot vectors per line, anchor arrays, extensions, pair scans) are
+memoized per instance, each once, under the function that builds it.
+What is only a window, filter or verdict over a memoized structure (a
+local knot vector, a support, the SGAS/WGAS/SDC/WDC and admissibility
+verdicts) is read off it on each call.  The memo is build-once and safe
+for concurrent readers.  The box queries (`hull_in_skeleton`,
 `open_entity_meets_skeleton`, `anchors.global_knot_vector`) take closed
 integer boxes of the domain and raise for any other (`check_index_box`).
 
@@ -47,10 +47,10 @@ As point sets nothing moves: the skeletons grow only by the hyperfaces
   closure is the union of its halves' and middle's, so mask k != j is
   shared by identity (read-only); mask j is copied and grown by those
   hyperfaces, all inside closed D.
-- `("gkv", box, k)` reads mask k over the box's closure off direction k.
-  It is carried when k != j, as mask k is shared, and when the box
-  misses closed D in a direction other than j, as mask j grew only
-  inside D.
+- `("gkv", line, k)`, a box with its k-component (0, N_k), reads mask k
+  over the line's closure.  It is carried when k != j, as mask k is
+  shared, and when the line misses closed D in a direction other than
+  j, as mask j grew only inside D.
 - `("gtj", t)` is carried when t's closure misses closed D in a
   direction other than j.  T-junction detection reads t's valence within
   half a lattice step of its closure, so outside D, where no mask
@@ -66,10 +66,11 @@ As point sets nothing moves: the skeletons grow only by the hyperfaces
   (d-2)-entities and the middles of replaced hyperfaces, are probed.  No
   other entity needs a probe: the masks only grow, so a valence never
   falls, and an old entity of valence 4 stays at 4.
-- No entry keyed by an entity the bisection replaced is carried (those
-  lie in D with the cell's j-component), so the memo holds keys of the
-  child only and does not grow along a refinement chain.  Every other
-  entry is rebuilt when it is first asked for.
+- A replaced entity lies in D, so the `gtj` keys are entities of the
+  child.  A carried line of direction k != j may hold no child entity;
+  it stays until a bisection in direction k meets it, so the `gkv` keys
+  are at most the lines read on the mesh and its ancestors.  Every
+  other entry is rebuilt when it is first asked for.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
                   breakpoints=mesh.breakpoints,
                   entities=entities,
                   refinement_log=mesh.refinement_log + ((cell, j),))
-    _seed_memo(mesh, child, j, qj, box, replaced, added)
+    _seed_memo(mesh, child, j, qj, box, added)
     return child
 
 
@@ -355,12 +356,11 @@ def _misses(e: Entity, others: list) -> bool:
 
 
 def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
-               box: list, replaced: dict, added: dict) -> None:
-    """Hand the child every memo entry of the parent that bisecting the
-    cells with j-component qj inside the refinement box `box` (D) leaves
-    unchanged, and the T-junction table re-probed near D; `replaced` and
-    `added` hold the entities the bisection replaced and added, per
-    bucket.  The module docstring gives the rules and why they hold."""
+               box: list, added: dict) -> None:
+    """Hand the child the parent's memo entries that bisecting the cells
+    with j-component qj inside the refinement box `box` (D) leaves
+    unchanged, and the T-junction table re-probed near D and at `added`,
+    the new entities per bucket.  The module docstring says why."""
     memo = parent._memo
     if not memo:
         return
@@ -395,27 +395,22 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
             pass   # a cold build reports the smallest corrupt entity
     for key, value in tuple(memo.items()):   # a snapshot, for concurrent builds
         kind = key[0]   # a string key's first letter matches neither kind
-        if kind != "gkv" and kind != "gtj":
-            continue
-        e = key[1]
-        if not _misses(e, others) and (kind == "gtj" or key[2] == j or (
-                e[j] == qj and hull_inside(e, box))):
-            continue   # changed, or keyed by a replaced entity
-        seeded[key] = value
+        if (kind == "gkv" and key[2] != j) or (
+                kind in ("gkv", "gtj") and _misses(key[1], others)):
+            seeded[key] = value
 
 
 def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:
     """The unique cell whose open box contains the (strictly interior) point.
 
-    A scan on purpose: replay and `refine` query each fresh mesh once, and
-    on the 694-cell shipped running example an int32 cell-label raster
-    took 3 ms to build against 0.2 ms for one scan (2-vCPU Xeon, Python
-    3.11).
-    """
+    A scan in lattice integers: x lies in the open (a, b) exactly when
+    its `_lattice_index` g has 2a < g < 2b.  Replay and `refine` query each
+    fresh mesh once, and an index of the cells costs a pass to build."""
     if len(point) != mesh.dim:
         raise DimensionMismatch("point dimension mismatch")
+    index = [_lattice_index(x) for x in point]
     for cell in mesh.cells:
-        if all(a < x < b for (a, b), x in zip(cell, point)):
+        if all(2 * a < g < 2 * b for (a, b), g in zip(cell, index)):
             return cell
     # as the mesh file writes numbers: (3, 7/2)
     text = ", ".join(str(Fraction(x)) for x in point)
@@ -514,15 +509,20 @@ def open_entity_meets_skeleton(mesh: TMesh, j: int, entity: Entity) -> bool:
     return bool(mask[tuple(sel)].any())
 
 
+def _lattice_index(x: Scalar) -> int:
+    """2x for an integer x, else 2*floor(x) + 1: the skeleton-lattice index
+    that integer entity bounds cannot tell apart from x."""
+    return 2 * math.floor(x) + (x != math.floor(x))
+
+
 def point_in_skeleton(mesh: TMesh, j: int, point: Sequence[Scalar]) -> bool:
-    """Exact membership for an arbitrary rational point: coordinate x
-    reads lattice index 2x if it is an integer and 2*floor(x) + 1
-    otherwise, which integer entity bounds cannot tell apart from x."""
+    """Exact membership for an arbitrary rational point, read at its
+    `_lattice_index` in every direction."""
     if len(point) != mesh.dim:
         raise DimensionMismatch("point dimension mismatch")
     index = []
     for x, n in zip(point, mesh.domain.extents):
-        g = 2 * math.floor(x) + (x != math.floor(x))
+        g = _lattice_index(x)
         if not 0 <= g <= 2 * n:
             return False  # also keeps negative indices from wrapping
         index.append(g)

@@ -10,14 +10,15 @@ never meet, and WGAS when that is only required for junctions that also
 differ in pointing direction.
 
 `_slice_region` builds one extension as an exact region from the anchor
-arrays; `atj_slice` memoizes it for the SVG layers, the Thm 6.2
-containment and the `check` payloads.  The AAS verdict builds none: it
-paints every slice of a direction at once on the half-integer lattice
-of the skeleton rasters.  By distributivity the union of the in x out
-support intersections is (union of in) & (union of out), and out is all
-minus in, so two summed-area counts per direction give the extension.
-Only the slices that some but not all of their supports have in their
-knot vectors are painted; the others are empty.
+arrays; `atj_slice` returns it unmemoized, as no reader reads a slice
+twice (the SVG layers, the Thm 6.2 containment, the `check` payloads).
+The AAS verdict builds none: it paints every slice of a direction at
+once on the half-integer lattice of the skeleton rasters.  By
+distributivity the union of the in x out support intersections is
+(union of in) & (union of out), and out is all minus in, so two
+summed-area counts per direction give the extension.  Only the slices
+that some but not all of their supports have in their knot vectors are
+painted; the others are empty.
 
 SGAS and WGAS share one sweep: `_gtj_pairs` lists, once per mesh, the
 junction pairs with different orthogonal directions whose extension
@@ -109,11 +110,9 @@ def _slice_region(arrays: AnchorArrays, d: int, j: int, n: int) -> BoxRegion:
 
 def atj_slice(mesh: TMesh, j: int, n: int) -> AbstractExtension:
     """Abstract extension inside the slice x_j = n, as an exact region
-    (`_slice_region`), memoized per slice."""
-    def build():
-        return AbstractExtension(direction=j, index=n, region=_slice_region(
-            anchor_arrays(mesh), mesh.dim, j, n))
-    return mesh.memo(("atj", j, n), build)
+    (`_slice_region`), built on each call."""
+    return AbstractExtension(direction=j, index=n, region=_slice_region(
+        anchor_arrays(mesh), mesh.dim, j, n))
 
 
 def atj_union(mesh: TMesh, i: int) -> BoxRegion:

@@ -18,7 +18,8 @@ from tmeshkit.regions import BoxRegion
 from tmeshkit.suitability import atj_slice, atj_union, gtj, gtj_union, is_aas, \
     is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
-from tmeshkit.verify import (atj_slice_oracle, linear_independence_rank,
+from tmeshkit.verify import (atj_slice_oracle, crosscheck_aas_sdc,
+                             crosscheck_sgas_aas, linear_independence_rank,
                              mesh_stream, overlap_pair_suite,
                              partition_of_unity, rank_verdict_stable,
                              replay_prefix, separation_probe_suite,
@@ -125,24 +126,19 @@ def test_criterion_05_global_vector_table():
 def test_criterion_06_aas_equals_sdc_on_corpus(corpus200):
     with criterion(6, "equivalence of abstract suitability and strong DC"):
         t0 = time.monotonic()
-        meshes = corpus200["meshes"]
-        assert len(meshes) >= 200
-        disagreements = [(s, is_aas(m)[0], is_sdc(m)[0])
-                         for s, m in meshes if is_aas(m)[0] != is_sdc(m)[0]]
-        assert disagreements == []
+        report = crosscheck_aas_sdc(corpus200["meshes"])
+        assert report["checked"] == 200
+        assert report["disagreements"] == [] and report["ok"]
         elapsed = corpus200["build_seconds"] + time.monotonic() - t0
         assert elapsed < 300.0, f"corpus run took {elapsed:.0f}s"
 
 
 def test_criterion_07_sgas_implies_aas_on_corpus(corpus200):
     with criterion(7, "strong geometric suitability implies abstract"):
-        sgas_meshes = [(s, m) for s, m in corpus200["meshes"]
-                       if is_sgas(m)[0]]
-        assert sgas_meshes, "corpus contains no strongly suitable meshes"
-        for s, m in sgas_meshes:
-            assert is_aas(m)[0], s
-            for i in range(m.dim):
-                assert atj_union(m, i).subset(gtj_union(m, i)), (s, i)
+        report = crosscheck_sgas_aas(corpus200["meshes"])
+        assert report["checked"] + report["skipped"] == 200
+        assert report["checked"], "corpus contains no strongly suitable meshes"
+        assert report["failures"] == [] and report["ok"]
 
 
 def test_criterion_08_linear_independence_on_sdc_corpus(corpus200):

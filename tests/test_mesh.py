@@ -217,6 +217,10 @@ def test_box_queries_refuse_boxes_outside_the_domain():
     # a failed check memoizes nothing
     assert not any(key[0] == "gkv" and key[1][1] == (99, 99)
                    for key in mesh._memo if isinstance(key, tuple))
+    # and a bad box still raises once its line is memoized
+    for box in (((-1, 2), (6, 6)), ((3, 1), (6, 6)), ((0, 7), (6, 6))):
+        with pytest.raises(ValueError, match="not within 0 <= a <= b"):
+            global_knot_vector(mesh, box, 0)
 
 
 def test_direction_queries_refuse_directions_outside_the_mesh():
@@ -245,8 +249,7 @@ def test_direction_queries_refuse_directions_outside_the_mesh():
 # the memo kinds of a classified mesh: each derived structure once, under
 # the function that builds it (and the oracle's direct knot vectors)
 MEMO_KINDS = {"skeleton_mask", "tjunctions", "anchors", "gkv", "anchor_arrays",
-              "atj", "aas", "gtj", "gtj_pairs", "dc_pairs",
-              "direct_anchor_knots"}
+              "aas", "gtj", "gtj_pairs", "dc_pairs", "direct_anchor_knots"}
 
 
 def test_classified_meshes_memoize_each_structure_once(corpus200):
@@ -256,6 +259,7 @@ def test_classified_meshes_memoize_each_structure_once(corpus200):
     import numpy as np
 
     from tmeshkit import dualcompat, suitability, verify
+    from tmeshkit.anchors import anchor_set, global_knot_vector
 
     seen = set()
     for sub, built in corpus200["meshes"][:24]:
@@ -274,6 +278,9 @@ def test_classified_meshes_memoize_each_structure_once(corpus200):
         seen |= {(m.dim, name, v) for name, v in ok.items()}
         kinds = {key if isinstance(key, str) else key[0] for key in m._memo}
         assert kinds <= MEMO_KINDS, kinds - MEMO_KINDS
+        # a knot vector is keyed by its line: its own direction widened
+        assert all(key[1][key[2]] == (0, m.domain.extents[key[2]])
+                   for key in m._memo if key[0] == "gkv")
         masks = [value for key, value in m._memo.items()
                  if (key if isinstance(key, str) else key[0]) == "skeleton_mask"]
         assert len(masks) == 1 and len(masks[0]) == m.dim
@@ -286,6 +293,47 @@ def test_classified_meshes_memoize_each_structure_once(corpus200):
     # every branch above ran on both dimensions
     assert {(d, name, True) for d in (2, 3)
             for name in ("sgas", "sdc", "wdc")} <= seen
+    # the anchors on one line share one entry
+    built = fx.crossing_hanging_edges((3, 2, 1))[0]
+    m = verify.replay_prefix(built, len(built.refinement_log))
+    anchors = anchor_set(m)
+    for j in range(m.dim):
+        lines = {}
+        for a in anchors:
+            lines.setdefault(a[:j] + a[j + 1:], []).append(
+                global_knot_vector(m, a, j))
+        assert max(map(len, lines.values())) > 1
+        assert all(v is vs[0] for vs in lines.values() for v in vs)
+        assert len(lines) == sum(key[0] == "gkv" and key[2] == j
+                                 for key in m._memo)
+
+
+def test_knot_vector_memo_stays_bounded_along_refinement_chains():
+    # three 3-D chains of up to 60 seeded bisections (seed 8 runs out of
+    # options after 56), each step read as a corpus op reads it: the
+    # carried lines and the ones built on the step stay within d vectors
+    # per anchor and T-junction, and d for the domain
+    from tmeshkit import verify
+    from tmeshkit.anchors import anchor_arrays, anchor_set
+    from tmeshkit.suitability import is_wgas
+    from tmeshkit.topology import find_tjunctions
+
+    worst = 0.0
+    for s in (7, 8, 9):
+        mesh = verify.random_admissible_mesh(s, dim=3, max_steps=0)
+        rng = random.Random(s)
+        for _ in range(60):
+            options = verify.bisection_options(mesh, range(3))
+            if not options:
+                break
+            mesh = subdiv(mesh, *rng.choice(options))
+            anchor_arrays(mesh)
+            is_wgas(mesh)
+            is_admissible(mesh)
+            entries = sum(key[0] == "gkv" for key in mesh._memo)
+            worst = max(worst, entries / (3 * (
+                len(anchor_set(mesh)) + len(find_tjunctions(mesh)) + 1)))
+    assert worst <= 1, worst
 
 
 def test_orth_entities():
@@ -352,6 +400,45 @@ def test_find_cell_containing():
     tensor = create_tensor_mesh(IndexDomain((6, 6), (1, 1)))
     with pytest.raises(DimensionMismatch):
         find_cell_containing(tensor, (Fraction(5, 2),))  # zip would truncate
+
+
+def test_find_cell_containing_equals_a_fraction_scan(corpus200):
+    # random rational points of the closed domain, and points of the
+    # lower-dimensional entities, which lie on a face of every cell
+    # around them; the scan compares lattice integers, the oracle
+    # Fractions
+    from tmeshkit import verify
+
+    meshes = [m for _, m in corpus200["meshes"][:16]]
+    meshes += [fx.corner_cascade()[0],
+               verify.random_admissible_mesh(3, dim=4, max_steps=12)]
+    assert {m.dim for m in meshes} == {2, 3, 4}
+    rng = random.Random(2718)
+    faces = 0
+    for mesh in meshes:
+        cells = sorted(mesh.cells)
+        lower = sorted(e for kappa, bucket in mesh.entities.items() if kappa
+                       for e in bucket)
+        for _ in range(150):
+            q = rng.choice((1, 2, 3, 7))
+            if rng.random() < 0.3:
+                point = tuple(Fraction(a) if a == b else Fraction(
+                    rng.randint(a * 2 * q + 1, b * 2 * q - 1), 2 * q)
+                    for a, b in rng.choice(lower))
+            else:
+                point = tuple(Fraction(rng.randint(0, n * q), q)
+                              for n in mesh.domain.extents)
+            inside = [c for c in cells
+                      if all(a < x < b for (a, b), x in zip(c, point))]
+            if inside:
+                assert [find_cell_containing(mesh, point)] == inside
+            else:
+                faces += 1
+                text = ", ".join(map(str, point))
+                with pytest.raises(MeshError) as exc:
+                    find_cell_containing(mesh, point)
+                assert str(exc.value) == f"no cell strictly contains ({text})"
+    assert faces > 100
 
 
 def test_entity_contains_point_semantics():

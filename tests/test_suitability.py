@@ -77,20 +77,26 @@ def _shipped_3d_mesh():
 @pytest.mark.parametrize("build, dim", [(_shipped_3d_mesh, 3),
                                         (crossing_4d_mesh, 4)],
                          ids=["3d", "4d"])
-def test_is_aas_builds_no_slice_extension(build, dim):
+def test_is_aas_builds_no_slice_extension(build, dim, monkeypatch):
     # the verdict comes from the slice rasters, and reading the witnesses
-    # builds their regions without memoizing an atj_slice
+    # builds the region of each slice they name once
+    from tmeshkit import suitability
+
+    built = []
+
+    def slice_region(arrays, d, j, n, original=suitability._slice_region):
+        built.append((j, n))
+        return original(arrays, d, j, n)
+
+    monkeypatch.setattr(suitability, "_slice_region", slice_region)
     mesh = build()
     ok, witnesses = is_aas(mesh)
     assert mesh.dim == dim and not ok and witnesses
-
-    def atj_keys():
-        return [key for key in mesh._memo
-                if isinstance(key, tuple) and key[0] == "atj"]
-
-    assert not atj_keys()
-    assert all(not region.is_empty() for *_, region in witnesses)
-    assert not atj_keys()
+    assert not built
+    read = witnesses[:]
+    assert all(not region.is_empty() for *_, region in read)
+    assert sorted(built) == sorted({s for i, n, j, m, _ in read
+                                    for s in ((i, n), (j, m))})
 
 
 def test_running_example_slice_region_vs_oracle():

@@ -140,17 +140,16 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
                     shared += 1
         oracle = tjunctions_oracle(fresh)
         fresh_tjs = {t.entity: t for t in find_tjunctions(fresh)}
-        whole = tuple((0, n) for n in m.domain.extents)
         for key, value in seeded.items():
             kind = key if isinstance(key, str) else key[0]
             assert kind in ("skeleton_mask", "tjunctions", "gkv", "gtj")
             if kind == "tjunctions":
                 assert value == find_tjunctions(fresh) == oracle
             elif kind == "gkv":
-                # keyed by an entity of the child, never a replaced one
-                e = key[1]
-                assert e == whole or e in m.entities[singleton_dirs(e)]
-                assert value == global_knot_vector(fresh, key[1], key[2])
+                # keyed by a line: the box with its own direction widened
+                line, k = key[1], key[2]
+                assert line[k] == (0, m.domain.extents[k])
+                assert value == global_knot_vector(fresh, line, k)
             elif kind == "gtj":
                 assert key[1] in fresh_tjs   # still a T-junction
                 assert value == gtj(fresh, fresh_tjs[key[1]])
