@@ -293,7 +293,8 @@ def _names_reached(oracle) -> set:
 
 ABSTRACT_EXTENSION_PATHS = {
     "atj_slice", "_slice_region", "_slice_rasters", "is_aas", "anchor_arrays",
-    "global_knot_vector", "local_knot_vector", "skeleton_mask"}
+    "_line_windows", "_count_table", "global_knot_vector", "local_knot_vector",
+    "skeleton_mask"}
 
 
 @pytest.mark.parametrize("oracle, checked", [
@@ -301,7 +302,8 @@ ABSTRACT_EXTENSION_PATHS = {
                            "find_tjunctions", "point_in_skeleton"}),
     ("atj_slice_oracle", ABSTRACT_EXTENSION_PATHS),
     ("aas_oracle", ABSTRACT_EXTENSION_PATHS),
-    ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap"}),
+    ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap",
+                        "anchor_arrays", "_line_windows", "_count_table"}),
     ("gtj_disjointness_oracle", {"meeting_pairs", "_gtj_pairs"}),
 ])
 def test_oracles_reach_none_of_the_paths_they_check(oracle, checked):
