@@ -22,14 +22,16 @@ import numpy as np
 from .anchors import (anchor_arrays, anchor_set, global_knot_vector,
                       local_knot_vector)
 from .dualcompat import is_sdc, is_wdc, knots_overlap
-from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
-                   dyadic_active_breakpoints, entity_hull, hull_inside,
-                   point_in_skeleton, subdiv)
+from .mesh import (Entity, MeshError, TMesh, build_framed_mesh,
+                   create_tensor_mesh, dyadic_active_breakpoints, entity_hull,
+                   hull_inside, point_in_skeleton, subdiv)
 from .regions import BoxRegion, _box_covered, box_intersection
 from .splines import bspline_eval_array
 from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
 from .topology import (ClassificationAmbiguous, NotFound, TJunction,
                        find_separating_tjunction, find_tjunctions)
+
+MAX_COLLOCATION_ENTRIES = 1 << 23   # points x anchors `evaluation_matrix` holds
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +346,15 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     evaluated once on the distinct coordinates, and the matrix is the
     product of the gathered tables.  A value outside its spline's
     support is exactly 0.0, and the directions multiply in order 0..d-1,
-    so every entry has the bits of the per-anchor product.
+    so every entry has the bits of the per-anchor product.  Past
+    `MAX_COLLOCATION_ENTRIES` entries it raises `MeshError` up front.
     """
     dom = mesh.domain
     local = anchor_arrays(mesh).local
+    entries = len(points) * len(local[0])
+    if entries > MAX_COLLOCATION_ENTRIES:
+        raise MeshError(f"the collocation matrix would have {entries} entries"
+                        f", more than the limit of {MAX_COLLOCATION_ENTRIES}")
     mat = np.ones((len(points), len(local[0])))
     for k in range(dom.dim):
         windows, w_inv = np.unique(local[k], axis=0, return_inverse=True)
@@ -589,8 +596,8 @@ def crosscheck_sgas_aas(meshes: Iterable[tuple[int, TMesh]]) -> dict:
 
 def wgas_wdc_counterexample_search(meshes: Iterable[tuple[int, TMesh]]) -> dict:
     """Log (never assert) meshes that are weakly geometrically suitable but
-    not weakly dual-compatible; candidates are shrunk by replaying ever
-    shorter refinement-log prefixes."""
+    not weakly dual-compatible; each candidate is shrunk to its shortest
+    refinement-log prefix that still is, found in one replay."""
     checked = wgas_count = 0
     candidates = []
     for label, mesh in meshes:
@@ -611,8 +618,11 @@ def wgas_wdc_counterexample_search(meshes: Iterable[tuple[int, TMesh]]) -> dict:
 
 
 def _shrink_candidate(mesh: TMesh) -> TMesh:
-    for length in range(len(mesh.refinement_log) + 1):
-        m = replay_prefix(mesh, length)
+    """Each prefix is tested before the next bisection, so it inherits
+    the memo entries its parent carries."""
+    m = create_tensor_mesh(mesh.domain, mesh.breakpoints)
+    for cell, j in mesh.refinement_log:
         if is_wgas(m)[0] and not is_wdc(m)[0]:
             return m
-    return mesh
+        m = subdiv(m, cell, j)
+    return m if is_wgas(m)[0] and not is_wdc(m)[0] else mesh

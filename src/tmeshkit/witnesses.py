@@ -7,14 +7,12 @@ pairs grow with the square of its size.  So a scan keeps its witnesses
 as index arrays over arrays it already holds, and `Witnesses` builds
 the tuples of the positions read, each time they are read.
 
-A builder holds arrays, junctions and anchors, never the mesh.  The
-mesh memoizes the AAS sequence with its verdict: the (i, n, j, m) slice
-pairs and the anchor arrays, from which a read builds each pair's
-region.  A builder that held the mesh would close a reference cycle
-(mesh -> memo -> witnesses -> mesh) that only the cyclic garbage
-collector frees, and never if `gc.freeze` runs while the mesh is alive.
-The pair classifiers build their sequence on each call, over memoized
-arrays, by the same rule, so no sequence keeps its mesh alive.
+A builder holds arrays, junctions and anchors, never the mesh: the AAS
+sequence holds the (i, n, j, m) slice pairs and the anchor arrays, from
+which a read builds each pair's region.  Every classifier builds its
+sequence on each call, over memoized arrays, so no sequence is in the
+mesh's memo; a builder that held the mesh would still keep the mesh
+and its memo alive for as long as a caller keeps the witnesses.
 """
 
 from __future__ import annotations

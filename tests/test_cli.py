@@ -402,6 +402,11 @@ BAD_INPUTS = {
     "lin-indep-knots-do-not-fit": (["lin-indep", "--mesh", "{thin}"], 2),
     "export-knots-do-not-fit": (["export", "--mesh", "{thin}",
                                  "--out", "{tmp}/s.svg"], 2),
+    # a bicubic 104 x 104 tensor mesh: 160 000 Gauss points x 10 201
+    # anchors, a 12.2 GiB collocation matrix that ended in a MemoryError
+    # traceback with exit 1
+    "lin-indep-collocation-beyond-limit": (["lin-indep", "--mesh", "{big}"],
+                                           2),
 }
 
 
@@ -418,7 +423,8 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, monkeypatch,
              "knot_big": tmp_path / "knot_big.json",
              "long_int": tmp_path / "long_int.json",
              "knot_tiny": tmp_path / "knot_tiny.json",
-             "many": tmp_path / "many.json", "thin": tmp_path / "thin.json"}
+             "many": tmp_path / "many.json", "thin": tmp_path / "thin.json",
+             "big": tmp_path / "big.json"}
     paths["re"].write_bytes(
         DATA.joinpath("running_example_p321.json").read_bytes())
     assert run("new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
@@ -442,6 +448,9 @@ def test_bad_inputs_exit_with_one_error_line(tmp_path, capsys, monkeypatch,
         "extents": [2047, 2047], "parametric_knots": [],
         "breakpoints": [list(range(2048))] * 2}))
     paths["thin"].write_text(json.dumps(data | THIN))
+    paths["big"].write_text(json.dumps(data | {
+        "extents": [104, 104], "degrees": [3, 3], "parametric_knots": [],
+        "breakpoints": [list(range(105))] * 2}))
     capsys.readouterr()
     assert run(*(arg.format(**paths) for arg in argv)) == code
     err = capsys.readouterr().err
@@ -462,3 +471,23 @@ def test_check_exits_2_after_its_earlier_verdicts(tmp_path, capsys):
     assert len(out.splitlines()) == 1
     assert [line.startswith("error: ") for line in err.splitlines()] == [True]
     assert not report.exists()
+
+
+def test_readme_states_the_module_limits():
+    # every limit the README gives as `NAME` = 2^k is the constant of the
+    # module that enforces it, and every such constant is given
+    import re
+
+    from tmeshkit import anchors, mesh, verify
+
+    owners = {"MAX_LATTICE_POINTS": mesh, "MAX_ENTITIES": mesh,
+              "MAX_CANDIDATE_PAIRS": regions, "MAX_LINE_ENTRIES": anchors,
+              "MAX_COLLOCATION_ENTRIES": verify}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())   # joins wrapped lines
+    stated = re.findall(r"`(?:tmeshkit\.(\w+)\.)?(MAX_\w+)` = 2\^(\d+)", text)
+    assert {name for _, name, _ in stated} == set(owners)
+    for module, name, power in stated:
+        owner = owners[name]
+        assert module in ("", owner.__name__.rpartition(".")[2]), (module, name)
+        assert getattr(owner, name) == 1 << int(power), name

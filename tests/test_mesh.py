@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -249,7 +250,7 @@ def test_direction_queries_refuse_directions_outside_the_mesh():
 # the memo kinds of a classified mesh: each derived structure once, under
 # the function that builds it (and the oracle's direct knot vectors)
 MEMO_KINDS = {"skeleton_mask", "tjunctions", "anchors", "gkv", "anchor_arrays",
-              "aas", "gtj", "gtj_pairs", "dc_pairs", "direct_anchor_knots"}
+              "gtj", "gtj_pairs", "dc_pairs", "direct_anchor_knots"}
 
 
 def test_classified_meshes_memoize_each_structure_once(corpus200):
@@ -379,6 +380,52 @@ def test_three_direction_assumption():
     verdicts = [check_three_direction_assumption(m) for m in meshes]
     assert True in verdicts and False in verdicts
     assert verdicts == [_three_directions_by_scan(m) for m in meshes]
+
+
+def test_three_direction_assumption_with_cells_across_the_frame():
+    # tensor meshes on random breakpoints, in 3-D and 4-D, so cells
+    # straddle the frame boundary and count as no one's neighbor, then a
+    # few bisections of active cells; none of these meshes is admissible
+    rng = random.Random(18)
+    verdicts, straddling = [], 0
+    for trial in range(48):
+        d = 3 + trial % 2
+        extents = [rng.randint(5, 9) for _ in range(d)]
+        domain = IndexDomain(extents, [rng.choice((1, 2, 3)) for _ in range(d)])
+        mesh = create_tensor_mesh(domain, [
+            [0, *sorted(rng.sample(range(1, n), rng.randint(2, 5 - d // 2))), n]
+            for n in extents])
+        active = domain.active_spans()
+        for _ in range(3):
+            options = [(c, k) for c in sorted(mesh.cells)
+                       if hull_inside(c, active) for k in range(d)
+                       if (c[k][1] - c[k][0]) % 2 == 0]
+            if options:
+                mesh = subdiv(mesh, *rng.choice(options))
+        straddling += any(a < lo < b or a < hi < b for c in mesh.cells
+                          for (a, b), (lo, hi) in zip(c, active))
+        verdicts.append(check_three_direction_assumption(mesh))
+        assert verdicts[-1] == _three_directions_by_scan(mesh), trial
+    assert True in verdicts and False in verdicts and straddling > 24
+
+
+def test_three_direction_raster_takes_a_byte_per_lattice_point():
+    # a 3-D domain near the lattice limit: one bool raster, where an
+    # int32 cell-label raster took 4 bytes per point
+    import tracemalloc
+
+    domain = IndexDomain((100, 100, 200), (1, 1, 1))
+    mesh = create_tensor_mesh(domain, [(0, 1, 50, 99, 100)] * 2
+                              + [(0, 1, 100, 199, 200)])
+    points = math.prod(2 * n + 1 for n in domain.extents)
+    assert points > 0.95 * MAX_LATTICE_POINTS
+    tracemalloc.start()
+    try:
+        assert check_three_direction_assumption(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * points, peak / points
 
 
 def _three_directions_by_scan(mesh):

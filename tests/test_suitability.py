@@ -93,6 +93,7 @@ def test_is_aas_builds_no_slice_extension(build, dim, monkeypatch):
     ok, witnesses = is_aas(mesh)
     assert mesh.dim == dim and not ok and witnesses
     assert not built
+    assert "aas" not in mesh._memo   # the verdict is built on each call
     read = witnesses[:]
     assert all(not region.is_empty() for *_, region in read)
     assert sorted(built) == sorted({s for i, n, j, m, _ in read

@@ -169,6 +169,28 @@ def test_conjecture_search_runs_and_logs_nothing():
     assert rep["candidates"] == []
 
 
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_shrinker_replays_the_log_once(monkeypatch, k):
+    # a mesh that is not WDC from log length k on shrinks to length k in
+    # k bisections: each prefix is tested before the next step
+    mesh = random_admissible_mesh(13, dim=2, max_steps=9)
+    assert len(mesh.refinement_log) == 9
+    steps = []
+
+    def subdiv(m, cell, j, original=verify.subdiv):
+        steps.append((cell, j))
+        return original(m, cell, j)
+
+    monkeypatch.setattr(verify, "subdiv", subdiv)
+    monkeypatch.setattr(verify, "is_wgas", lambda m: (True, ()))
+    monkeypatch.setattr(verify, "is_wdc",
+                        lambda m: (len(m.refinement_log) < k, ()))
+    [found] = wgas_wdc_counterexample_search([(0, mesh)])["candidates"]
+    assert found["shrunk_log_length"] == k
+    assert steps == list(mesh.refinement_log[:k])
+    assert found["mesh"].entities == replay_prefix(mesh, k).entities
+
+
 def test_child_anchor_inheritance_applicable_case():
     mesh = build_framed_mesh((1, 1, 1),
                              [[0, 2, 4], [0, 2, 4], [0, 2, 4]])
@@ -293,8 +315,8 @@ def _names_reached(oracle) -> set:
 
 ABSTRACT_EXTENSION_PATHS = {
     "atj_slice", "_slice_region", "_slice_rasters", "is_aas", "anchor_arrays",
-    "_line_windows", "_count_table", "global_knot_vector", "local_knot_vector",
-    "skeleton_mask"}
+    "_line_windows", "_count_table", "_box_corners", "global_knot_vector",
+    "local_knot_vector", "skeleton_mask"}
 
 
 @pytest.mark.parametrize("oracle, checked", [
@@ -303,7 +325,8 @@ ABSTRACT_EXTENSION_PATHS = {
     ("atj_slice_oracle", ABSTRACT_EXTENSION_PATHS),
     ("aas_oracle", ABSTRACT_EXTENSION_PATHS),
     ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap",
-                        "anchor_arrays", "_line_windows", "_count_table"}),
+                        "anchor_arrays", "_line_windows", "_count_table",
+                        "_box_corners"}),
     ("gtj_disjointness_oracle", {"meeting_pairs", "_gtj_pairs"}),
 ])
 def test_oracles_reach_none_of_the_paths_they_check(oracle, checked):
