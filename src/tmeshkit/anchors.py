@@ -165,7 +165,8 @@ def _box_corners(start: np.ndarray, stop: np.ndarray, strides: np.ndarray,
     even, odd = [start @ strides], []
     for k in axes:
         step = (stop[:, k] - start[:, k]) * strides[k]
-        even, odd = even + [c + step for c in odd], odd + [c + step for c in even]
+        even, odd = (even + [c + step for c in odd],
+                     odd + [c + step for c in even])
     return even, odd
 
 

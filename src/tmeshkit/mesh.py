@@ -586,7 +586,8 @@ def check_three_direction_assumption(mesh: TMesh) -> bool:
         raise DimensionTooSmall("needs at least 3 directions")
     active = mesh.domain.active_spans()
     cells = [q for q in mesh.cells if hull_inside(q, active)]
-    inside = np.zeros(tuple(2 * n + 1 for n in mesh.domain.extents), dtype=bool)
+    inside = np.zeros(tuple(2 * n + 1 for n in mesh.domain.extents),
+                      dtype=bool)
     for q in cells:
         inside[_open_lattice(q)] = True
     return all(sum(_has_neighbor(q, i, inside) for i in range(mesh.dim)) >= 3
@@ -596,7 +597,7 @@ def check_three_direction_assumption(mesh: TMesh) -> bool:
 def _has_neighbor(q: Entity, i: int, inside: np.ndarray) -> bool:
     """Is an active cell across one of q's i-orthogonal faces?  The
     lattice slab just past each face, over q's open interior, meets the
-    interiors of exactly the cells adjacent to q there."""
+    painted interiors of exactly the active cells adjacent to q there."""
     slab = list(_open_lattice(q))
     for g in (2 * q[i][0] - 1, 2 * q[i][1] + 1):
         if 0 <= g < inside.shape[i]:

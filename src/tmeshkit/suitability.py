@@ -25,10 +25,11 @@ junction pairs with different orthogonal directions whose extension
 boxes meet, and WGAS keeps those whose pointing directions differ too.
 Their verdicts are read off those memoized pairs on each call, and
 `is_aas` scans its rasters on each call: a traced corpus pass built 200
-AAS verdicts and read none back.  All three classifiers return a `Witnesses` sequence: the pair index arrays over
-the extension boxes, or for AAS the (i, n, j, m) slice pairs, from which
-the witness tuples are built when read; an AAS witness's region is the
-intersection of its two `_slice_region`s.
+AAS verdicts and read none back.  All three classifiers return a
+`Witnesses` sequence: the pair index arrays over the extension boxes, or
+for AAS the (i, n, j, m) slice pairs, from which the witness tuples are
+built when read; an AAS witness's region is the intersection of its two
+`_slice_region`s.
 
 Memory: the counts are int32, since a count is at most the number of
 anchors and so at most `MAX_ENTITIES` < 2^31.  The two count arrays of
@@ -132,8 +133,8 @@ def _paint(shape: tuple, start: np.ndarray, stop: np.ndarray,
     summed-area table of Crow, SIGGRAPH 1984).  Every stop must lie
     inside `shape`."""
     counts = np.zeros(shape, dtype=np.int32)
-    plus, minus = _box_corners(start, stop,
-                               np.array(counts.strides) // counts.itemsize, axes)
+    strides = np.array(counts.strides) // counts.itemsize
+    plus, minus = _box_corners(start, stop, strides, axes)
     flat = counts.reshape(-1)
     # an int32 value: with a Python int, add.at takes a generic path,
     # about 20x slower on 768 indices under numpy 2.4

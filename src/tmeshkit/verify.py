@@ -12,6 +12,7 @@ random admissible meshes through the classifier cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
 from .topology import (ClassificationAmbiguous, NotFound, TJunction,
                        find_separating_tjunction, find_tjunctions)
 
-MAX_COLLOCATION_ENTRIES = 1 << 23   # points x anchors `evaluation_matrix` holds
+MAX_COLLOCATION_ENTRIES = 1 << 23   # points x anchors of `evaluation_matrix`
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +339,13 @@ def _gauss_points(mesh: TMesh, cells) -> np.ndarray:
     return np.stack(coords, axis=-1)
 
 
+def _check_collocation(points: int, anchors: int) -> None:
+    if points * anchors > MAX_COLLOCATION_ENTRIES:
+        raise MeshError(f"the collocation matrix would have "
+                        f"{points * anchors} entries, more than the limit "
+                        f"of {MAX_COLLOCATION_ENTRIES}")
+
+
 def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     """Collocation matrix: one column per anchor, one row per point.
 
@@ -351,10 +359,7 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     """
     dom = mesh.domain
     local = anchor_arrays(mesh).local
-    entries = len(points) * len(local[0])
-    if entries > MAX_COLLOCATION_ENTRIES:
-        raise MeshError(f"the collocation matrix would have {entries} entries"
-                        f", more than the limit of {MAX_COLLOCATION_ENTRIES}")
+    _check_collocation(len(points), len(local[0]))
     mat = np.ones((len(points), len(local[0])))
     for k in range(dom.dim):
         windows, w_inv = np.unique(local[k], axis=0, return_inverse=True)
@@ -377,9 +382,12 @@ def linear_independence_rank(mesh: TMesh, threshold: float = 1e-8) -> RankReport
     """
     active = mesh.domain.active_spans()
     cells = [c for c in mesh.cells if hull_inside(c, active)]
-    points = _gauss_points(mesh, cells)
-    mat = evaluation_matrix(mesh, points)
     anchors = anchor_set(mesh)
+    # counted before the points are built, which alone take about 300 MB
+    # on a mesh at the entity limit
+    per_cell = math.prod(p + 1 for p in mesh.domain.degrees)
+    _check_collocation(len(cells) * per_cell, len(anchors))
+    mat = evaluation_matrix(mesh, _gauss_points(mesh, cells))
     if mat.size == 0:
         return RankReport(len(anchors), 0, not anchors, ())
     svals = np.linalg.svd(mat, compute_uv=False)

@@ -489,5 +489,5 @@ def test_readme_states_the_module_limits():
     assert {name for _, name, _ in stated} == set(owners)
     for module, name, power in stated:
         owner = owners[name]
-        assert module in ("", owner.__name__.rpartition(".")[2]), (module, name)
+        assert module in ("", owner.__name__.rpartition(".")[2]), name
         assert getattr(owner, name) == 1 << int(power), name

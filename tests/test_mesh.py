@@ -391,10 +391,12 @@ def test_three_direction_assumption_with_cells_across_the_frame():
     for trial in range(48):
         d = 3 + trial % 2
         extents = [rng.randint(5, 9) for _ in range(d)]
-        domain = IndexDomain(extents, [rng.choice((1, 2, 3)) for _ in range(d)])
-        mesh = create_tensor_mesh(domain, [
-            [0, *sorted(rng.sample(range(1, n), rng.randint(2, 5 - d // 2))), n]
-            for n in extents])
+        degrees = [rng.choice((1, 2, 3)) for _ in range(d)]
+        domain = IndexDomain(extents, degrees)
+        inner = [sorted(rng.sample(range(1, n), rng.randint(2, 5 - d // 2)))
+                 for n in extents]
+        mesh = create_tensor_mesh(domain, [[0, *b, n]
+                                           for b, n in zip(inner, extents)])
         active = domain.active_spans()
         for _ in range(3):
             options = [(c, k) for c in sorted(mesh.cells)

@@ -191,6 +191,24 @@ def test_shrinker_replays_the_log_once(monkeypatch, k):
     assert found["mesh"].entities == replay_prefix(mesh, k).entities
 
 
+def test_collocation_limit_is_checked_before_anything_is_built(monkeypatch):
+    # over the limit, the rank refuses before it builds the Gauss points
+    # (16 active cells of 9 points), and partition of unity before it
+    # evaluates its samples
+    from tmeshkit.mesh import MeshError
+
+    mesh = build_framed_mesh((2, 2), [[0, 1, 2, 3, 4]] * 2)
+    anchors = len(anchor_set(mesh))
+    monkeypatch.setattr(verify, "MAX_COLLOCATION_ENTRIES",
+                        16 * 9 * anchors - 1)
+    monkeypatch.setattr(verify, "_gauss_points", None)
+    monkeypatch.setattr(verify, "bspline_eval_array", None)
+    with pytest.raises(MeshError, match=f"would have {16 * 9 * anchors} "):
+        linear_independence_rank(mesh)
+    with pytest.raises(MeshError, match=f"would have {1000 * anchors} "):
+        partition_of_unity(mesh, samples=1000)
+
+
 def test_child_anchor_inheritance_applicable_case():
     mesh = build_framed_mesh((1, 1, 1),
                              [[0, 2, 4], [0, 2, 4], [0, 2, 4]])
