@@ -194,12 +194,10 @@ def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int) -> tuple:
     lines, first, inverse = np.unique(
         (start @ strides) * len(rows) + stop @ strides,
         return_index=True, return_inverse=True)
-    # inclusion-exclusion: plus at the corners with as many stops as the
-    # box has axes, modulo 2, and minus at the others
-    plus, minus = _box_corners(start[first], stop[first], strides,
+    # inclusion-exclusion: plus at the corners with an even number of
+    # starts, so the stops go in as `_box_corners`' starts
+    plus, minus = _box_corners(stop[first], start[first], strides,
                                range(len(other)))
-    if len(other) % 2:
-        plus, minus = minus, plus
 
     offset, length = (p + 1) // 2, p + 2
     local = np.zeros((len(boxes), length), dtype=np.int64)
