@@ -32,8 +32,8 @@ knot vectors per line, anchor arrays, extensions, pair scans) are
 memoized per instance, each once, under the function that builds it.
 What is only a window, filter or verdict over a memoized structure (a
 local knot vector, a support, the SGAS/WGAS/SDC/WDC and admissibility
-verdicts) is read off it on each call.  The memo is build-once and safe
-for concurrent readers.  The box queries (`hull_in_skeleton`,
+verdicts) is read off it on each call, and AAS is scanned on each call.
+The memo is build-once and safe for concurrent readers.  The box queries (`hull_in_skeleton`,
 `open_entity_meets_skeleton`, `anchors.global_knot_vector`) take closed
 integer boxes of the domain and raise for any other (`check_index_box`).
 
