@@ -44,34 +44,46 @@ keep" note gives the benchmark with and without a rule (an ablation on a
 cell at x_j = m replaces, inside the closed refinement box D, the
 entities whose j-component is the cell's by their halves and middles.
 As point sets nothing moves: the skeletons grow only by the hyperfaces
-{x_j = m} over the split cells, and only the split cells change.  So:
+{x_j = m} over the split cells, and only the split cells change: mask
+j grows at the closed middles, all inside D & {x_j = m}, and no other
+mask changes.  So:
 
 - skeleton masks, one entry holding all d: a split k-hyperface's
   closure is the union of its halves' and middle's, so mask k != j is
   shared by identity (read-only); mask j is copied and grown by those
-  hyperfaces, all inside closed D.
+  hyperfaces.
 - `("gkv", line, k)`, a box with its k-component (0, N_k), reads mask k
   over the line's closure.  It is carried when k != j, as mask k is
   shared, and when the line misses closed D in a direction other than
   j, as mask j grew only inside D.  Measured, keep: `conj-stream`
   1205 -> 1114 ops/s without it.
-- `("gtj", t)` is carried when t's closure misses closed D in a
-  direction other than j.  T-junction detection reads t's valence within
-  half a lattice step of its closure, so outside D, where no mask
-  changed, and t keeps its directions.  It keeps its associated cell
-  too: that cell's closure contains t's, and a split cell lies in D.  So
-  every knot vector its extension reads is unchanged by the rule above.
-  Measured, keep: `conj-stream` 1157 -> 1061 ops/s without the memo and
-  carry, `corpus-classify` flat.
 - `"tjunctions"`, the table, is the sorted merge of three parts.  A
-  parent junction whose closure misses closed D in a direction other
-  than j is carried as is, by the argument for `("gtj", t)`.  Every
-  other parent junction that is still an entity of the child is
-  re-probed (`topology.probe_tjunctions`); the replaced ones are
-  dropped.  The new (d-2)-entities, the halves of replaced
-  (d-2)-entities and the middles of replaced hyperfaces, are probed.  No
-  other entity needs a probe: the masks only grow, so a valence never
-  falls, and an old entity of valence 4 stays at 4.
+  parent junction t is carried as is unless its closure meets
+  D & {x_j = m} or its associated cell was split.  The four valence
+  reads sit half a lattice step from t's closure, and a closed integer
+  box that holds such a point meets that closure, so no middle holds
+  one: t keeps its valence and directions.  The walk to the associated
+  cell ends at the cell's bounds while it is a cell of the child, so
+  the cell changes only if it was split.  Every other parent junction
+  that is still an entity of the child is re-probed
+  (`topology.probe_tjunctions`); the replaced ones are dropped.  The
+  new (d-2)-entities, the halves of replaced (d-2)-entities and the
+  middles of replaced hyperfaces, are probed.  No other entity needs a
+  probe: the masks only grow, so a valence never falls, and an old
+  entity of valence 4 stays at 4.  Measured, keep: `conj-stream` 1650
+  -> 1490 ops/s re-probing every junction whose closure meets D off j.
+- `("gtj", t)` is carried when t's closure misses closed D in a
+  direction other than j: t then keeps its record, by the argument
+  above, and every knot vector its extension reads, by the rule for
+  `gkv`.  It is also carried when t's child record equals the one it was
+  built from and m is not strictly inside its j-span.  Masks k != j are
+  shared, so only the direction-j knot vector can change, and only by
+  gaining m; a window whose span does not strictly contain m keeps its
+  entries (a truncated one ends at 0 or N_j, and 0 < m < N_j), and so
+  do its adjacency and fit checks, which read the window and the
+  record.  Measured, keep: `conj-stream` 1644 -> 1574 ops/s with the
+  first rule alone, and 1157 -> 1061 without the memo and carry,
+  `corpus-classify` flat.
 - A replaced entity lies in D, so the `gtj` keys are entities of the
   child.  A carried line of direction k != j may hold no child entity;
   it stays until a bisection in direction k meets it, so the `gkv` keys
@@ -351,7 +363,7 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
                   breakpoints=mesh.breakpoints,
                   entities=entities,
                   refinement_log=mesh.refinement_log + ((cell, j),))
-    _seed_memo(mesh, child, j, qj, box, added)
+    _seed_memo(mesh, child, j, qj, box, added, set(replaced[()]))
     return child
 
 
@@ -365,15 +377,28 @@ def _misses(e: Entity, others: list) -> bool:
 
 
 def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
-               box: list, added: dict) -> None:
+               box: list, added: dict, split: set) -> None:
     """Hand the child the parent's memo entries that bisecting the cells
-    with j-component qj inside the refinement box `box` (D) leaves
-    unchanged, and the T-junction table re-probed near D and at `added`,
-    the new entities per bucket.  The module docstring says why."""
+    `split`, those with j-component qj inside the refinement box `box`
+    (D), at x_j = m leaves unchanged, and the T-junction table re-probed
+    where it may change.  Mask j grows only at the closed middles, all
+    in D & {x_j = m}, so:
+
+    - a parent junction is re-probed only if its closure meets
+      D & {x_j = m} (its valence reads sit half a lattice step from its
+      closure, and a closed integer box holding such a point meets it)
+      or its associated cell was split; `added`, the new entities per
+      bucket, are probed too;
+    - `("gtj", t)` is carried when t misses D off j, or when t's child
+      record is the one it was built from and m is not strictly inside
+      its j-span: the direction-j knot vector can only gain m.
+
+    The module docstring gives the full argument and the measurements."""
     memo = parent._memo
     if not memo:
         return
     seeded = child._memo
+    m = (qj[0] + qj[1]) // 2
     if "skeleton_mask" in memo:
         masks = memo["skeleton_mask"]
         grown = masks[j].copy()
@@ -382,6 +407,7 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
         grown.setflags(write=False)
         seeded["skeleton_mask"] = masks[:j] + (grown,) + masks[j + 1:]
     others = [(k, lo, hi) for k, (lo, hi) in enumerate(box) if k != j]
+    records = {}
     if "tjunctions" in memo and "skeleton_mask" in memo:
         from .topology import ClassificationAmbiguous, probe_tjunctions
 
@@ -389,10 +415,13 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
         probed = {ij: [] for ij in itertools.combinations(range(child.dim), 2)}
         for t in memo["tjunctions"]:
             e = t.entity
-            if _misses(e, others):
-                carried.append(t)
-            elif not (e[j] == qj and hull_inside(e, box)):   # not replaced
+            near = e[j][0] <= m <= e[j][1] and not _misses(e, others)
+            if near and e[j] == qj and hull_inside(e, box):
+                continue   # replaced: its halves are probed below
+            if near or t.ascell in split:
                 probed[min(t.odir, t.pdir), max(t.odir, t.pdir)].append(e)
+            else:
+                carried.append(t)
         for kappa, new in added.items():
             if len(kappa) == 2:   # halves of (d-2)-entities, middles of hyperfaces
                 probed[kappa] += new
@@ -400,12 +429,20 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
             seeded["tjunctions"] = tuple(sorted(
                 carried + probe_tjunctions(child, probed),
                 key=lambda t: t.entity))
+            records = {t.entity: t for t in seeded["tjunctions"]}
         except ClassificationAmbiguous:
             pass   # a cold build reports the smallest corrupt entity
     for key, value in tuple(memo.items()):   # a snapshot, for concurrent builds
         kind = key[0]   # a string key's first letter matches neither kind
-        if (kind == "gkv" and key[2] != j) or (
-                kind in ("gkv", "gtj") and _misses(key[1], others)):
+        if kind == "gkv":
+            carry = key[2] != j or _misses(key[1], others)
+        elif kind == "gtj":
+            lo, hi = value.region[j]
+            carry = (not lo < m < hi and records.get(key[1]) == value.tjunction
+                     ) or _misses(key[1], others)
+        else:
+            continue
+        if carry:
             seeded[key] = value
 
 

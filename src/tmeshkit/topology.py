@@ -51,7 +51,8 @@ def find_tjunctions(mesh: TMesh) -> tuple:
 
     A cold build probes every (d-2)-entity with `probe_tjunctions`; a mesh
     made by `subdiv` usually starts with the table carried from its
-    parent, re-probed only near the refinement box (`tmeshkit.mesh`).
+    parent, re-probed only where the bisection can change it
+    (`tmeshkit.mesh`).
     """
     def build():
         pairs = itertools.combinations(range(mesh.dim), 2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -32,7 +33,8 @@ from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
 from .topology import (ClassificationAmbiguous, NotFound, TJunction,
                        find_separating_tjunction, find_tjunctions)
 
-MAX_COLLOCATION_ENTRIES = 1 << 23   # points x anchors of `evaluation_matrix`
+MAX_COLLOCATION_ENTRIES = 1 << 23     # points x anchors of `evaluation_matrix`
+COLLOCATION_BLOCK_ENTRIES = 1 << 20   # gathered per multiply in `evaluation_matrix`
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +356,18 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     evaluated once on the distinct coordinates, and the matrix is the
     product of the gathered tables.  A value outside its spline's
     support is exactly 0.0, and the directions multiply in order 0..d-1,
-    so every entry has the bits of the per-anchor product.  Past
-    `MAX_COLLOCATION_ENTRIES` entries it raises `MeshError` up front.
+    so every entry has the bits of the per-anchor product.  The tables
+    are gathered into one buffer of `COLLOCATION_BLOCK_ENTRIES` entries,
+    a block of rows at a time, so the build peaks near the matrix's own
+    8 bytes per entry.  Past `MAX_COLLOCATION_ENTRIES` entries it raises
+    `MeshError` up front.
     """
     dom = mesh.domain
     local = anchor_arrays(mesh).local
     _check_collocation(len(points), len(local[0]))
     mat = np.ones((len(points), len(local[0])))
+    rows = max(1, COLLOCATION_BLOCK_ENTRIES // max(1, mat.shape[1]))
+    gathered = np.empty((min(rows, len(points)), mat.shape[1]))
     for k in range(dom.dim):
         windows, w_inv = np.unique(local[k], axis=0, return_inverse=True)
         ts, t_inv = np.unique(points[:, k], return_inverse=True)
@@ -369,7 +376,14 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
         for col, w in enumerate(windows):
             table[:, col] = bspline_eval_array(knots[w], dom.degrees[k], ts,
                                                domain_right=knots[-1])
-        mat *= table[t_inv[:, None], w_inv.reshape(-1)[None, :]]
+        w_inv = w_inv.reshape(-1)
+        for start in range(0, len(points), rows):
+            block = mat[start:start + rows]
+            out = gathered[:len(block)]
+            # the indices are in range; "raise" would buffer `out`
+            np.take(table[t_inv[start:start + rows]], w_inv, axis=1, out=out,
+                    mode="clip")
+            block *= out
     return mat
 
 
@@ -471,18 +485,15 @@ def random_admissible_mesh(seed: int, *, dim: int | None = None,
     directions = (rng.randrange(d),) if direction_mode == "single" else range(d)
 
     steps = misses = 0
-    options = None   # listed once per accepted mesh, not per candidate
-    while steps < max_steps and misses < 2 * max_steps:
-        if options is None:
-            options = bisection_options(mesh, directions)
-        if not options:
-            break
+    options = bisection_options(mesh, directions)   # listed once per mesh
+    while options and steps < max_steps and misses < 2 * max_steps:
         cell, k = rng.choice(options)
         candidate = subdiv(mesh, cell, k)
         if keep is not None and not keep(candidate):
             misses += 1
             continue
-        mesh, options = candidate, None
+        mesh = candidate
+        update_bisection_options(options, cell, k, directions)
         steps += 1
     return mesh
 
@@ -491,10 +502,31 @@ def bisection_options(mesh: TMesh, directions: Sequence[int]) -> list:
     """Sorted (active cell, direction) pairs with an even width of at least
     2 in that direction, so the bisection midpoint is an integer."""
     active = mesh.domain.active_spans()
-    return sorted((cell, k) for cell in mesh.cells if hull_inside(cell, active)
-                  for k in directions
-                  if (cell[k][1] - cell[k][0]) >= 2
-                  and (cell[k][1] - cell[k][0]) % 2 == 0)
+    return sorted(option for cell in mesh.cells if hull_inside(cell, active)
+                  for option in _cell_options(cell, directions))
+
+
+def update_bisection_options(options: list, cell: Entity, j: int,
+                             directions: Sequence[int]) -> None:
+    """Turn the `bisection_options` of a mesh into those of its bisection
+    of the active cell `cell` in direction j, in place.  Inside the active
+    region the refinement box is the cell's closure, so the cell is the
+    only active cell split: its entries go and its halves' come in."""
+    start = end = bisect_left(options, (cell,))
+    while end < len(options) and options[end][0] == cell:
+        end += 1
+    del options[start:end]
+    a, b = cell[j]
+    for half in ((a, (a + b) // 2), ((a + b) // 2, b)):
+        for option in _cell_options(cell[:j] + (half,) + cell[j + 1:],
+                                    directions):
+            insort(options, option)
+
+
+def _cell_options(cell: Entity, directions: Sequence[int]) -> list:
+    return [(cell, k) for k in directions
+            if (cell[k][1] - cell[k][0]) >= 2
+            and (cell[k][1] - cell[k][0]) % 2 == 0]
 
 
 def mesh_stream(seed: int, count: int, **kwargs) -> Iterable[tuple[int, TMesh]]:

@@ -8,6 +8,7 @@ import pytest
 from conftest import cross_mesh
 
 from tmeshkit import fixtures as fx
+from tmeshkit import topology
 from tmeshkit.anchors import global_knot_vector
 from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
                            create_tensor_mesh, hull_inside, singleton_dirs,
@@ -97,31 +98,54 @@ def test_tjunction_probe_at_the_lattice_limit():
         (((512, 512), (1023, 1023)), 0, 1, ((1, 1023), (1023, 2045)))]
 
 
-def test_masks_carried_across_subdiv_equal_fresh_builds():
-    # every candidate of the criterion-12 stream's first meshes, kept or not,
-    # and of a few short 4-D chains; the oracles read the same buckets as
-    # production, so the buckets are checked here against the orientation
-    # of each entity and a replay.  What subdiv carried is the candidate's
-    # memo before `keep` reads it, and each carried entry must equal a
-    # build on the replayed mesh
-    candidates, kept = [], {}
+@pytest.fixture(scope="module")
+def carry_candidates():
+    """Every candidate of the criterion-12 stream's first meshes, kept or
+    not, and of a few short 4-D chains, as (candidate, the memo `subdiv`
+    seeded it with, its parent, the parent's memo, the entities `subdiv`
+    handed to `probe_tjunctions`).  The parent is the kept mesh the
+    candidate refines, None for a chain's first step; its memo is read
+    after `keep` classified it, as it was when the candidate was made."""
+    candidates, kept, handed = [], {}, []
+    probe = topology.probe_tjunctions
+
+    def spy(mesh, buckets):
+        handed.append((mesh, [e for ents in buckets.values() for e in ents]))
+        return probe(mesh, buckets)
 
     def keep(m):
-        candidates.append((m, dict(m._memo)))
+        probed = {e for mesh, ents in handed if mesh is m for e in ents}
+        handed.clear()   # the cold builds of the previous candidate
+        parent, before = kept.get((m.breakpoints, m.refinement_log[:-1]),
+                                  (None, {}))
+        candidates.append((m, dict(m._memo), parent, before, probed))
         ok = is_wgas(m)[0]
         if ok:
-            kept[m.breakpoints, m.refinement_log] = m
+            kept[m.breakpoints, m.refinement_log] = (m, dict(m._memo))
         return ok
 
-    list(mesh_stream(424243, 3, max_steps=18, keep=keep))
-    for s in (1, 2):
-        random_admissible_mesh(s, dim=4, degrees=(1, 2, 1, 0), levels=1,
-                               base_cells=(2, 2, 2, 2), max_steps=10, keep=keep)
-    assert any(m.dim == 4 for m, seeded in candidates if "tjunctions" in seeded)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "probe_tjunctions", spy)
+        list(mesh_stream(424243, 3, max_steps=18, keep=keep))
+        for s in (1, 2):
+            random_admissible_mesh(s, dim=4, degrees=(1, 2, 1, 0), levels=1,
+                                   base_cells=(2, 2, 2, 2), max_steps=10,
+                                   keep=keep)
+    return candidates
+
+
+def test_masks_carried_across_subdiv_equal_fresh_builds(carry_candidates):
+    # the oracles read the same buckets as production, so the buckets are
+    # checked here against the orientation of each entity and a replay.
+    # What subdiv carried is the candidate's memo before `keep` reads it,
+    # and each carried entry must equal a build on the replayed mesh
+    candidates = [(m, seeded, parent)
+                  for m, seeded, parent, _, _ in carry_candidates]
+    assert any(m.dim == 4 for m, seeded, _ in candidates
+               if "tjunctions" in seeded)
     shared = 0
     carried = Counter()
-    for m, seeded in candidates:
-        parent = kept.get((m.breakpoints, m.refinement_log[:-1]))
+    for m, seeded, parent in candidates:
         j = m.refinement_log[-1][1]
         fresh = replay_prefix(m, len(m.refinement_log))
         assert len(m.entities) == 2 ** m.dim
@@ -157,6 +181,50 @@ def test_masks_carried_across_subdiv_equal_fresh_builds():
         assert find_tjunctions(m) == oracle
     assert shared > 0
     assert min(carried[kind] for kind in ("tjunctions", "gkv", "gtj")) > 0
+
+
+def _meets_plane(e, box, j, m):
+    """Does e's closure meet the closed box with its j-component cut to
+    the plane x_j = m?"""
+    return all(a <= (m if k == j else hi) and (m if k == j else lo) <= b
+               for k, ((a, b), (lo, hi)) in enumerate(zip(e, box)))
+
+
+def test_carry_rules_are_exact(carry_candidates):
+    # subdiv re-probes a parent junction exactly when its closure meets
+    # D & {x_j = m} or its associated cell was split, and carries every
+    # geometric extension whose junction keeps its record and whose open
+    # j-span misses m.  D, the cell's closure widened through the frame
+    # where the cell touches the active region's boundary, is rebuilt here
+    checked = Counter()
+    for m, seeded, parent, before, probed in carry_candidates:
+        if "tjunctions" not in before:
+            continue
+        cell, j = m.refinement_log[-1]
+        mid = (cell[j][0] + cell[j][1]) // 2
+        dom = m.domain
+        box = [(lo, hi) if k == j else
+               (0 if lo == dom.frame_width(k) else lo,
+                dom.extents[k] if hi == dom.extents[k] - dom.frame_width(k)
+                else hi)
+               for k, (lo, hi) in enumerate(cell)]
+        split = parent.cells - m.cells
+        junctions = {t.entity: t for t in before["tjunctions"]}
+        expected = {e for e, t in junctions.items()
+                    if e in m.entities[singleton_dirs(e)]
+                    and (_meets_plane(e, box, j, mid) or t.ascell in split)}
+        assert probed & junctions.keys() == expected
+        checked["split"] += sum(not _meets_plane(e, box, j, mid)
+                                for e in expected)
+        records = {t.entity: t for t in find_tjunctions(m)}
+        for key, value in before.items():
+            if key[0] != "gtj":
+                continue
+            lo, hi = value.region[j]
+            if records.get(key[1]) == value.tjunction and not lo < mid < hi:
+                assert key in seeded
+                checked["gtj"] += 1
+    assert checked["split"] > 0 and checked["gtj"] > 0
 
 
 def test_corrupt_complex_is_ambiguous():

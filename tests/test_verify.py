@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 import types
 
 import numpy as np
@@ -102,6 +104,35 @@ def test_gauss_points_equal_per_cell_meshgrid():
         assert np.array_equal(_gauss_points(mesh, cells), reference(mesh, cells))
 
 
+def test_collocation_build_peaks_near_the_matrix_size():
+    # bicubic 26 x 26 tensor mesh: 10 816 Gauss points x 729 anchors, 7.9 M
+    # entries; gathering a whole direction's table at once peaked at 16.1
+    # bytes per entry
+    mesh = build_framed_mesh((3, 3), [range(27)] * 2)
+    points = _gauss_points(mesh, _active_cells(mesh))
+    anchor_set(mesh)
+    tracemalloc.start()
+    try:
+        mat = evaluation_matrix(mesh, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.size == 10816 * 729
+    assert peak <= 10 * mat.size, peak / mat.size
+
+
+def test_evaluation_matrix_blocks_keep_every_bit(monkeypatch):
+    # the running example's matrix is one block; in blocks of a few rows
+    # (the last one short) every entry keeps its bits
+    mesh = fx.running_example_3d()[0]
+    points = _gauss_points(mesh, _active_cells(mesh))
+    whole = evaluation_matrix(mesh, points)
+    monkeypatch.setattr(verify, "COLLOCATION_BLOCK_ENTRIES",
+                        7 * whole.shape[1])
+    assert len(points) % 7
+    assert evaluation_matrix(mesh, points).tobytes() == whole.tobytes()
+
+
 def test_evaluation_matrix_of_no_points_is_empty():
     mesh = fx.running_example_3d()[0]
     mat = evaluation_matrix(mesh, np.empty((0, mesh.dim)))
@@ -143,6 +174,48 @@ def test_generator_reproducible_and_admissible():
     stream1 = [m.refinement_log for _, m in mesh_stream(9, 5, max_steps=8)]
     stream2 = [m.refinement_log for _, m in mesh_stream(9, 5, max_steps=8)]
     assert stream1 == stream2
+
+
+@pytest.mark.parametrize("mode", ["mixed", "single"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_option_updates_equal_fresh_listings(monkeypatch, dim, mode):
+    # after every accepted step the generator's updated list equals a
+    # fresh `bisection_options`; the filter rejects every third candidate
+    update = verify.update_bisection_options
+    accepted, rejected, checked = [], [], []
+
+    def keep(m):
+        ok = (len(accepted) + len(rejected)) % 3 != 2
+        (accepted if ok else rejected).append(m)
+        return ok
+
+    def update_and_check(options, cell, j, directions):
+        update(options, cell, j, directions)
+        assert options == verify.bisection_options(accepted[-1], directions)
+        checked.append(len(directions))
+
+    monkeypatch.setattr(verify, "update_bisection_options", update_and_check)
+    for seed in range(3):
+        random_admissible_mesh(seed, dim=dim, direction_mode=mode,
+                               max_steps=12 if dim < 4 else 6, keep=keep)
+    assert len(checked) == len(accepted) >= 10 and rejected
+    assert set(checked) == {1 if mode == "single" else dim}
+
+
+def test_generators_replay_the_recorded_refinement_logs(corpus200):
+    # SHA-256 of the logs as the generator drew them when it listed the
+    # options afresh after every accepted step: the criterion-12 stream's
+    # first 20 meshes and the first 50 corpus meshes
+    def digest(logs):
+        return hashlib.sha256(repr(logs).encode()).hexdigest()
+
+    stream = [m.refinement_log for _, m in mesh_stream(
+        424243, 20, max_steps=18, keep=lambda c: is_wgas(c)[0])]
+    assert digest(stream) == ("e3b0be15485771610cb855b578def6d5"
+                              "563f880ad868990553a6b3598b92247d")
+    corpus = [m.refinement_log for _, m in corpus200["meshes"][:50]]
+    assert digest(corpus) == ("e46f6234ca7f2322ce0885c3bcc202df"
+                              "97b098cde2262c91623e0fd73a81e144")
 
 
 def test_replay_prefix_matches():
