@@ -517,7 +517,8 @@ def update_bisection_options(options: list, cell: Entity, j: int,
         end += 1
     del options[start:end]
     a, b = cell[j]
-    for half in ((a, (a + b) // 2), ((a + b) // 2, b)):
+    m = (a + b) // 2
+    for half in ((a, m), (m, b)):
         for option in _cell_options(cell[:j] + (half,) + cell[j + 1:],
                                     directions):
             insort(options, option)
