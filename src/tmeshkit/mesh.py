@@ -15,16 +15,19 @@ closed domain.
 Point and containment queries, and the T-junction probe, are lookups in
 the skeleton masks (`skeleton_mask`), d bool rasters on the half-integer
 lattice, exact because every entity bound is an integer; an open
-entity's points follow one rule (`_open_lattice`).  A domain may hold at
-most `MAX_LATTICE_POINTS` lattice points, prod_k (2 N_k + 1), so each
-mask, and the one bool raster of `check_three_direction_assumption`,
-stays within 16 MiB; `IndexDomain` raises `ValueError` past it.  The
-lattice does not bound the complex, so a mesh may also hold at most
-`MAX_ENTITIES` entities: about 150 MiB at the ~150 bytes an entity costs
-at peak while a tensor mesh is built.  `create_tensor_mesh` and `subdiv`
-raise `MeshError` past it, before they build anything.  numpy is
-imported only when a raster is built, so building, refining, saving and
-loading a mesh never load it.
+entity's points follow one rule (`_open_lattice`).  The cell around a
+point is a lookup in `entities[()]` (`find_cell_containing`): every cell
+component is a tensor interval or a repeated integer half of one, so a
+bisection in the breakpoints and a walk down the halves give the few
+candidates.  A domain may hold at most `MAX_LATTICE_POINTS` lattice
+points, prod_k (2 N_k + 1), so each mask, and the one bool raster of
+`check_three_direction_assumption`, stays within 16 MiB; `IndexDomain`
+raises `ValueError` past it.  The lattice does not bound the complex, so
+a mesh may also hold at most `MAX_ENTITIES` entities: about 150 MiB at
+the ~150 bytes an entity costs at peak while a tensor mesh is built.
+`create_tensor_mesh` and `subdiv` raise `MeshError` past it, before they
+build anything.  numpy is imported only when a raster is built, so
+building, refining, saving and loading a mesh never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
 log.  Derived structures (lattice rasters, T-junction tables, global
@@ -55,8 +58,9 @@ mask changes.  So:
 - `("gkv", line, k)`, a box with its k-component (0, N_k), reads mask k
   over the line's closure.  It is carried when k != j, as mask k is
   shared, and when the line misses closed D in a direction other than
-  j, as mask j grew only inside D.  Measured, keep: `conj-stream`
-  1205 -> 1114 ops/s without it.
+  j, as mask j grew only inside D.  Measured: `conj-stream` 1205 -> 1114
+  ops/s without it at first, 1471 -> 1464 (within noise, 10 pairs) once
+  the `gtj` carry had cut the knot-vector reads.
 - `"tjunctions"`, the table, is the sorted merge of three parts.  A
   parent junction t is carried as is unless its closure meets
   D & {x_j = m} or its associated cell was split.  The four valence
@@ -96,11 +100,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .regions import Box, BoxRegion, DimensionMismatch, Scalar
+from .regions import BoxRegion, DimensionMismatch, Scalar, hull_inside
 
 if TYPE_CHECKING:  # numpy loads with the first raster, not with the module
     import numpy as np
@@ -137,18 +142,6 @@ class DimensionTooSmall(MeshError):
 
 def singleton_dirs(entity: Entity) -> tuple[int, ...]:
     return tuple(k for k, c in enumerate(entity) if c[0] == c[1])
-
-
-def entity_hull(entity: Entity) -> Box:
-    """Closure of the entity as a closed box."""
-    return tuple((a, b) for a, b in entity)
-
-
-def hull_inside(entity: Entity, box: Sequence[Sequence[int]]) -> bool:
-    for (a, b), (lo, hi) in zip(entity, box):   # a loop: no generator per call
-        if a < lo or b > hi:
-            return False
-    return True
 
 
 def entity_contains_point(entity: Entity, point: Sequence[Scalar]) -> bool:
@@ -449,14 +442,32 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
 def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:
     """The unique cell whose open box contains the (strictly interior) point.
 
-    A scan in lattice integers: x lies in the open (a, b) exactly when
-    its `_lattice_index` g has 2a < g < 2b.  Replay and `refine` query each
-    fresh mesh once, and an index of the cells costs a pass to build."""
+    A lookup, exact because `create_tensor_mesh` and `subdiv` only ever
+    make components that are tensor intervals (between consecutive
+    breakpoints) or repeated integer halves of one.  So in each direction
+    the candidates are the tensor interval strictly around x, found by
+    bisection, and the halves below it that still hold x strictly, down
+    to an odd width; their product is looked up in `mesh.cells`, and no
+    cell is iterated.  Comparisons are in lattice integers: x lies in the
+    open (a, b) exactly when its `_lattice_index` g has 2a < g < 2b."""
     if len(point) != mesh.dim:
         raise DimensionMismatch("point dimension mismatch")
-    index = [_lattice_index(x) for x in point]
-    for cell in mesh.cells:
-        if all(2 * a < g < 2 * b for (a, b), g in zip(cell, index)):
+    per_dir = []
+    for x, bps in zip(point, mesh.breakpoints):
+        g = _lattice_index(x)
+        i = bisect_right(bps, g // 2)
+        comps = []
+        if 0 < i < len(bps) and 2 * bps[i - 1] < g:
+            a, b = bps[i - 1], bps[i]
+            comps.append((a, b))
+            while (b - a) % 2 == 0 and g != a + b:   # x off the midpoint
+                m = (a + b) // 2
+                a, b = (a, m) if g < 2 * m else (m, b)
+                comps.append((a, b))
+        per_dir.append(comps)
+    cells = mesh.cells
+    for cell in itertools.product(*per_dir):
+        if cell in cells:
             return cell
     # as the mesh file writes numbers: (3, 7/2)
     text = ", ".join(str(Fraction(x)) for x in point)
@@ -467,7 +478,7 @@ def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:
 # regions, skeletons, admissibility
 
 def active_region(mesh: TMesh) -> BoxRegion:
-    return BoxRegion.from_box(mesh.domain.active_spans())
+    return BoxRegion(mesh.dim, [mesh.domain.active_spans()])
 
 
 def frame_region(mesh: TMesh) -> BoxRegion:
@@ -490,7 +501,7 @@ def frame_region_k(mesh: TMesh, k: int) -> BoxRegion:
 
 def skeleton(mesh: TMesh, j: int) -> BoxRegion:
     """Union of the closures of all j-orthogonal hyperfaces."""
-    return BoxRegion(mesh.dim, [entity_hull(e) for e in mesh.entities[(j,)]])
+    return BoxRegion(mesh.dim, mesh.entities[(j,)])
 
 
 def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:

@@ -10,6 +10,7 @@ are handled at the query site, not here.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -45,9 +46,13 @@ def box_intersection(b1: Box, b2: Box) -> Box | None:
     return tuple(out)
 
 
-def box_contains_box(outer: Box, inner: Box) -> bool:
-    return all(lo1 <= lo2 and hi2 <= hi1
-               for (lo1, hi1), (lo2, hi2) in zip(outer, inner))
+def hull_inside(inner: Sequence[Sequence[Scalar]],
+                box: Sequence[Sequence[Scalar]]) -> bool:
+    """Is the closed box (or an entity's closure) `inner` inside `box`?"""
+    for (a, b), (lo, hi) in zip(inner, box):   # a loop: no generator per call
+        if a < lo or b > hi:
+            return False
+    return True
 
 
 def box_contains_point(box: Box, point: Sequence[Scalar]) -> bool:
@@ -55,14 +60,14 @@ def box_contains_point(box: Box, point: Sequence[Scalar]) -> bool:
 
 
 def _atoms(box: Box, cuts_per_dir: Sequence[Sequence[Scalar]]) -> Iterable[Box]:
-    """Split a box into cells of the cut arrangement restricted to it."""
+    """Split a box into cells of the cut arrangement restricted to it;
+    each direction's cuts are sorted and unique."""
     per_dir = []
     for (lo, hi), cuts in zip(box, cuts_per_dir):
         if lo == hi:
             per_dir.append([(lo, hi)])
             continue
-        inner = sorted({c for c in cuts if lo < c < hi})
-        stops = [lo, *inner, hi]
+        stops = [lo, *cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)], hi]
         per_dir.append([(stops[i], stops[i + 1]) for i in range(len(stops) - 1)])
     return itertools.product(*per_dir)
 
@@ -80,7 +85,7 @@ def _box_covered(box: Box, cover: Sequence[Box]) -> bool:
     cuts = [sorted({b[k][0] for b in cover} | {b[k][1] for b in cover})
             for k in range(dim)]
     for atom in _atoms(box, cuts):
-        if not any(box_contains_box(c, atom) for c in cover):
+        if not any(hull_inside(atom, c) for c in cover):
             return False
     return True
 
@@ -159,10 +164,6 @@ class BoxRegion:
     @classmethod
     def empty(cls, dim: int) -> "BoxRegion":
         return cls._trusted(dim, ())
-
-    @classmethod
-    def from_box(cls, box: Box) -> "BoxRegion":
-        return cls(len(box), [box])
 
     def __repr__(self) -> str:
         return f"BoxRegion(dim={self.dim}, boxes={list(self.boxes)!r})"

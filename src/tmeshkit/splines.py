@@ -15,7 +15,7 @@ import numpy as np
 
 from .anchors import index_support, local_knot_vector
 from .mesh import Entity, TMesh
-from .regions import Box
+from .regions import Box, box_intersection
 
 
 class DegenerateKnots(ValueError):
@@ -113,6 +113,6 @@ def tspline_eval(mesh: TMesh, anchor: Entity, point: Sequence[float]) -> float:
 
 def supports_overlap(mesh: TMesh, a1: Entity, a2: Entity) -> bool:
     """Do the closed index supports intersect?"""
-    s1, s2 = index_support(mesh, a1), index_support(mesh, a2)
-    return all(max(l1, l2) <= min(h1, h2) for (l1, h1), (l2, h2) in zip(s1, s2))
+    return box_intersection(index_support(mesh, a1),
+                            index_support(mesh, a2)) is not None
 

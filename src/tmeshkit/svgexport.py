@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .mesh import TMesh, entity_hull
+from .mesh import TMesh
 from .meshio import region_to_json
 from .regions import BoxRegion
 
@@ -112,11 +112,11 @@ def _skeleton_layer(mesh, k, n, axes, plane) -> str:
         for f in mesh.entities[(s,)]:
             if s == k:
                 if f[s][0] == n:  # face lying inside the slice: filled patch
-                    spans = _slice_spans(entity_hull(f), k, n, axes)
+                    spans = _slice_spans(f, k, n, axes)
                     shapes.add(_rect(plane, *spans, 'fill="#bbbbbb" '
                                      'fill-opacity="0.35" stroke="none"'))
                 continue
-            spans = _slice_spans(entity_hull(f), k, n, axes)
+            spans = _slice_spans(f, k, n, axes)
             if spans is not None:
                 shapes.add(_rect(plane, *spans, LAYER_STYLE["skeleton"]))
     return ('<g id="layer-skeleton">\n' + "\n".join(sorted(shapes))
@@ -153,7 +153,7 @@ def _anchor_layer(mesh, k, n, axes, plane) -> str:
 
     shapes = set()
     for a in anchor_set(mesh):
-        spans = _slice_spans(entity_hull(a), k, n, axes)
+        spans = _slice_spans(a, k, n, axes)
         if spans is None:
             continue
         (u0, u1), (v0, v1) = spans

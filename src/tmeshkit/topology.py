@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mesh import (Entity, MeshError, TMesh, entity_hull, point_in_skeleton,
-                   skeleton_mask)
+from .mesh import Entity, MeshError, TMesh, point_in_skeleton, skeleton_mask
 from .regions import Scalar
 
 
@@ -198,7 +197,7 @@ def find_separating_tjunction(mesh: TMesh, x: Sequence[Scalar], y: Sequence[Scal
         j = tj.pdir
         if x[j] == y[j]:
             continue
-        window = _segment_box_window(x, y, entity_hull(tj.entity))
+        window = _segment_box_window(x, y, tj.entity)
         if window is None:
             continue
         qa, qb = tj.ascell[j]

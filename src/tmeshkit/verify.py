@@ -25,8 +25,8 @@ from .anchors import (anchor_arrays, anchor_set, global_knot_vector,
                       local_knot_vector)
 from .dualcompat import is_sdc, is_wdc, knots_overlap
 from .mesh import (Entity, MeshError, TMesh, build_framed_mesh,
-                   create_tensor_mesh, dyadic_active_breakpoints, entity_hull,
-                   hull_inside, point_in_skeleton, subdiv)
+                   create_tensor_mesh, dyadic_active_breakpoints, hull_inside,
+                   point_in_skeleton, subdiv)
 from .regions import BoxRegion, _box_covered, box_intersection
 from .splines import bspline_eval_array
 from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
@@ -147,8 +147,7 @@ def _gkv_direct(faces_by_dir: list, entity: Entity, j: int) -> tuple:
     hyperface is covered, and the other planes go to the exact cover
     test with only the hyperfaces that meet the projection."""
     faces, bounds = faces_by_dir[j]
-    hull = entity_hull(entity)
-    lo, hi = np.array(hull).T
+    lo, hi = np.array(entity).T
     meets = (bounds[:, :, 0] <= hi) & (lo <= bounds[:, :, 1])
     holds = (bounds[:, :, 0] <= lo) & (hi <= bounds[:, :, 1])
     meets[:, j] = holds[:, j] = True
@@ -157,7 +156,7 @@ def _gkv_direct(faces_by_dir: list, entity: Entity, j: int) -> tuple:
     for r in np.flatnonzero(meets.all(axis=1)).tolist():
         cover.setdefault(faces[r][j][0], []).append(faces[r])
     return tuple(n for n in sorted(cover) if n in held or _box_covered(
-        hull[:j] + ((n, n),) + hull[j + 1:], cover[n]))
+        entity[:j] + ((n, n),) + entity[j + 1:], cover[n]))
 
 
 def _held_counts(bounds: np.ndarray, faces: np.ndarray, k: int) -> np.ndarray:
@@ -598,8 +597,6 @@ def separation_probe_suite(mesh: TMesh, probes: int, seed: int) -> dict:
 def crosscheck_aas_sdc(meshes: Iterable[tuple[int, TMesh]]) -> dict:
     """Assert-style report: abstract suitability and strong
     dual-compatibility must agree on every mesh."""
-    from .meshio import mesh_to_dict
-
     checked = 0
     disagreements = []
     for label, mesh in meshes:
@@ -609,7 +606,7 @@ def crosscheck_aas_sdc(meshes: Iterable[tuple[int, TMesh]]) -> dict:
         if aas != sdc:
             disagreements.append({"seed": label, "aas": aas, "sdc": sdc,
                                   "log_length": len(mesh.refinement_log),
-                                  "mesh": mesh_to_dict(mesh)})
+                                  "mesh": mesh})
     return {"checked": checked, "disagreements": disagreements,
             "ok": not disagreements}
 

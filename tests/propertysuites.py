@@ -12,7 +12,7 @@ from tmeshkit.anchors import (anchor_set, global_knot_vector, index_support,
                               local_knot_vector)
 from tmeshkit.dualcompat import knots_overlap
 from tmeshkit.mesh import (Entity, TMesh, check_three_direction_assumption,
-                           entity_hull, hull_in_skeleton, is_admissible,
+                           hull_in_skeleton, is_admissible,
                            open_entity_meets_skeleton, point_in_skeleton,
                            project_entity, subdiv)
 from tmeshkit.suitability import gtj, is_wgas
@@ -74,7 +74,7 @@ def projection_dichotomy_suite(mesh: TMesh) -> dict:
             v = vectors[j]
             for m in range(min(v), max(v) + 1):
                 proj = project_entity(entity, j, m)
-                fully = hull_in_skeleton(mesh, j, entity_hull(proj))
+                fully = hull_in_skeleton(mesh, j, proj)
                 meets = open_entity_meets_skeleton(mesh, j, proj)
                 assert fully or not meets, (entity, j, m)
                 checked += 1
@@ -89,7 +89,7 @@ def sgas_overlap_suite(mesh: TMesh) -> dict:
     for a in anchor_set(mesh):
         supp = index_support(mesh, a)
         for t, ext in junctions:
-            hull = entity_hull(t.entity)
+            hull = t.entity
             if any(max(l1, l2) > min(h1, h2)
                    for (l1, h1), (l2, h2) in zip(supp, hull)):
                 continue
@@ -142,8 +142,8 @@ def abstract_extension_witness_suite(mesh: TMesh, max_points: int = 12) -> dict:
                 args = (x, y) if x_in_sk else (y, x)
                 tj, _ = find_separating_tjunction(mesh, args[0], args[1], i)
                 j = tj.pdir
-                hull = entity_hull(tj.entity)
-                proj_hull = entity_hull(project_entity(anchor, i, n))
+                hull = tj.entity
+                proj_hull = project_entity(anchor, i, n)
                 cx = [(min(lo, x[k]), max(hi, x[k]))
                       for k, (lo, hi) in enumerate(proj_hull)]
                 assert all(max(l1, l2) <= min(h1, h2)

@@ -113,13 +113,13 @@ def test_band_gap_vectors():
 
 def test_projection_lands_in_slice_skeleton():
     mesh, _ = fx.running_example_3d()
-    from tmeshkit.mesh import hull_in_skeleton, entity_hull
+    from tmeshkit.mesh import hull_in_skeleton
 
     a = next(iter(anchor_set(mesh)))
     k3 = global_knot_vector(mesh, a, 2)
     for n in k3:
         proj = project_entity(a, 2, n)
-        assert hull_in_skeleton(mesh, 2, entity_hull(proj))
+        assert hull_in_skeleton(mesh, 2, proj)
 
 
 def test_insufficient_knots_on_inadmissible_mesh():

@@ -1,8 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from conftest import cross_mesh
 
 from tmeshkit import fixtures as fx
 from tmeshkit import mesh as tmesh
@@ -14,10 +16,11 @@ from tmeshkit.mesh import (MAX_ENTITIES, MAX_LATTICE_POINTS,
                            create_tensor_mesh,
                            entity_contains_point, find_cell_containing,
                            frame_region, frame_region_k, hull_inside,
-                           is_admissible, orth_entities, point_in_skeleton,
-                           skeleton, subdiv)
+                           TMesh, is_admissible, orth_entities,
+                           point_in_skeleton, skeleton, subdiv)
+from tmeshkit.meshio import load_mesh
 from tmeshkit.regions import DimensionMismatch
-from tmeshkit.verify import mesh_stream
+from tmeshkit.verify import mesh_stream, random_admissible_mesh
 
 
 def grid2d():
@@ -367,6 +370,19 @@ def test_admissibility():
     assert is_admissible(fig7)[0]
 
 
+def test_admissibility_reports_a_junction_in_the_frame():
+    # degree 5 widens the frame to 3 around the complex of a degree-1
+    # mesh, so the junction at x = 3 of the frame-extended bisection
+    # lies in it
+    m = build_framed_mesh((1, 1), [[0, 2, 4, 6, 8, 10]] * 2)
+    m = subdiv(m, ((1, 3), (3, 5)), 1)
+    wide = TMesh(IndexDomain((12, 12), (5, 5)), m.breakpoints, m.entities)
+    assert is_admissible(wide) == (False, (
+        ("slice_not_in_skeleton", 0, 2), ("slice_not_in_skeleton", 0, 10),
+        ("slice_not_in_skeleton", 1, 2), ("slice_not_in_skeleton", 1, 10),
+        ("tjunction_in_frame", 0, ((3, 3), (4, 4)))))
+
+
 def test_three_direction_assumption():
     with pytest.raises(DimensionTooSmall):
         check_three_direction_assumption(grid2d())
@@ -452,42 +468,80 @@ def test_find_cell_containing():
 
 
 def test_find_cell_containing_equals_a_fraction_scan(corpus200):
-    # random rational points of the closed domain, and points of the
-    # lower-dimensional entities, which lie on a face of every cell
-    # around them; the scan compares lattice integers, the oracle
-    # Fractions
+    # random rational points of the closed domain and one step past it,
+    # and points of the lower-dimensional entities, which lie on a face
+    # of every cell around them; the lookup compares lattice integers,
+    # the oracle scans the cells with Fractions
     from tmeshkit import verify
 
     meshes = [m for _, m in corpus200["meshes"][:16]]
     meshes += [fx.corner_cascade()[0],
-               verify.random_admissible_mesh(3, dim=4, max_steps=12)]
+               verify.random_admissible_mesh(3, dim=4, max_steps=12),
+               cross_mesh(16)]
     assert {m.dim for m in meshes} == {2, 3, 4}
     rng = random.Random(2718)
-    faces = 0
+    faces = outside = 0
     for mesh in meshes:
         cells = sorted(mesh.cells)
         lower = sorted(e for kappa, bucket in mesh.entities.items() if kappa
                        for e in bucket)
         for _ in range(150):
             q = rng.choice((1, 2, 3, 7))
+            out = False
             if rng.random() < 0.3:
                 point = tuple(Fraction(a) if a == b else Fraction(
                     rng.randint(a * 2 * q + 1, b * 2 * q - 1), 2 * q)
                     for a, b in rng.choice(lower))
-            else:
-                point = tuple(Fraction(rng.randint(0, n * q), q)
+            else:   # one step 1/q past the closed domain on either side
+                point = tuple(Fraction(rng.randint(-1, n * q + 1), q)
                               for n in mesh.domain.extents)
+                out = any(not 0 <= x <= n
+                          for x, n in zip(point, mesh.domain.extents))
             inside = [c for c in cells
                       if all(a < x < b for (a, b), x in zip(c, point))]
             if inside:
                 assert [find_cell_containing(mesh, point)] == inside
             else:
-                faces += 1
+                faces += not out
+                outside += out
                 text = ", ".join(map(str, point))
                 with pytest.raises(MeshError) as exc:
                     find_cell_containing(mesh, point)
                 assert str(exc.value) == f"no cell strictly contains ({text})"
-    assert faces > 100
+    assert faces > 100 and outside > 50
+
+
+class _Unscannable(frozenset):
+    """A cell bucket that answers membership and refuses iteration."""
+
+    def __iter__(self):
+        raise AssertionError("the cells were scanned")
+
+
+def test_find_cell_containing_iterates_no_cell():
+    data = resources.files("tmeshkit").joinpath("data")
+    meshes = [cross_mesh(64), random_admissible_mesh(5, dim=4, max_steps=14)]
+    meshes += [load_mesh(path) for path in sorted(
+        data.iterdir(), key=lambda path: path.name)]
+    assert {m.dim for m in meshes} == {2, 3, 4}
+    for mesh in meshes:
+        sealed = TMesh(mesh.domain, mesh.breakpoints,
+                       {**mesh.entities, (): _Unscannable(mesh.cells)})
+        extents = mesh.domain.extents
+        for cell in mesh.cells:
+            middle = tuple(Fraction(a + b, 2) for a, b in cell)
+            assert find_cell_containing(sealed, middle) == cell
+            # a face point, a corner, and points past the closed domain
+            probes = [(cell[0][0],) + middle[1:],
+                      tuple(a for a, _ in cell),
+                      (Fraction(-1, 3),) + middle[1:],
+                      middle[:-1] + (extents[-1] + Fraction(1, 2),),
+                      middle[:-1] + (extents[-1] + 1,)]
+            for point in probes:
+                text = ", ".join(str(Fraction(x)) for x in point)
+                with pytest.raises(MeshError) as exc:
+                    find_cell_containing(sealed, point)
+                assert str(exc.value) == f"no cell strictly contains ({text})"
 
 
 def test_entity_contains_point_semantics():

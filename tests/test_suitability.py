@@ -1,14 +1,15 @@
+import re
 from importlib import resources
 
 import pytest
 from conftest import crossing_4d_mesh
 
 from tmeshkit import fixtures as fx
-from tmeshkit.mesh import build_framed_mesh, is_admissible
+from tmeshkit.mesh import TMesh, build_framed_mesh, is_admissible
 from tmeshkit.meshio import load_mesh
 from tmeshkit.regions import BoxRegion
-from tmeshkit.suitability import (atj_slice, atj_union, gtj, gtj_union, is_aas,
-                                  is_sgas, is_wgas)
+from tmeshkit.suitability import (NonAdjacentCellBounds, atj_slice, atj_union,
+                                  gtj, gtj_union, is_aas, is_sgas, is_wgas)
 from tmeshkit.topology import find_tjunctions
 
 
@@ -151,3 +152,24 @@ def test_gtj_vector_shapes():
     assert len(ext.vectors[0]) == p[0] + 1          # pointing direction
     assert ext.vectors[2] == (info["tj1"][2][0],)   # orthogonal singleton
     assert len(ext.vectors[1]) == p[1] + 2 + (p[1] % 2)
+
+
+@pytest.mark.parametrize("degrees, junction", [
+    ((1, 1, 1), ((2, 2), (1, 3), (2, 2))),
+    ((2, 2, 2), ((2, 2), (1, 3), (2, 2))),
+    ((3, 2, 1), ((3, 3), (1, 3), (2, 2))),
+])
+def test_gtj_refuses_a_junction_whose_bounds_are_not_adjacent(degrees,
+                                                             junction):
+    # a y-orthogonal hyperface over the first two columns at y = n+1: the
+    # junction probe walks from the junction's own bounds and accepts
+    # the complex, but the y knot vector then holds n+1 between them
+    mesh, info = fx.crossing_hanging_edges(degrees)
+    m, n, r = info["m"], info["n"], info["r"]
+    entities = dict(mesh.entities)
+    entities[(1,)] = entities[(1,)] | {((m, m + 2), (n + 1, n + 1), (r, r + 2))}
+    corrupt = TMesh(mesh.domain, mesh.breakpoints, entities)
+    assert find_tjunctions(corrupt)
+    message = f"component bounds of {junction!r} not adjacent in direction 1"
+    with pytest.raises(NonAdjacentCellBounds, match=f"^{re.escape(message)}$"):
+        is_sgas(corrupt)
