@@ -9,8 +9,9 @@ j-orthogonal skeleton.  Local vectors are centered windows of the global
 ones.  The anchor set, the global vectors (once per line) and
 `anchor_arrays` are memoized per mesh, and a bad box or direction raises
 on every call; local vectors and supports are read off the global
-vectors on each call.  That per-key path serves junctions, admissibility
-and the public API, and checks the batch from outside it.  Measured,
+vectors on each call.  That per-key path serves admissibility, the
+junctions of a mesh `subdiv` seeded and the public API, and checks the
+batches from outside.  Measured,
 keep (2-vCPU host, `--seconds 5`, 4-6 alternated pairs): serving every
 global vector from a memoized count table took `corpus-classify` from
 141 to 120 ops/s.
@@ -22,7 +23,11 @@ points of mask j on every slice x_j = n (`_count_table`), and
 `_line_windows` reads from it the global vector of every distinct
 anchor line and each anchor's window.  So it writes no `gkv` entries.
 Measured, keep: building it from the per-line memo took `corpus-classify`
-from 141 to 130 ops/s.
+from 141 to 130 ops/s.  `_line_windows` is the one window reader: a
+row gives its line's box, the centre value, offset and length, whether
+the window is cut at the vector's ends, and the entry that must follow
+the centre; `suitability._gtj_boxes` reads every junction's extension
+window with it too.
 
 Memory: the count table of direction j holds (N_j + 1) x
 prod_{k != j} (2 N_k + 2) int32 entries, within the bound the
@@ -31,7 +36,8 @@ and lives only while j is read.  The lines x (N_j + 1) blocks read from
 it are cut into chunks of at most `MAX_LINE_ENTRIES` = 2^23 entries,
 the longest line the lattice admits (N_j + 1 <= 2^23), so a chunk holds
 at least one line.  Reading a chunk takes at most about 9 bytes per
-entry (72 MiB at the limit), besides a few int64 per anchor of the chunk.
+entry (72 MiB at the limit), besides a few int64 per row of the chunk
+and window entry.
 """
 
 from __future__ import annotations
@@ -170,21 +176,32 @@ def _box_corners(start: np.ndarray, stop: np.ndarray, strides: np.ndarray,
     return even, odd
 
 
-def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int) -> tuple:
-    """Every anchor's local knot vector in direction j, read from one
-    count table, as (local, fits).
+def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int, centre: np.ndarray,
+                  offset, length, truncate=False, follow=None) -> tuple:
+    """Windows of the global knot vectors in direction j, all read from
+    one count table, as (window, fits).
 
-    `boxes` is the (anchors, d, 2) array of `anchor_set`.  The anchors
-    that share their components off j share a line, so a global vector;
-    one `np.unique` over the packed corners of their boxes in the table
-    finds the lines.  Slice n is in a line's vector exactly when the
-    box's count of unset points on n, summed from its 2^(d-1) corners,
-    is 0.  The lines are read `MAX_LINE_ENTRIES` table entries at a time,
-    and each anchor's window is bisected from the flat positions of its
-    chunk's vector entries.  `fits[i]` is False exactly where
-    `local_knot_vector` raises for anchor i, and row i of `local` is
-    then meaningless."""
-    p, width = mesh.domain.degrees[j], mesh.domain.extents[j] + 1
+    Row i reads the vector of the line of `boxes[i]` (its components off
+    j): the run of `length[i]` entries with `centre[i]` at `offset[i]`,
+    cut to the vector's ends where `truncate[i]`, as `_window` cuts it.
+    `offset`, `length` and `truncate` are arrays over the rows or one
+    value for all.  `window` is int64, (rows, largest length); the
+    columns past a row's cut or length repeat its nearest entry, so
+    columns 0 and -1 are the window's first and last entries.  `fits[i]`
+    is False exactly where `_window` raises for row i, or where
+    `follow[i]` is not the entry right after the centre, the adjacency
+    check of `local_knot_vector` and `suitability.gtj` (a `follow` of
+    None checks no row, and -1 skips row i); row i of `window` is then
+    meaningless.
+
+    The rows that share their components off j share a line, so a
+    global vector; one `np.unique` over the packed corners of their
+    boxes in the table finds the lines.  Slice n is in a line's vector
+    exactly when the box's count of unset points on n, summed from its
+    2^(d-1) corners, is 0.  The lines are read `MAX_LINE_ENTRIES` table
+    entries at a time, and each row's centre is bisected among the flat
+    positions of its chunk's vector entries."""
+    width = mesh.domain.extents[j] + 1
     table = _count_table(mesh, j)
     rows = table.reshape(-1, width)
     other = [k for k in range(mesh.dim) if k != j]
@@ -199,11 +216,17 @@ def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int) -> tuple:
     plus, minus = _box_corners(stop[first], start[first], strides,
                                range(len(other)))
 
-    offset, length = (p + 1) // 2, p + 2
-    local = np.zeros((len(boxes), length), dtype=np.int64)
+    columns = np.arange(length.max(initial=0)
+                        if isinstance(length, np.ndarray) else length)
+    window = np.zeros((len(boxes), len(columns)), dtype=np.int64)
     fits = np.zeros(len(boxes), dtype=bool)
-    order = np.argsort(inverse, kind="stable")
     per = max(1, MAX_LINE_ENTRIES // width)
+    # one chunk reads every row in order; more select theirs by line
+    order = np.argsort(inverse, kind="stable") if len(lines) > per else None
+
+    def per_row(value):   # the chunk's rows of an array, or the one value
+        return value[sel] if isinstance(value, np.ndarray) else value
+
     for s in range(0, len(lines), per):
         chunk = slice(s, s + per)
         misses = rows[plus[0][chunk]]
@@ -215,22 +238,38 @@ def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int) -> tuple:
         del misses
         counts = np.count_nonzero(inside, axis=1)
         ends = np.cumsum(counts)
-        # the entries n of the chunk's vectors, as (line - s) * width + n
-        flat = np.flatnonzero(inside)
-        sel = order[np.searchsorted(inverse, s, sorter=order):
-                    np.searchsorted(inverse, s + per, sorter=order)]
+        # the entries n of the chunk's vectors, as (line - s) * width + n,
+        # and a sentinel that is none of them
+        flat = np.concatenate((np.flatnonzero(inside), (-1,)))
+        sel = slice(None) if order is None else order[
+            np.searchsorted(inverse, s, sorter=order):
+            np.searchsorted(inverse, s + per, sorter=order)]
         line = inverse[sel] - s
-        begin = np.searchsorted(flat, line * width + boxes[sel, j, 0]) - offset
-        ok = np.flatnonzero((begin >= ends[line] - counts[line])
-                            & (begin + length <= ends[line]))
-        sel, window = sel[ok], flat[begin[ok, None] + np.arange(length)]
-        window -= (line[ok] * width)[:, None]
-        local[sel] = window
-        # the anchor's component sits in the middle of its window
-        fits[sel] = window[:, offset] == boxes[sel, j, 0]
-        if p % 2 == 0:
-            fits[sel] &= window[:, offset + 1] == boxes[sel, j, 1]
-    return local, fits
+        base = line * width
+        hi = ends[line]   # the line's entries are flat[hi - counts:hi]
+        lo = hi - counts[line]
+        del line
+        at = np.searchsorted(flat[:-1], base + centre[sel])
+        begin = at - per_row(offset)
+        cut = begin + per_row(length)
+        ok = (flat[at] == base + centre[sel]) & (
+            per_row(truncate) | ((begin >= lo) & (cut <= hi)))
+        if follow is not None:
+            # the entry after the centre's is in the next line or the
+            # sentinel when it is not in the centre's own
+            after = flat[np.minimum(at + 1, hi)] == base + follow[sel]
+            ok &= after | (follow[sel] < 0)
+        fits[sel] = ok
+        del at, ok
+        np.minimum(cut, hi, out=cut)
+        cut -= 1
+        pos = begin[:, None] + columns
+        np.maximum(pos, lo[:, None], out=pos)
+        np.minimum(pos, cut[:, None], out=pos)
+        pos = flat[pos]
+        pos -= base[:, None]
+        window[sel] = pos
+    return window, fits
 
 
 def anchor_arrays(mesh: TMesh) -> AnchorArrays:
@@ -244,7 +283,12 @@ def anchor_arrays(mesh: TMesh) -> AnchorArrays:
         anchors = anchor_set(mesh)
         d = mesh.dim
         boxes = np.array(anchors, dtype=np.int64).reshape(len(anchors), d, 2)
-        local, fits = zip(*(_line_windows(mesh, boxes, j) for j in range(d)))
+        # the p + 2 entries around the component; for an even degree
+        # its endpoints are the two middle ones
+        local, fits = zip(*(_line_windows(
+            mesh, boxes, j, boxes[:, j, 0], (p + 1) // 2, p + 2,
+            follow=boxes[:, j, 1] if p % 2 == 0 else None)
+            for j, p in enumerate(mesh.domain.degrees)))
         bad = ~np.logical_and.reduce(fits)
         if bad.any():
             index_support(mesh, anchors[int(bad.argmax())])   # raises

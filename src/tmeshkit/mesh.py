@@ -31,19 +31,21 @@ building, refining, saving and loading a mesh never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
 log.  Derived structures (lattice rasters, T-junction tables, global
-knot vectors per line, anchor arrays, extensions, pair scans) are
-memoized per instance, each once, under the function that builds it.
-What is only a window, filter or verdict over a memoized structure (a
-local knot vector, a support, the SGAS/WGAS/SDC/WDC and admissibility
-verdicts) is read off it on each call, and AAS is scanned on each call.
+knot vectors per line, anchor arrays, the extension-box table, pair
+scans) are memoized per instance, each once, under the function that
+builds it.  What is only a window, filter or verdict over a memoized
+structure (a local knot vector, a support, one junction's extension,
+the SGAS/WGAS/SDC/WDC and admissibility verdicts) is read off it or
+built on each call, and AAS is scanned on each call.
 The memo is build-once and safe for concurrent readers.  The box queries (`hull_in_skeleton`,
 `open_entity_meets_skeleton`, `anchors.global_knot_vector`) take closed
 integer boxes of the domain and raise for any other (`check_index_box`).
 
-Refinement is local, and `subdiv` hands the child every memo entry of
-its parent that the bisection provably leaves unchanged.  A "measured,
-keep" note gives the benchmark with and without a rule (an ablation on a
-2-vCPU host, `--seconds 5`, 4-6 alternated pairs).  Bisecting a
+Refinement is local, and `subdiv` hands the child the parts of its
+parent's masks and tables that the bisection provably leaves unchanged.
+A "measured, keep" note gives the benchmark with and without a rule (an
+ablation on a 2-vCPU host, `--seconds 5`, 4-6 alternated pairs, unless
+it says otherwise).  Bisecting a
 cell at x_j = m replaces, inside the closed refinement box D, the
 entities whose j-component is the cell's by their halves and middles.
 As point sets nothing moves: the skeletons grow only by the hyperfaces
@@ -55,12 +57,6 @@ mask changes.  So:
   closure is the union of its halves' and middle's, so mask k != j is
   shared by identity (read-only); mask j is copied and grown by those
   hyperfaces.
-- `("gkv", line, k)`, a box with its k-component (0, N_k), reads mask k
-  over the line's closure.  It is carried when k != j, as mask k is
-  shared, and when the line misses closed D in a direction other than
-  j, as mask j grew only inside D.  Measured: `conj-stream` 1205 -> 1114
-  ops/s without it at first, 1471 -> 1464 (within noise, 10 pairs) once
-  the `gtj` carry had cut the knot-vector reads.
 - `"tjunctions"`, the table, is the sorted merge of three parts.  A
   parent junction t is carried as is unless its closure meets
   D & {x_j = m} or its associated cell was split.  The four valence
@@ -76,23 +72,30 @@ mask changes.  So:
   probe: the masks only grow, so a valence never falls, and an old
   entity of valence 4 stays at 4.  Measured, keep: `conj-stream` 1650
   -> 1490 ops/s re-probing every junction whose closure meets D off j.
-- `("gtj", t)` is carried when t's closure misses closed D in a
-  direction other than j: t then keeps its record, by the argument
-  above, and every knot vector its extension reads, by the rule for
-  `gkv`.  It is also carried when t's child record equals the one it was
-  built from and m is not strictly inside its j-span.  Masks k != j are
-  shared, so only the direction-j knot vector can change, and only by
-  gaining m; a window whose span does not strictly contain m keeps its
-  entries (a truncated one ends at 0 or N_j, and 0 < m < N_j), and so
-  do its adjacency and fit checks, which read the window and the
-  record.  Measured, keep: `conj-stream` 1644 -> 1574 ops/s with the
-  first rule alone, and 1157 -> 1061 without the memo and carry,
-  `corpus-classify` flat.
-- A replaced entity lies in D, so the `gtj` keys are entities of the
-  child.  A carried line of direction k != j may hold no child entity;
-  it stays until a bisection in direction k meets it, so the `gkv` keys
-  are at most the lines read on the mesh and its ancestors.  Every
-  other entry is rebuilt when it is first asked for.
+- `"gtj_pairs"`, the extension-box table, is carried by row: the child
+  gets `"gtj_rows"`, the parent's boxes by junction entity, and
+  `suitability._gtj_pairs` builds only the junctions without a row, one
+  `gtj` each (a mesh given no rows reads every box in one batch).  The
+  row of a parent junction t is carried when t's closure misses closed
+  D in a direction other than j: t then keeps its record, by the
+  argument above, and every knot vector its extension reads, as each
+  is read over a line through t's closure, from mask k != j (shared) or
+  from mask j away from D (unchanged).  It is also carried when t's
+  child record equals the parent's and m is not strictly inside the
+  box's j-span.  Masks k != j are shared, so only the direction-j knot
+  vector can change, and only by gaining m; a window whose span does
+  not strictly contain m keeps its entries (a truncated one ends at 0
+  or N_j, and 0 < m < N_j), and so do its adjacency and fit checks,
+  which read the window and the record.  Measured, keep: `conj-stream`
+  1644 -> 1574 ops/s with the first rule alone and 1157 -> 1061 without
+  any carry (both on per-junction entries); the batch takes 0.6-0.9 ms
+  on a stream candidate, whose whole step takes about 0.6 ms with the
+  rows.
+- Every other entry, the per-line knot vectors (`gkv`) among them, is
+  rebuilt when it is first asked for.  Measured: carrying the knot
+  vectors a bisection leaves unchanged moved `conj-stream` within its
+  noise once the extension rows were carried (10 pairs at
+  `--seconds 15`: 1432 [1400-1498] ops/s with, 1377 without).
 """
 
 from __future__ import annotations
@@ -382,9 +385,10 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
       closure, and a closed integer box holding such a point meets it)
       or its associated cell was split; `added`, the new entities per
       bucket, are probed too;
-    - `("gtj", t)` is carried when t misses D off j, or when t's child
-      record is the one it was built from and m is not strictly inside
-      its j-span: the direction-j knot vector can only gain m.
+    - the row of t in the extension-box table is carried, under
+      `"gtj_rows"`, when t misses D off j, or when t's child record is
+      the parent's and m is not strictly inside the box's j-span: the
+      direction-j knot vector can only gain m.
 
     The module docstring gives the full argument and the measurements."""
     memo = parent._memo
@@ -425,18 +429,15 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
             records = {t.entity: t for t in seeded["tjunctions"]}
         except ClassificationAmbiguous:
             pass   # a cold build reports the smallest corrupt entity
-    for key, value in tuple(memo.items()):   # a snapshot, for concurrent builds
-        kind = key[0]   # a string key's first letter matches neither kind
-        if kind == "gkv":
-            carry = key[2] != j or _misses(key[1], others)
-        elif kind == "gtj":
-            lo, hi = value.region[j]
-            carry = (not lo < m < hi and records.get(key[1]) == value.tjunction
-                     ) or _misses(key[1], others)
-        else:
-            continue
-        if carry:
-            seeded[key] = value
+    if "gtj_pairs" in memo:
+        tjs, boxes = memo["gtj_pairs"][:2]
+        rows = {}
+        for t, box in zip(tjs, boxes.tolist()):
+            lo, hi = box[j]
+            if ((not lo < m < hi and records.get(t.entity) == t)
+                    or _misses(t.entity, others)):
+                rows[t.entity] = box
+        seeded["gtj_rows"] = rows
 
 
 def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:

@@ -251,9 +251,10 @@ def test_direction_queries_refuse_directions_outside_the_mesh():
 
 
 # the memo kinds of a classified mesh: each derived structure once, under
-# the function that builds it (and the oracle's direct knot vectors)
+# the function that builds it (and the oracle's direct knot vectors), and
+# the extension-box rows `subdiv` seeds a child with
 MEMO_KINDS = {"skeleton_mask", "tjunctions", "anchors", "gkv", "anchor_arrays",
-              "gtj", "gtj_pairs", "dc_pairs", "direct_anchor_knots"}
+              "gtj_pairs", "gtj_rows", "dc_pairs", "direct_anchor_knots"}
 
 
 def test_classified_meshes_memoize_each_structure_once(corpus200):

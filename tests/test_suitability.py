@@ -1,11 +1,15 @@
 import re
 from importlib import resources
 
+import numpy as np
 import pytest
-from conftest import crossing_4d_mesh
+from conftest import cross_mesh, crossing_4d_mesh
 
+from tmeshkit import dualcompat, suitability, verify
 from tmeshkit import fixtures as fx
-from tmeshkit.mesh import TMesh, build_framed_mesh, is_admissible
+from tmeshkit.anchors import MAX_LINE_ENTRIES, InsufficientKnots
+from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
+                           create_tensor_mesh, is_admissible, subdiv)
 from tmeshkit.meshio import load_mesh
 from tmeshkit.regions import BoxRegion
 from tmeshkit.suitability import (NonAdjacentCellBounds, atj_slice, atj_union,
@@ -173,3 +177,108 @@ def test_gtj_refuses_a_junction_whose_bounds_are_not_adjacent(degrees,
     message = f"component bounds of {junction!r} not adjacent in direction 1"
     with pytest.raises(NonAdjacentCellBounds, match=f"^{re.escape(message)}$"):
         is_sgas(corrupt)
+
+
+def _cold(mesh):
+    """The same complex with an empty memo."""
+    return TMesh(mesh.domain, mesh.breakpoints, mesh.entities,
+                 mesh.refinement_log)
+
+
+def _assert_table_equals_per_key(mesh):
+    tjs, boxes = suitability._gtj_pairs(_cold(mesh))[:2]
+    assert tjs == find_tjunctions(mesh)
+    expected = np.array([gtj(mesh, t).region for t in tjs],
+                        dtype=np.int64).reshape(len(tjs), mesh.dim, 2)
+    assert boxes.dtype == expected.dtype and np.array_equal(boxes, expected)
+
+
+def test_gtj_table_equals_the_per_key_regions(corpus200, monkeypatch):
+    # a cold mesh reads every extension box in one batch from the count
+    # tables; the per-key `gtj` checks it from outside
+    shipped = [load_mesh(path) for path in sorted(
+        resources.files("tmeshkit").joinpath("data").iterdir(),
+        key=lambda path: path.name) if path.name.endswith(".json")]
+    assert len(shipped) == 4
+    four_d = [subdiv(build_framed_mesh((1, 1, 1, 1), [[0, 2, 4]] * 4),
+                     ((1, 3),) * 4, 3), crossing_4d_mesh()]
+    four_d += [verify.random_admissible_mesh(s, dim=4, max_steps=14)
+               for s in (2, 3, 4)]
+    meshes = four_d + [cross_mesh(16)] + shipped
+    assert sum(len(find_tjunctions(m)) for m in meshes) > 300
+    for _, mesh in corpus200["meshes"]:
+        _assert_table_equals_per_key(mesh)
+    # and in chunks of one line each
+    for limit in (MAX_LINE_ENTRIES, 1):
+        monkeypatch.setattr("tmeshkit.anchors.MAX_LINE_ENTRIES", limit)
+        for mesh in meshes + [m for _, m in corpus200["meshes"][:24]]:
+            _assert_table_equals_per_key(mesh)
+
+
+def _per_key_error(mesh):
+    """The error of a junction-major, direction-minor `gtj` loop."""
+    try:
+        for t in find_tjunctions(mesh):
+            gtj(mesh, t)
+    except (InsufficientKnots, NonAdjacentCellBounds) as e:
+        return str(e)
+    raise AssertionError("every window fits")
+
+
+@pytest.mark.parametrize("extents, degrees, breakpoints, cell, j, message", [
+    # the first junction's pointing window runs past the vector's start
+    ((12, 12), (3, 3), [range(0, 13, 2), [0, 4, 6, 8, 12]],
+     ((2, 4), (4, 6)), 0,
+     "knot window of length 4 does not fit around 0 for ((3, 3), (4, 4))"),
+    # the second of two junctions, past the vector's end
+    ((8, 10), (1, 3), [[0, 2, 6, 8], [0, 1, 6, 7, 10]], ((2, 6), (6, 7)), 0,
+     "knot window of length 4 does not fit around 7 for ((4, 4), (7, 7))"),
+    # the third of four 3-D junctions
+    ((12, 10, 10), (2, 1, 3),
+     [[0, 7, 10, 12], [0, 2, 3, 5, 6, 7, 10], [0, 2, 6, 7, 10]],
+     ((7, 10), (3, 5), (6, 7)), 1,
+     "knot window of length 4 does not fit around 7 for "
+     "((7, 10), (4, 4), (7, 7))"),
+], ids=["first-of-two-2d", "second-of-two-2d", "third-of-four-3d"])
+def test_gtj_table_raises_the_per_key_error(extents, degrees, breakpoints,
+                                            cell, j, message):
+    # a bisection of a tensor mesh with too few slices near its frame:
+    # the complex is valid but not admissible, and the batch refuses the
+    # window the per-key `gtj` refuses, with its text
+    mesh = subdiv(create_tensor_mesh(IndexDomain(extents, degrees),
+                                     breakpoints), cell, j)
+    assert not is_admissible(mesh)[0]
+    assert _per_key_error(_cold(mesh)) == message
+    for classify in (is_sgas, is_wgas):
+        with pytest.raises(InsufficientKnots) as info:
+            classify(_cold(mesh))
+        assert str(info.value) == message
+
+
+def test_cold_classification_builds_no_extension_per_key(corpus200,
+                                                         monkeypatch):
+    # a corpus op on replayed meshes: the six classifiers and Thm 6.2
+    # read every extension box from the batch, and the only knot vectors
+    # read per line are admissibility's whole-domain ones
+    calls = []
+    per_key = suitability.gtj
+
+    def spy(mesh, tj):
+        calls.append(tj)
+        return per_key(mesh, tj)
+
+    monkeypatch.setattr(suitability, "gtj", spy)
+    junctions = 0
+    for sub, built in corpus200["meshes"][:24]:
+        m = verify.replay_prefix(built, len(built.refinement_log))
+        sgas = is_sgas(m)[0]
+        for check in (is_admissible, is_aas, is_wgas, dualcompat.is_sdc,
+                      dualcompat.is_wdc):
+            check(m)
+        if sgas:
+            assert all(atj_union(m, i).subset(gtj_union(m, i))
+                       for i in range(m.dim))
+        junctions += len(find_tjunctions(m))
+        whole = tuple((0, n) for n in m.domain.extents)
+        assert all(key[1] == whole for key in m._memo if key[0] == "gkv")
+    assert junctions > 1000 and calls == []

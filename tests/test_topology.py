@@ -9,7 +9,6 @@ from conftest import cross_mesh
 
 from tmeshkit import fixtures as fx
 from tmeshkit import topology
-from tmeshkit.anchors import global_knot_vector
 from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
                            create_tensor_mesh, hull_inside, singleton_dirs,
                            skeleton_mask, subdiv)
@@ -166,21 +165,26 @@ def test_masks_carried_across_subdiv_equal_fresh_builds(carry_candidates):
         fresh_tjs = {t.entity: t for t in find_tjunctions(fresh)}
         for key, value in seeded.items():
             kind = key if isinstance(key, str) else key[0]
-            assert kind in ("skeleton_mask", "tjunctions", "gkv", "gtj")
+            assert kind in ("skeleton_mask", "tjunctions", "gtj_rows")
             if kind == "tjunctions":
                 assert value == find_tjunctions(fresh) == oracle
-            elif kind == "gkv":
-                # keyed by a line: the box with its own direction widened
-                line, k = key[1], key[2]
-                assert line[k] == (0, m.domain.extents[k])
-                assert value == global_knot_vector(fresh, line, k)
-            elif kind == "gtj":
-                assert key[1] in fresh_tjs   # still a T-junction
-                assert value == gtj(fresh, fresh_tjs[key[1]])
+            elif kind == "gtj_rows":
+                # parent rows of the extension-box table, by junction
+                for e, box in value.items():
+                    assert e in fresh_tjs   # still a T-junction
+                    assert tuple(map(tuple, box)) == gtj(
+                        fresh, fresh_tjs[e]).region
+                    carried["gtj row"] += 1
             carried[kind] += 1
         assert find_tjunctions(m) == oracle
     assert shared > 0
-    assert min(carried[kind] for kind in ("tjunctions", "gkv", "gtj")) > 0
+    assert min(carried[kind] for kind in ("tjunctions", "gtj row")) > 0
+
+
+def _misses_off(e, box, j):
+    """Does e's closure miss the closed box in a direction other than j?"""
+    return any(b < lo or a > hi for k, ((a, b), (lo, hi))
+               in enumerate(zip(e, box)) if k != j)
 
 
 def _meets_plane(e, box, j, m):
@@ -192,10 +196,11 @@ def _meets_plane(e, box, j, m):
 
 def test_carry_rules_are_exact(carry_candidates):
     # subdiv re-probes a parent junction exactly when its closure meets
-    # D & {x_j = m} or its associated cell was split, and carries every
-    # geometric extension whose junction keeps its record and whose open
-    # j-span misses m.  D, the cell's closure widened through the frame
-    # where the cell touches the active region's boundary, is rebuilt here
+    # D & {x_j = m} or its associated cell was split, and carries exactly
+    # the rows of the parent's extension-box table whose junction misses
+    # D off j, or keeps its record while the box's open j-span misses m.
+    # D, the cell's closure widened through the frame where the cell
+    # touches the active region's boundary, is rebuilt here
     checked = Counter()
     for m, seeded, parent, before, probed in carry_candidates:
         if "tjunctions" not in before:
@@ -217,14 +222,17 @@ def test_carry_rules_are_exact(carry_candidates):
         checked["split"] += sum(not _meets_plane(e, box, j, mid)
                                 for e in expected)
         records = {t.entity: t for t in find_tjunctions(m)}
-        for key, value in before.items():
-            if key[0] != "gtj":
-                continue
-            lo, hi = value.region[j]
-            if records.get(key[1]) == value.tjunction and not lo < mid < hi:
-                assert key in seeded
-                checked["gtj"] += 1
-    assert checked["split"] > 0 and checked["gtj"] > 0
+        tjs, boxes = before["gtj_pairs"][:2]
+        rows = {}
+        for t, row in zip(tjs, boxes.tolist()):
+            lo, hi = row[j]
+            if (records.get(t.entity) == t and not lo < mid < hi
+                    or _misses_off(t.entity, box, j)):
+                rows[t.entity] = row
+        assert seeded["gtj_rows"] == rows
+        checked["gtj"] += len(rows)
+        checked["gtj dropped"] += len(tjs) - len(rows)
+    assert min(checked.values()) > 0
 
 
 def test_corrupt_complex_is_ambiguous():
