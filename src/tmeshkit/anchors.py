@@ -177,22 +177,21 @@ def _box_corners(start: np.ndarray, stop: np.ndarray, strides: np.ndarray,
 
 
 def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int, centre: np.ndarray,
-                  offset, length, truncate=False, follow=None) -> tuple:
+                  offset, length, truncate=False, follow=-1) -> tuple:
     """Windows of the global knot vectors in direction j, all read from
     one count table, as (window, fits).
 
     Row i reads the vector of the line of `boxes[i]` (its components off
     j): the run of `length[i]` entries with `centre[i]` at `offset[i]`,
     cut to the vector's ends where `truncate[i]`, as `_window` cuts it.
-    `offset`, `length` and `truncate` are arrays over the rows or one
-    value for all.  `window` is int64, (rows, largest length); the
-    columns past a row's cut or length repeat its nearest entry, so
-    columns 0 and -1 are the window's first and last entries.  `fits[i]`
-    is False exactly where `_window` raises for row i, or where
-    `follow[i]` is not the entry right after the centre, the adjacency
-    check of `local_knot_vector` and `suitability.gtj` (a `follow` of
-    None checks no row, and -1 skips row i); row i of `window` is then
-    meaningless.
+    `offset`, `length`, `truncate` and `follow` are broadcast over the
+    rows.  `window` is int64, (rows, largest length); the columns past a
+    row's cut or length repeat its nearest entry, so columns 0 and -1
+    are the window's first and last entries.  `fits[i]` is False exactly
+    where `_window` raises for row i, or where `follow[i]` is not the
+    entry right after the centre, the adjacency check of
+    `local_knot_vector` and `suitability.gtj` (a `follow` of -1 checks
+    nothing); row i of `window` is then meaningless.
 
     The rows that share their components off j share a line, so a
     global vector; one `np.unique` over the packed corners of their
@@ -216,17 +215,14 @@ def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int, centre: np.ndarray,
     plus, minus = _box_corners(stop[first], start[first], strides,
                                range(len(other)))
 
-    columns = np.arange(length.max(initial=0)
-                        if isinstance(length, np.ndarray) else length)
+    offset, length, truncate, follow = (np.broadcast_to(v, len(boxes))
+                                        for v in (offset, length, truncate,
+                                                  follow))
+    columns = np.arange(length.max(initial=0))
     window = np.zeros((len(boxes), len(columns)), dtype=np.int64)
     fits = np.zeros(len(boxes), dtype=bool)
+    order = np.argsort(inverse, kind="stable")
     per = max(1, MAX_LINE_ENTRIES // width)
-    # one chunk reads every row in order; more select theirs by line
-    order = np.argsort(inverse, kind="stable") if len(lines) > per else None
-
-    def per_row(value):   # the chunk's rows of an array, or the one value
-        return value[sel] if isinstance(value, np.ndarray) else value
-
     for s in range(0, len(lines), per):
         chunk = slice(s, s + per)
         misses = rows[plus[0][chunk]]
@@ -241,24 +237,22 @@ def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int, centre: np.ndarray,
         # the entries n of the chunk's vectors, as (line - s) * width + n,
         # and a sentinel that is none of them
         flat = np.concatenate((np.flatnonzero(inside), (-1,)))
-        sel = slice(None) if order is None else order[
-            np.searchsorted(inverse, s, sorter=order):
-            np.searchsorted(inverse, s + per, sorter=order)]
+        sel = order[np.searchsorted(inverse, s, sorter=order):
+                    np.searchsorted(inverse, s + per, sorter=order)]
         line = inverse[sel] - s
         base = line * width
         hi = ends[line]   # the line's entries are flat[hi - counts:hi]
         lo = hi - counts[line]
         del line
         at = np.searchsorted(flat[:-1], base + centre[sel])
-        begin = at - per_row(offset)
-        cut = begin + per_row(length)
+        begin = at - offset[sel]
+        cut = begin + length[sel]
         ok = (flat[at] == base + centre[sel]) & (
-            per_row(truncate) | ((begin >= lo) & (cut <= hi)))
-        if follow is not None:
-            # the entry after the centre's is in the next line or the
-            # sentinel when it is not in the centre's own
-            after = flat[np.minimum(at + 1, hi)] == base + follow[sel]
-            ok &= after | (follow[sel] < 0)
+            truncate[sel] | ((begin >= lo) & (cut <= hi)))
+        # the entry after the centre's is in the next line or the
+        # sentinel when it is not in the centre's own
+        after = follow[sel]
+        ok &= (flat[np.minimum(at + 1, hi)] == base + after) | (after < 0)
         fits[sel] = ok
         del at, ok
         np.minimum(cut, hi, out=cut)
@@ -287,7 +281,7 @@ def anchor_arrays(mesh: TMesh) -> AnchorArrays:
         # its endpoints are the two middle ones
         local, fits = zip(*(_line_windows(
             mesh, boxes, j, boxes[:, j, 0], (p + 1) // 2, p + 2,
-            follow=boxes[:, j, 1] if p % 2 == 0 else None)
+            follow=boxes[:, j, 1] if p % 2 == 0 else -1)
             for j, p in enumerate(mesh.domain.degrees)))
         bad = ~np.logical_and.reduce(fits)
         if bad.any():

@@ -72,10 +72,12 @@ mask changes.  So:
   probe: the masks only grow, so a valence never falls, and an old
   entity of valence 4 stays at 4.  Measured, keep: `conj-stream` 1650
   -> 1490 ops/s re-probing every junction whose closure meets D off j.
-- `"gtj_pairs"`, the extension-box table, is carried by row: the child
-  gets `"gtj_rows"`, the parent's boxes by junction entity, and
-  `suitability._gtj_pairs` builds only the junctions without a row, one
-  `gtj` each (a mesh given no rows reads every box in one batch).  The
+- `"gtj_table"`, the extension-box table, is carried by row: the child
+  gets `"gtj_rows"`, (junction, box) pairs of the parent's table, and
+  `suitability._gtj_table` builds only the junctions without a row, one
+  `gtj` each, and drops the rows (a mesh given no rows reads every box
+  in one batch).  A parent that never read its own rows hands them on
+  by the same rule, so a chain of unclassified meshes keeps them.  The
   row of a parent junction t is carried when t's closure misses closed
   D in a direction other than j: t then keeps its record, by the
   argument above, and every knot vector its extension reads, as each
@@ -385,10 +387,11 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
       closure, and a closed integer box holding such a point meets it)
       or its associated cell was split; `added`, the new entities per
       bucket, are probed too;
-    - the row of t in the extension-box table is carried, under
-      `"gtj_rows"`, when t misses D off j, or when t's child record is
-      the parent's and m is not strictly inside the box's j-span: the
-      direction-j knot vector can only gain m.
+    - the row of t in the extension-box table, or in the rows the parent
+      was seeded with if it never read them, is carried under
+      `"gtj_rows"` as (t, box) when t misses D off j, or when t's child
+      record is the parent's and m is not strictly inside the box's
+      j-span: the direction-j knot vector can only gain m.
 
     The module docstring gives the full argument and the measurements."""
     memo = parent._memo
@@ -429,15 +432,14 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
             records = {t.entity: t for t in seeded["tjunctions"]}
         except ClassificationAmbiguous:
             pass   # a cold build reports the smallest corrupt entity
-    if "gtj_pairs" in memo:
-        tjs, boxes = memo["gtj_pairs"][:2]
-        rows = {}
-        for t, box in zip(tjs, boxes.tolist()):
-            lo, hi = box[j]
-            if ((not lo < m < hi and records.get(t.entity) == t)
-                    or _misses(t.entity, others)):
-                rows[t.entity] = box
-        seeded["gtj_rows"] = rows
+    # the parent's table, or the rows it was seeded with and never read
+    table = memo.get("gtj_table")
+    rows = zip(table[0], table[1].tolist()) if table else memo.get("gtj_rows")
+    if rows is not None:
+        seeded["gtj_rows"] = [
+            (t, row) for t, row in rows
+            if (not row[j][0] < m < row[j][1] and records.get(t.entity) == t)
+            or _misses(t.entity, others)]
 
 
 def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:

@@ -20,16 +20,17 @@ summed-area counts per direction give the extension.  Only the slices
 that some but not all of their supports have in their knot vectors are
 painted; the others are empty.
 
-SGAS and WGAS share one table: `_gtj_pairs` holds, once per mesh, the
-junctions, their extension boxes and the junction pairs with different
-orthogonal directions whose boxes meet, and WGAS keeps those whose
-pointing directions differ too.  On a cold mesh `_gtj_boxes` reads
-every box in one batch, one `anchors._line_windows` call per direction
-over the count table the anchors' windows come from; a mesh made by
-`subdiv` starts with the rows of its parent's table that the bisection
-leaves unchanged (`tmeshkit.mesh`), and `gtj` builds the others.  The
-public `gtj`, one extension with its knot vectors, is built on each
-call and checks the batch from outside; `gtj_union` reads the table.
+`_gtj_table` holds, once per mesh, the junctions and their extension
+boxes.  On a cold mesh `_gtj_boxes` reads every box in one batch, one
+`anchors._line_windows` call per direction over the count table the
+anchors' windows come from; a mesh made by `subdiv` starts with the
+rows of its parent's table that the bisection leaves unchanged
+(`tmeshkit.mesh`), and `gtj` builds the others.  SGAS and WGAS share
+`_gtj_pairs`, the junction pairs with different orthogonal directions
+whose boxes meet, swept once per mesh over the table; WGAS keeps those
+whose pointing directions differ too.  `gtj_union` reads the table
+alone, so it sweeps no pairs.  The public `gtj`, one extension with its
+knot vectors, is built on each call and checks the batch from outside.
 Measured (masks and junctions built): the batch took 0.10 s for the
 200 corpus meshes where `gtj` took 0.26 s, and won on all 74 of 100 or
 more junctions, but it costs about 0.7 ms on a cold 3-D mesh of 4-7
@@ -330,37 +331,49 @@ def _gtj_boxes(mesh: TMesh, tjs: tuple) -> np.ndarray:
 
 def gtj_union(mesh: TMesh, i: int) -> BoxRegion:
     """Union of geometric extensions of all i-orthogonal T-junctions,
-    read from `_gtj_pairs`' table."""
-    tjs, boxes = _gtj_pairs(mesh)[:2]
+    read from `_gtj_table`."""
+    tjs, boxes = _gtj_table(mesh)
     mine = np.array([tj.odir == i for tj in tjs], dtype=bool)
     return BoxRegion(mesh.dim, {tuple(map(tuple, box))
                                 for box in boxes[mine].tolist()})
 
 
-def _gtj_pairs(mesh: TMesh) -> tuple:
-    """The junctions, their extension boxes as an (n, d, 2) int64 array,
-    and the index pairs (ia < ib, in lexicographic order) of junctions
-    with different orthogonal directions whose boxes meet: the SGAS
-    witnesses, of which WGAS keeps those whose pointing directions also
-    differ.
+def _gtj_table(mesh: TMesh) -> tuple:
+    """The junctions and their extension boxes, as an (n, d, 2) int64
+    array, once per mesh.
 
-    The boxes of a mesh `subdiv` seeded with rows of its parent's table
-    (`"gtj_rows"`, entity -> box) are those rows, and `gtj` builds the
-    others; otherwise `_gtj_boxes` reads them all at once."""
+    A mesh `subdiv` seeded with rows of its parent's table
+    (`"gtj_rows"`, (junction, box) pairs) takes those rows, and `gtj`
+    builds the others; the rows are dropped once read, so the table
+    holds the only copy.  Otherwise `_gtj_boxes` reads every box at once
+    (as it does for a concurrent build that finds the rows gone: the
+    boxes are the same)."""
     def build():
         tjs = find_tjunctions(mesh)
-        rows = mesh._memo.get("gtj_rows")
-        if rows is not None:
-            boxes = np.array([rows.get(tj.entity) or gtj(mesh, tj).region
-                              for tj in tjs], dtype=np.int64)
-        else:
-            boxes = _gtj_boxes(mesh, tjs)
-        boxes = boxes.reshape(len(tjs), mesh.dim, 2)
+        rows = mesh._memo.pop("gtj_rows", None)
+        if rows is None:
+            return tjs, _gtj_boxes(mesh, tjs)
+        carried = {t.entity: box for t, box in rows}
+        boxes = np.array([carried.get(tj.entity) or gtj(mesh, tj).region
+                          for tj in tjs], dtype=np.int64)
+        return tjs, boxes.reshape(len(tjs), mesh.dim, 2)
+    return mesh.memo("gtj_table", build)
+
+
+def _gtj_pairs(mesh: TMesh) -> tuple:
+    """The table of `_gtj_table` and the index pairs (ia < ib, in
+    lexicographic order) of junctions with different orthogonal
+    directions whose boxes meet: the SGAS witnesses, of which WGAS keeps
+    those whose pointing directions also differ.  The pairs are swept
+    once per mesh."""
+    tjs, boxes = _gtj_table(mesh)
+
+    def build():
         ia, ib = meeting_pairs(boxes)
         odir = np.array([tj.odir for tj in tjs], dtype=np.int64)
         keep = odir[ia] != odir[ib]
-        return tjs, boxes, ia[keep], ib[keep]
-    return mesh.memo("gtj_pairs", build)
+        return ia[keep], ib[keep]
+    return (tjs, boxes) + mesh.memo("gtj_pairs", build)
 
 
 def _gas_rows(tjs: tuple, boxes: np.ndarray, ia: np.ndarray, ib: np.ndarray,

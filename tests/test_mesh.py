@@ -251,10 +251,9 @@ def test_direction_queries_refuse_directions_outside_the_mesh():
 
 
 # the memo kinds of a classified mesh: each derived structure once, under
-# the function that builds it (and the oracle's direct knot vectors), and
-# the extension-box rows `subdiv` seeds a child with
+# the function that builds it (and the oracle's direct knot vectors)
 MEMO_KINDS = {"skeleton_mask", "tjunctions", "anchors", "gkv", "anchor_arrays",
-              "gtj_pairs", "gtj_rows", "dc_pairs", "direct_anchor_knots"}
+              "gtj_table", "gtj_pairs", "dc_pairs", "direct_anchor_knots"}
 
 
 def test_classified_meshes_memoize_each_structure_once(corpus200):

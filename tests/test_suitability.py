@@ -8,7 +8,7 @@ from conftest import cross_mesh, crossing_4d_mesh
 from tmeshkit import dualcompat, suitability, verify
 from tmeshkit import fixtures as fx
 from tmeshkit.anchors import MAX_LINE_ENTRIES, InsufficientKnots
-from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
+from tmeshkit.mesh import (IndexDomain, MeshError, TMesh, build_framed_mesh,
                            create_tensor_mesh, is_admissible, subdiv)
 from tmeshkit.meshio import load_mesh
 from tmeshkit.regions import BoxRegion
@@ -186,7 +186,7 @@ def _cold(mesh):
 
 
 def _assert_table_equals_per_key(mesh):
-    tjs, boxes = suitability._gtj_pairs(_cold(mesh))[:2]
+    tjs, boxes = suitability._gtj_table(_cold(mesh))
     assert tjs == find_tjunctions(mesh)
     expected = np.array([gtj(mesh, t).region for t in tjs],
                         dtype=np.int64).reshape(len(tjs), mesh.dim, 2)
@@ -282,3 +282,52 @@ def test_cold_classification_builds_no_extension_per_key(corpus200,
         whole = tuple((0, n) for n in m.domain.extents)
         assert all(key[1] == whole for key in m._memo if key[0] == "gkv")
     assert junctions > 1000 and calls == []
+
+
+def test_gtj_union_sweeps_no_pairs(monkeypatch):
+    # the union reads the box table alone: with the pair sweep's limit
+    # below this mesh's candidate count SGAS refuses, and the union and
+    # the SVG extension layer still build
+    from tmeshkit import regions
+    from tmeshkit.svgexport import extract_layer_region, render_slice_svg
+
+    mesh = cross_mesh(8)
+    tjs = find_tjunctions(mesh)
+    lo, hi = np.array([gtj(mesh, t).region[0] for t in tjs]).T
+    meet = np.maximum.outer(lo, lo) <= np.minimum.outer(hi, hi)
+    candidates = int(np.triu(meet, 1).sum())   # the sweep's, by brute force
+    assert candidates > 100
+    monkeypatch.setattr(regions, "MAX_CANDIDATE_PAIRS", candidates - 1)
+    with pytest.raises(MeshError, match=f"{candidates} candidate box pairs"):
+        is_sgas(_cold(mesh))
+    cold = _cold(mesh)
+    for i in range(mesh.dim):
+        expected = BoxRegion(mesh.dim, {gtj(mesh, t).region for t in tjs
+                                        if t.odir == i})
+        assert gtj_union(cold, i).equals(expected)
+    svg = render_slice_svg(_cold(mesh), layers=("gtj",))
+    assert not extract_layer_region(svg, "gtj").is_empty()
+    monkeypatch.setattr(regions, "MAX_CANDIDATE_PAIRS", candidates)
+    assert not is_sgas(cold)[0]
+
+
+def test_gtj_rows_pass_through_a_mesh_that_never_read_them():
+    # a classified parent seeds its child with rows of its table; the
+    # child, never classified, hands them on by the same rule, and the
+    # grandchild's table drops them once read
+    parent = cross_mesh(8)
+    is_sgas(parent)
+    child = subdiv(parent, ((2, 10), (2, 10)), 1)
+    assert "gtj_table" not in child._memo
+    grandchild = subdiv(child, ((2, 10), (18, 26)), 0)
+    rows = grandchild._memo["gtj_rows"]
+    records = {t.entity: t for t in find_tjunctions(_cold(grandchild))}
+    assert 0 < len(rows) < len(child._memo["gtj_rows"])
+    for t, box in rows:
+        assert records[t.entity] == t
+        assert tuple(map(tuple, box)) == gtj(_cold(grandchild), t).region
+    ok, witnesses = is_sgas(grandchild)
+    assert "gtj_rows" not in grandchild._memo
+    cold_ok, cold_witnesses = is_sgas(_cold(grandchild))
+    assert (ok, tuple(witnesses)) == (cold_ok, tuple(cold_witnesses))
+    _assert_table_equals_per_key(grandchild)

@@ -169,11 +169,10 @@ def test_masks_carried_across_subdiv_equal_fresh_builds(carry_candidates):
             if kind == "tjunctions":
                 assert value == find_tjunctions(fresh) == oracle
             elif kind == "gtj_rows":
-                # parent rows of the extension-box table, by junction
-                for e, box in value.items():
-                    assert e in fresh_tjs   # still a T-junction
-                    assert tuple(map(tuple, box)) == gtj(
-                        fresh, fresh_tjs[e]).region
+                # (junction, box) rows of the parent's extension-box table
+                for t, box in value:
+                    assert fresh_tjs.get(t.entity) == t   # its record
+                    assert tuple(map(tuple, box)) == gtj(fresh, t).region
                     carried["gtj row"] += 1
             carried[kind] += 1
         assert find_tjunctions(m) == oracle
@@ -222,13 +221,13 @@ def test_carry_rules_are_exact(carry_candidates):
         checked["split"] += sum(not _meets_plane(e, box, j, mid)
                                 for e in expected)
         records = {t.entity: t for t in find_tjunctions(m)}
-        tjs, boxes = before["gtj_pairs"][:2]
-        rows = {}
+        tjs, boxes = before["gtj_table"]
+        rows = []
         for t, row in zip(tjs, boxes.tolist()):
             lo, hi = row[j]
             if (records.get(t.entity) == t and not lo < mid < hi
                     or _misses_off(t.entity, box, j)):
-                rows[t.entity] = row
+                rows.append((t, row))
         assert seeded["gtj_rows"] == rows
         checked["gtj"] += len(rows)
         checked["gtj dropped"] += len(tjs) - len(rows)

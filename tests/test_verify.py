@@ -418,8 +418,8 @@ ABSTRACT_EXTENSION_PATHS = {
     ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap",
                         "anchor_arrays", "_line_windows", "_count_table",
                         "_box_corners"}),
-    ("gtj_disjointness_oracle", {"meeting_pairs", "_gtj_pairs", "_gtj_boxes",
-                                 "_line_windows", "_count_table",
+    ("gtj_disjointness_oracle", {"meeting_pairs", "_gtj_pairs", "_gtj_table",
+                                 "_gtj_boxes", "_line_windows", "_count_table",
                                  "_box_corners"}),
 ])
 def test_oracles_reach_none_of_the_paths_they_check(oracle, checked):
