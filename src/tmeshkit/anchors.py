@@ -17,7 +17,10 @@ global vector from a memoized count table took `corpus-classify` from
 141 to 120 ops/s.
 
 `anchor_arrays`, the one per-anchor store, holds every anchor's local
-vectors and support as arrays for the pair scans.  It is built without
+vectors and support as arrays for the pair scans, and per direction
+the distinct local vectors with each anchor's id among them, for the
+DC pair flags and the collocation tables (`_unique_rows`, the one
+distinct-rows helper, which `suitability` uses too).  It is built without
 a per-key call: per direction j, one summed-area table counts the unset
 points of mask j on every slice x_j = n (`_count_table`), and
 `_line_windows` reads from it the global vector of every distinct
@@ -137,10 +140,29 @@ class AnchorArrays(NamedTuple):
     `local[j]` is the (n_anchors, p_j + 2) int64 array of local knot
     vectors in direction j; `support` the (n_anchors, d, 2) int64 array
     of index supports.  A local vector is a run of the global one, so
-    inside the support they hold the same indices.
+    inside the support they hold the same indices.  `windows[j]` holds
+    the distinct rows of `local[j]`, in `_unique_rows` order, and
+    `window_id[j]` each anchor's int64 row in it: `windows[j][window_id[j]]`
+    is `local[j]`, and two anchors have equal vectors in direction j
+    exactly when their ids are equal.
     """
     local: tuple
     support: np.ndarray
+    windows: tuple
+    window_id: tuple
+
+
+def _unique_rows(rows: np.ndarray) -> tuple:
+    """The distinct rows of a 2-D array, sorted by `np.lexsort` of its
+    columns (the last column first), and each row's int64 index among
+    them."""
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return rows[first], ids
 
 
 def _count_table(mesh: TMesh, j: int) -> np.ndarray:
@@ -289,5 +311,7 @@ def anchor_arrays(mesh: TMesh) -> AnchorArrays:
             raise AssertionError("a window the batch refused fits")
         support = np.stack([np.stack([v[:, 0], v[:, -1]], axis=1)
                             for v in local], axis=1)
-        return AnchorArrays(local=local, support=support)
+        windows, window_id = zip(*map(_unique_rows, local))
+        return AnchorArrays(local=local, support=support, windows=windows,
+                            window_id=window_id)
     return mesh.memo("anchor_arrays", build)

@@ -11,10 +11,20 @@ overlap in at least d-1 directions.
 
 Both classifiers read one scan per mesh (`_pair_flags`): the anchor
 pairs whose supports meet, from `regions.meeting_pairs`, with their
-overlap flags, computed `PAIR_CHUNK` pairs at a time so the temporaries
-stay bounded.  Each call filters that memoized scan, and returns the
-failing pairs as a `Witnesses` sequence over index arrays, the flags
-and `anchor_arrays(mesh).local`, whose tuples are built when read.
+overlap flags.  A direction's flags read only the pair's two local
+vectors, so they are computed once per distinct pair of windows:
+`anchor_arrays` numbers each direction's distinct windows, and per
+chunk of `PAIR_CHUNK` anchor pairs and direction `_windows_overlap`
+runs on the distinct (id, id) pairs of the chunk, whose flags the
+pairs gather.  The chunks still bound the temporaries.  Over the 200
+corpus meshes the 1 211 965 pair-directions hold 83 204 distinct
+window pairs.  Measured, keep (2-vCPU host): the scan took 0.46 s of
+a corpus pass per anchor pair and 0.22 s per window pair (best of 5),
+and `corpus-classify` went from 160 to 181 ops/s (10 alternated
+pairs).  Each call
+filters that memoized scan, and returns the failing pairs as a
+`Witnesses` sequence over index arrays, the flags and
+`anchor_arrays(mesh).local`, whose tuples are built when read.
 """
 
 from __future__ import annotations
@@ -71,14 +81,30 @@ def strongly_partially_overlap(mesh: TMesh, a1: Entity, a2: Entity) -> bool:
     return misses <= 1
 
 
+def _windows_overlap(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """`knots_overlap` of row i of `v1` and row i of `v2`, two (rows, m)
+    arrays of strictly increasing vectors: the hull test, or equal counts
+    of entries inside the common hull with every such entry of the first
+    vector found in the second."""
+    lo = np.maximum(v1[:, :1], v2[:, :1])
+    hi = np.minimum(v1[:, -1:], v2[:, -1:])
+    in1 = (v1 >= lo) & (v1 <= hi)
+    in2 = (v2 >= lo) & (v2 <= hi)
+    found = (v1[:, :, None] == v2[:, None, :]).any(axis=2)
+    return ((lo[:, 0] > hi[:, 0])
+            | ((in1.sum(axis=1) == in2.sum(axis=1))
+               & (found | ~in1).all(axis=1)))
+
+
 def _pair_flags(mesh: TMesh):
     """Anchor pairs whose closed supports meet (all others satisfy both
     relations outright) with their per-direction `knots_overlap` and
     `differs` flags, each a (pairs, d) bool array, built once per mesh.
 
-    For pairs of strictly increasing vectors of one length, overlap is the
-    hull test, or equal counts of entries inside the common hull with
-    every such entry of the first vector found in the second."""
+    A direction's flags read only the pair's two windows, so per chunk
+    and direction `_windows_overlap` runs once per distinct pair of
+    window ids, and the pairs gather its flags; two windows differ
+    exactly when their ids do."""
     def build():
         arrays = anchor_arrays(mesh)
         ia, ib = meeting_pairs(arrays.support)
@@ -86,17 +112,15 @@ def _pair_flags(mesh: TMesh):
         differs = np.empty_like(overlap)
         for s in range(0, len(ia), PAIR_CHUNK):   # bounds the temporaries
             rows = slice(s, s + PAIR_CHUNK)
-            for j, v in enumerate(arrays.local):
-                v1, v2 = v[ia[rows]], v[ib[rows]]
-                lo = np.maximum(v1[:, :1], v2[:, :1])
-                hi = np.minimum(v1[:, -1:], v2[:, -1:])
-                in1 = (v1 >= lo) & (v1 <= hi)
-                in2 = (v2 >= lo) & (v2 <= hi)
-                found = (v1[:, :, None] == v2[:, None, :]).any(axis=2)
-                overlap[rows, j] = ((lo[:, 0] > hi[:, 0])
-                                    | ((in1.sum(axis=1) == in2.sum(axis=1))
-                                       & (found | ~in1).all(axis=1)))
-                differs[rows, j] = (v1 != v2).any(axis=1)
+            for j, (windows, ids) in enumerate(zip(arrays.windows,
+                                                   arrays.window_id)):
+                a, b = ids[ia[rows]], ids[ib[rows]]
+                codes, inverse = np.unique(a * len(windows) + b,
+                                           return_inverse=True)
+                first, second = np.divmod(codes, len(windows))
+                overlap[rows, j] = _windows_overlap(
+                    windows[first], windows[second])[inverse]
+                differs[rows, j] = a != b
         return ia, ib, overlap, differs
     return mesh.memo("dc_pairs", build)
 

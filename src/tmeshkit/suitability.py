@@ -62,8 +62,9 @@ from functools import cache, partial
 
 import numpy as np
 
-from .anchors import (AnchorArrays, _box_corners, _line_windows, _window,
-                      anchor_arrays, global_knot_vector)
+from .anchors import (AnchorArrays, _box_corners, _line_windows,
+                      _unique_rows, _window, anchor_arrays,
+                      global_knot_vector)
 from .mesh import MeshError, TMesh
 from .regions import Box, BoxRegion, meeting_pairs
 from .topology import TJunction, find_tjunctions
@@ -88,14 +89,6 @@ class GeometricExtension:
     region: Box
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, sorted."""
-    rows = rows[np.lexsort(rows.T)]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[first]
-
-
 def _slice_region(arrays: AnchorArrays, d: int, j: int, n: int) -> BoxRegion:
     """Abstract extension inside the slice x_j = n of the anchors in
     `arrays`, as a normalized region.
@@ -111,13 +104,13 @@ def _slice_region(arrays: AnchorArrays, d: int, j: int, n: int) -> BoxRegion:
         return BoxRegion.empty(d)
     sliced = arrays.support[meets].reshape(-1, 2 * d)   # a copy
     sliced[:, 2 * j:2 * j + 2] = n
-    b_in = _unique_rows(sliced[inside]).reshape(-1, 1, d, 2)
-    b_out = _unique_rows(sliced[~inside]).reshape(1, -1, d, 2)
+    b_in = _unique_rows(sliced[inside])[0].reshape(-1, 1, d, 2)
+    b_out = _unique_rows(sliced[~inside])[0].reshape(1, -1, d, 2)
     lo = np.maximum(b_in[..., 0], b_out[..., 0])
     hi = np.minimum(b_in[..., 1], b_out[..., 1])
     hit = (lo <= hi).all(axis=2)
     rows = _unique_rows(np.stack([lo[hit], hi[hit]], axis=2)
-                        .reshape(-1, 2 * d))
+                        .reshape(-1, 2 * d))[0]
     spans = list(map(tuple, rows.reshape(-1, 2).tolist()))
     boxes = list(zip(*[iter(spans)] * d))   # d spans per box
     return BoxRegion(d, boxes).normalize()

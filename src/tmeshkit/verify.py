@@ -351,9 +351,10 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     """Collocation matrix: one column per anchor, one row per point.
 
     Tensor-product evaluation (de Boor, "A Practical Guide to Splines",
-    1978, ch. XVII): per direction, each distinct local knot vector is
-    evaluated once on the distinct coordinates, and the matrix is the
-    product of the gathered tables.  A value outside its spline's
+    1978, ch. XVII): per direction, each distinct local knot vector
+    (`AnchorArrays.windows`) is evaluated once on the distinct
+    coordinates, and the matrix is the product of the tables gathered by
+    the anchors' window ids.  A value outside its spline's
     support is exactly 0.0, and the directions multiply in order 0..d-1,
     so every entry has the bits of the per-anchor product.  The tables
     are gathered into one buffer of `COLLOCATION_BLOCK_ENTRIES` entries,
@@ -362,20 +363,19 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     `MeshError` up front.
     """
     dom = mesh.domain
-    local = anchor_arrays(mesh).local
-    _check_collocation(len(points), len(local[0]))
-    mat = np.ones((len(points), len(local[0])))
+    arrays = anchor_arrays(mesh)
+    _check_collocation(len(points), len(arrays.support))
+    mat = np.ones((len(points), len(arrays.support)))
     rows = max(1, COLLOCATION_BLOCK_ENTRIES // max(1, mat.shape[1]))
     gathered = np.empty((min(rows, len(points)), mat.shape[1]))
     for k in range(dom.dim):
-        windows, w_inv = np.unique(local[k], axis=0, return_inverse=True)
+        windows, w_inv = arrays.windows[k], arrays.window_id[k]
         ts, t_inv = np.unique(points[:, k], return_inverse=True)
         knots = _float_knots(mesh, k)
         table = np.empty((len(ts), len(windows)))
         for col, w in enumerate(windows):
             table[:, col] = bspline_eval_array(knots[w], dom.degrees[k], ts,
                                                domain_right=knots[-1])
-        w_inv = w_inv.reshape(-1)
         for start in range(0, len(points), rows):
             block = mat[start:start + rows]
             out = gathered[:len(block)]

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tmeshkit.mesh import build_framed_mesh, subdiv  # noqa: E402
+from tmeshkit.mesh import TMesh, build_framed_mesh, subdiv  # noqa: E402
 from tmeshkit.verify import random_admissible_mesh  # noqa: E402
 
 CORPUS_SEED = 20260810
@@ -14,6 +14,12 @@ CORPUS_SEED = 20260810
 
 def corpus_subseed(k: int) -> int:
     return (CORPUS_SEED * 1_000_003 + k) % (1 << 62)
+
+
+def cold_copy(mesh):
+    """The same complex with an empty memo."""
+    return TMesh(mesh.domain, mesh.breakpoints, mesh.entities,
+                 mesh.refinement_log)
 
 
 def cross_mesh(L: int):

@@ -4,7 +4,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import cross_mesh, crossing_4d_mesh
+from conftest import cold_copy, cross_mesh, crossing_4d_mesh
 
 from tmeshkit import fixtures as fx
 from tmeshkit.anchors import (MAX_LINE_ENTRIES, InsufficientKnots, _window,
@@ -199,12 +199,6 @@ def test_window_bisection_equals_index_reference():
             v[:4] if value == 0 else v[1:])
 
 
-def _fresh(mesh):
-    """The same complex with an empty memo."""
-    return TMesh(mesh.domain, mesh.breakpoints, mesh.entities,
-                 mesh.refinement_log)
-
-
 def _shipped_meshes():
     return [load_mesh(path) for path in sorted(
         resources.files("tmeshkit").joinpath("data").iterdir(),
@@ -213,7 +207,7 @@ def _shipped_meshes():
 
 def _assert_batch_equals_per_key(mesh):
     anchors = anchor_set(mesh)
-    arrays = anchor_arrays(_fresh(mesh))
+    arrays = anchor_arrays(cold_copy(mesh))
     for j, local in enumerate(arrays.local):
         expected = np.array([local_knot_vector(mesh, a, j) for a in anchors],
                             dtype=np.int64)
@@ -296,9 +290,9 @@ def test_anchor_arrays_raise_the_per_key_error():
             (holed[0], "knot window of length 5 does not fit around 2 for "
                        "((2, 2), (4, 4))"),
             (holed[1], "3 missing from knot vector of ((3, 3), (4, 4))")):
-        assert _per_key_error(_fresh(mesh)) == message
+        assert _per_key_error(cold_copy(mesh)) == message
         with pytest.raises(InsufficientKnots) as info:
-            anchor_arrays(_fresh(mesh))
+            anchor_arrays(cold_copy(mesh))
         assert str(info.value) == message
 
 
@@ -317,6 +311,9 @@ def test_anchor_arrays_on_one_long_line():
         tracemalloc.stop()
     assert np.array_equal(arrays.local[0], x[:, None] + np.arange(-2, 3))
     assert np.array_equal(arrays.support[:, 0], np.stack([x - 2, x + 2], 1))
+    # every window is distinct, so each anchor's id is its own row
+    assert np.array_equal(arrays.windows[0], arrays.local[0])
+    assert np.array_equal(arrays.window_id[0], np.arange(len(x)))
     assert not any(key[0] == "gkv" for key in mesh._memo
                    if isinstance(key, tuple))
     # the arrays themselves take 3.5 MiB; an anchors x (N + 1) miss

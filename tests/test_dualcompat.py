@@ -1,13 +1,17 @@
 import random
 
+import numpy as np
 import pytest
+from conftest import cold_copy, cross_mesh
 
+from tmeshkit import dualcompat
 from tmeshkit import fixtures as fx
-from tmeshkit.anchors import anchor_set, global_knot_vector
-from tmeshkit.dualcompat import (SameAnchor, is_sdc, is_wdc, knots_overlap,
-                                 strongly_partially_overlap,
+from tmeshkit.anchors import anchor_arrays, anchor_set, global_knot_vector
+from tmeshkit.dualcompat import (SameAnchor, _pair_flags, is_sdc, is_wdc,
+                                 knots_overlap, strongly_partially_overlap,
                                  weakly_partially_overlap)
 from tmeshkit.mesh import build_framed_mesh
+from tmeshkit.regions import meeting_pairs
 from tmeshkit.verify import overlap_pair_suite
 
 
@@ -94,3 +98,55 @@ def test_corner_triple_sdc_matches_aas():
 
     mesh, _ = fx.corner_tjunction_triple()
     assert is_sdc(mesh)[0] == is_aas(mesh)[0] == True  # noqa: E712
+
+
+def test_overlap_kernel_runs_once_per_distinct_window_pair(corpus200,
+                                                           monkeypatch):
+    # a direction's flags read only the two windows, so the kernel sees
+    # each distinct (id_a, id_b) pair of a chunk once, and no anchor pair
+    calls = []
+
+    def spy(v1, v2, kernel=dualcompat._windows_overlap):
+        calls.append(len(v1))
+        return kernel(v1, v2)
+
+    monkeypatch.setattr(dualcompat, "_windows_overlap", spy)
+    meshes = [m for _, m in corpus200["meshes"][:24]] + [cross_mesh(16)]
+    received = pair_directions = 0
+    for mesh in map(cold_copy, meshes):
+        arrays = anchor_arrays(mesh)
+        for j, (windows, ids) in enumerate(zip(arrays.windows,
+                                               arrays.window_id)):
+            # equal ids name equal rows, and distinct ids distinct rows
+            assert np.array_equal(windows[ids], arrays.local[j])
+            assert len(set(map(tuple, windows.tolist()))) == len(windows)
+        ia, ib = meeting_pairs(arrays.support)
+        chunk = dualcompat.PAIR_CHUNK
+        expected = [len(set(zip(ids[ia[s:s + chunk]].tolist(),
+                                ids[ib[s:s + chunk]].tolist())))
+                    for s in range(0, len(ia), chunk)
+                    for ids in arrays.window_id]
+        calls.clear()
+        _pair_flags(mesh)
+        assert calls == expected
+        received += sum(calls)
+        pair_directions += len(ia) * mesh.dim
+    assert pair_directions > 100_000
+    assert 5 * received < pair_directions, (received, pair_directions)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_pair_flags_do_not_depend_on_the_chunk(corpus200, monkeypatch, chunk):
+    meshes = [m for _, m in corpus200["meshes"][:12:3]] + [cross_mesh(16)]
+    expected = [(_pair_flags(cold_copy(m)), is_sdc(cold_copy(m)),
+                 is_wdc(cold_copy(m))) for m in meshes]
+    assert any(len(flags[0]) > 7 for flags, _, _ in expected)
+    monkeypatch.setattr(dualcompat, "PAIR_CHUNK", chunk)
+    for mesh, (flags, sdc, wdc) in zip(meshes, expected):
+        chunked = _pair_flags(cold_copy(mesh))
+        assert [(a.dtype, a.shape, a.tobytes()) for a in chunked] == [
+            (a.dtype, a.shape, a.tobytes()) for a in flags]
+        for classify, (ok, witnesses) in ((is_sdc, sdc), (is_wdc, wdc)):
+            ok_chunked, chunked_witnesses = classify(cold_copy(mesh))
+            assert ok_chunked == ok
+            assert tuple(chunked_witnesses) == tuple(witnesses)

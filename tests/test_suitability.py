@@ -3,7 +3,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import cross_mesh, crossing_4d_mesh
+from conftest import cold_copy, cross_mesh, crossing_4d_mesh
 
 from tmeshkit import dualcompat, suitability, verify
 from tmeshkit import fixtures as fx
@@ -179,14 +179,8 @@ def test_gtj_refuses_a_junction_whose_bounds_are_not_adjacent(degrees,
         is_sgas(corrupt)
 
 
-def _cold(mesh):
-    """The same complex with an empty memo."""
-    return TMesh(mesh.domain, mesh.breakpoints, mesh.entities,
-                 mesh.refinement_log)
-
-
 def _assert_table_equals_per_key(mesh):
-    tjs, boxes = suitability._gtj_table(_cold(mesh))
+    tjs, boxes = suitability._gtj_table(cold_copy(mesh))
     assert tjs == find_tjunctions(mesh)
     expected = np.array([gtj(mesh, t).region for t in tjs],
                         dtype=np.int64).reshape(len(tjs), mesh.dim, 2)
@@ -248,10 +242,10 @@ def test_gtj_table_raises_the_per_key_error(extents, degrees, breakpoints,
     mesh = subdiv(create_tensor_mesh(IndexDomain(extents, degrees),
                                      breakpoints), cell, j)
     assert not is_admissible(mesh)[0]
-    assert _per_key_error(_cold(mesh)) == message
+    assert _per_key_error(cold_copy(mesh)) == message
     for classify in (is_sgas, is_wgas):
         with pytest.raises(InsufficientKnots) as info:
-            classify(_cold(mesh))
+            classify(cold_copy(mesh))
         assert str(info.value) == message
 
 
@@ -299,13 +293,13 @@ def test_gtj_union_sweeps_no_pairs(monkeypatch):
     assert candidates > 100
     monkeypatch.setattr(regions, "MAX_CANDIDATE_PAIRS", candidates - 1)
     with pytest.raises(MeshError, match=f"{candidates} candidate box pairs"):
-        is_sgas(_cold(mesh))
-    cold = _cold(mesh)
+        is_sgas(cold_copy(mesh))
+    cold = cold_copy(mesh)
     for i in range(mesh.dim):
         expected = BoxRegion(mesh.dim, {gtj(mesh, t).region for t in tjs
                                         if t.odir == i})
         assert gtj_union(cold, i).equals(expected)
-    svg = render_slice_svg(_cold(mesh), layers=("gtj",))
+    svg = render_slice_svg(cold_copy(mesh), layers=("gtj",))
     assert not extract_layer_region(svg, "gtj").is_empty()
     monkeypatch.setattr(regions, "MAX_CANDIDATE_PAIRS", candidates)
     assert not is_sgas(cold)[0]
@@ -321,13 +315,13 @@ def test_gtj_rows_pass_through_a_mesh_that_never_read_them():
     assert "gtj_table" not in child._memo
     grandchild = subdiv(child, ((2, 10), (18, 26)), 0)
     rows = grandchild._memo["gtj_rows"]
-    records = {t.entity: t for t in find_tjunctions(_cold(grandchild))}
+    records = {t.entity: t for t in find_tjunctions(cold_copy(grandchild))}
     assert 0 < len(rows) < len(child._memo["gtj_rows"])
     for t, box in rows:
         assert records[t.entity] == t
-        assert tuple(map(tuple, box)) == gtj(_cold(grandchild), t).region
+        assert tuple(map(tuple, box)) == gtj(cold_copy(grandchild), t).region
     ok, witnesses = is_sgas(grandchild)
     assert "gtj_rows" not in grandchild._memo
-    cold_ok, cold_witnesses = is_sgas(_cold(grandchild))
+    cold_ok, cold_witnesses = is_sgas(cold_copy(grandchild))
     assert (ok, tuple(witnesses)) == (cold_ok, tuple(cold_witnesses))
     _assert_table_equals_per_key(grandchild)

@@ -407,7 +407,7 @@ def _names_reached(oracle) -> set:
 ABSTRACT_EXTENSION_PATHS = {
     "atj_slice", "_slice_region", "_slice_rasters", "is_aas", "anchor_arrays",
     "_line_windows", "_count_table", "_box_corners", "global_knot_vector",
-    "local_knot_vector", "skeleton_mask"}
+    "local_knot_vector", "skeleton_mask", "_unique_rows"}
 
 
 @pytest.mark.parametrize("oracle, checked", [
@@ -416,8 +416,8 @@ ABSTRACT_EXTENSION_PATHS = {
     ("atj_slice_oracle", ABSTRACT_EXTENSION_PATHS),
     ("aas_oracle", ABSTRACT_EXTENSION_PATHS),
     ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap",
-                        "anchor_arrays", "_line_windows", "_count_table",
-                        "_box_corners"}),
+                        "_windows_overlap", "_unique_rows", "anchor_arrays",
+                        "_line_windows", "_count_table", "_box_corners"}),
     ("gtj_disjointness_oracle", {"meeting_pairs", "_gtj_pairs", "_gtj_table",
                                  "_gtj_boxes", "_line_windows", "_count_table",
                                  "_box_corners"}),
