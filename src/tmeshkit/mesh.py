@@ -22,7 +22,15 @@ bisection in the breakpoints and a walk down the halves give the few
 candidates.  A domain may hold at most `MAX_LATTICE_POINTS` lattice
 points, prod_k (2 N_k + 1), so each mask, and the one bool raster of
 `check_three_direction_assumption`, stays within 16 MiB; `IndexDomain`
-raises `ValueError` past it.  The lattice does not bound the complex, so
+raises `ValueError` past it.  A cold mesh paints each mask in one array
+pass (`_closure_mask`): a +-1 scatter at its hyperfaces' corners, then
+running sums, in a count array of one byte per lattice point (two for
+d > 8), so the build peaks at that array above the masks it returns,
+plus 16 d bytes per hyperface of one direction for their flattened
+bounds.  Measured, keep: `corpus-classify` 203.8 -> 186.5 ops/s painting
+one slice per hyperface.  The sums cost O(lattice) per direction, so
+`subdiv` grows a child's mask by slices instead, as a step adds only a
+few hyperfaces.  The lattice does not bound the complex, so
 a mesh may also hold at most `MAX_ENTITIES` entities: about 150 MiB at
 the ~150 bytes an entity costs at peak while a tensor mesh is built.
 `create_tensor_mesh` and `subdiv` raise `MeshError` past it, before they
@@ -515,24 +523,70 @@ def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
     closed integer box in the skeleton is equivalent to all its lattice
     points being set, which makes the raster an exact query structure.
     One pass over the hyperfaces builds all d masks, memoized together as
-    one tuple; every mask is read-only, because refinement shares them
-    with children.  A direction outside 0..d-1 raises `ValueError`.
+    one tuple (`_closure_mask`, one array pass per direction); every mask
+    is read-only, because refinement shares them with children.  A
+    direction outside 0..d-1 raises `ValueError`.
     """
     if not 0 <= j < mesh.dim:   # the tuple would wrap a negative j
         raise ValueError(f"direction {j} out of range for a mesh of "
                          f"dimension {mesh.dim}")
 
     def build():
-        import numpy as np
-
         shape = tuple(2 * n + 1 for n in mesh.domain.extents)
-        grids = tuple(np.zeros(shape, dtype=bool) for _ in range(mesh.dim))
-        for k, grid in enumerate(grids):
-            for e in mesh.entities[(k,)]:
-                grid[tuple(slice(2 * a, 2 * b + 1) for a, b in e)] = True
-            grid.setflags(write=False)
-        return grids
+        # a chunk's 2^(d-1) int64 corner offsets per face take at most
+        # one byte per lattice point
+        chunk = max(1, math.prod(shape) >> (mesh.dim + 2))
+        return tuple(_closure_mask(mesh.entities[(k,)], k, shape, chunk)
+                     for k in range(mesh.dim))
     return mesh.memo("skeleton_mask", build)[j]
+
+
+def _closure_mask(faces: frozenset, k: int, shape: tuple,
+                  chunk: int) -> np.ndarray:
+    """Read-only bool raster of `shape` holding the closures of the
+    k-orthogonal hyperfaces `faces`.
+
+    A box painting is the inverse of a summed-area table (Crow, SIGGRAPH
+    1984): each face, `chunk` faces at a time, scatters +1 and -1 at the
+    2^(d-1) corners of its closure on its plane x_k = 2a, and a running
+    sum along the d-1 other axes counts the closures over each point.  A
+    corner past the last lattice index is dropped: it would only cancel
+    beyond the lattice.  The faces are disjoint, so a point lies in at
+    most 2^(d-1) closures, one per open orthant of the plane; the count
+    wraps around in an unsigned dtype of at least d bits (uint8 up to
+    d = 8, uint16 for every d the lattice limit admits) and stays exact."""
+    import numpy as np
+
+    d = len(shape)
+    count = np.zeros(shape, dtype=np.uint8 if d <= 8 else np.uint16)
+    flat = count.reshape(-1)
+    strides = np.array(count.strides, dtype=np.int64) // count.itemsize
+    one = count.dtype.type(1)   # a Python int takes add.at's generic path
+    other = [i for i in range(d) if i != k]
+    # the faces' bounds, flattened once: (faces, d, 2)
+    bounds = np.fromiter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(faces)), dtype=np.int64,
+        count=2 * d * len(faces)).reshape(-1, d, 2)
+    for s in range(0, len(bounds), chunk):
+        start = 2 * bounds[s:s + chunk, :, 0]
+        stop = 2 * bounds[s:s + chunk, :, 1] + 1   # past the closure
+        # (flat offset, kept or None for all) by the parity of the
+        # corner's stops
+        even, odd = [(start @ strides, None)], []
+        for i in other:
+            step = (stop[:, i] - start[:, i]) * strides[i]
+            inside = stop[:, i] < shape[i]
+            moved = [(c + step, inside if keep is None else keep & inside)
+                     for c, keep in even + odd]
+            even, odd = even + moved[len(even):], odd + moved[:len(even)]
+        for at, corners in ((np.add.at, even), (np.subtract.at, odd)):
+            for c, keep in corners:
+                at(flat, c if keep is None else c[keep], one)
+    for i in other:
+        np.add.accumulate(count, axis=i, out=count)
+    mask = count != 0
+    mask.setflags(write=False)
+    return mask
 
 
 def check_index_box(mesh: TMesh, box: Sequence[Sequence[int]]) -> None:

@@ -17,6 +17,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -319,6 +320,15 @@ def _float_knots(mesh: TMesh, k: int) -> np.ndarray:
     return np.array([float(x) for x in mesh.domain.parametric_knots[k]])
 
 
+@cache
+def _gauss_rule(count: int) -> np.ndarray:
+    """The `count` Gauss-Legendre nodes on [-1, 1], read-only, computed
+    once per count."""
+    nodes = np.polynomial.legendre.leggauss(count)[0]
+    nodes.setflags(write=False)
+    return nodes
+
+
 def _gauss_points(mesh: TMesh, cells) -> np.ndarray:
     """p_k + 1 Gauss-Legendre points per direction in every cell: cells
     in sorted order, each cell's points in ij-`meshgrid` order."""
@@ -328,7 +338,7 @@ def _gauss_points(mesh: TMesh, cells) -> np.ndarray:
     for k in range(dom.dim):
         knots = _float_knots(mesh, k)
         xa, xb = knots[spans[:, k, 0]][:, None], knots[spans[:, k, 1]][:, None]
-        g = np.polynomial.legendre.leggauss(dom.degrees[k] + 1)[0]
+        g = _gauss_rule(dom.degrees[k] + 1)
         axes.append(0.5 * (xa + xb) + 0.5 * (xb - xa) * g)
     n = len(spans)
     shape = (n, *(ax.shape[1] for ax in axes))
@@ -351,12 +361,13 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     """Collocation matrix: one column per anchor, one row per point.
 
     Tensor-product evaluation (de Boor, "A Practical Guide to Splines",
-    1978, ch. XVII): per direction, each distinct local knot vector
-    (`AnchorArrays.windows`) is evaluated once on the distinct
-    coordinates, and the matrix is the product of the tables gathered by
-    the anchors' window ids.  A value outside its spline's
-    support is exactly 0.0, and the directions multiply in order 0..d-1,
-    so every entry has the bits of the per-anchor product.  The tables
+    1978, ch. XVII): per direction, one `splines.bspline_eval_array` call
+    evaluates every distinct local knot vector (`AnchorArrays.windows`)
+    on the distinct coordinates inside its support, and the matrix is
+    the product of the tables gathered by the anchors' window ids.  A
+    value outside its spline's support is exactly 0.0, and the
+    directions multiply in order 0..d-1, so every entry has the bits of
+    the per-anchor product (`splines.tspline_eval`).  The tables
     are gathered into one buffer of `COLLOCATION_BLOCK_ENTRIES` entries,
     a block of rows at a time, so the build peaks near the matrix's own
     8 bytes per entry.  Past `MAX_COLLOCATION_ENTRIES` entries it raises
@@ -372,10 +383,8 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
         windows, w_inv = arrays.windows[k], arrays.window_id[k]
         ts, t_inv = np.unique(points[:, k], return_inverse=True)
         knots = _float_knots(mesh, k)
-        table = np.empty((len(ts), len(windows)))
-        for col, w in enumerate(windows):
-            table[:, col] = bspline_eval_array(knots[w], dom.degrees[k], ts,
-                                               domain_right=knots[-1])
+        table = bspline_eval_array(knots[windows], dom.degrees[k], ts,
+                                   domain_right=knots[-1])
         for start in range(0, len(points), rows):
             block = mat[start:start + rows]
             out = gathered[:len(block)]

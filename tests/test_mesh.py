@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -194,6 +195,57 @@ def test_skeleton_membership():
                 assert point_in_skeleton(mesh, j, p) == region.contains_point(p), p
     with pytest.raises(DimensionMismatch):
         point_in_skeleton(mesh, 0, (2, 2))
+
+
+def _painted_masks(mesh):
+    """The skeleton masks painted one hyperface closure at a time."""
+    import numpy as np
+
+    shape = tuple(2 * n + 1 for n in mesh.domain.extents)
+    masks = []
+    for k in range(mesh.dim):
+        paint = np.zeros(shape, dtype=bool)
+        for e in mesh.entities[(k,)]:
+            paint[tuple(slice(2 * a, 2 * b + 1) for a, b in e)] = True
+        masks.append(paint)
+    return masks
+
+
+def test_skeleton_masks_equal_a_slice_painting(corpus200):
+    # the corner scatter and running sums against one slice assignment
+    # per hyperface, on 2-D to 4-D meshes, cross meshes whose skeletons
+    # reach every edge of the lattice, and a 1-D mesh with no other axis
+    import numpy as np
+
+    meshes = [m for _, m in corpus200["meshes"]]
+    meshes += [cross_mesh(16), cross_mesh(64)]
+    meshes += [random_admissible_mesh(seed, dim=4, max_steps=14)
+               for seed in range(5)]
+    meshes.append(create_tensor_mesh(IndexDomain((9,), (2,)),
+                                     [[0, 1, 2, 4, 5, 8, 9]]))
+    for mesh in meshes:
+        mesh = TMesh(mesh.domain, mesh.breakpoints, mesh.entities)
+        for k, paint in enumerate(_painted_masks(mesh)):
+            mask = tmesh.skeleton_mask(mesh, k)
+            assert mask.dtype == bool and mask.shape == paint.shape
+            assert np.array_equal(mask, paint), (mesh.domain, k)
+    # one hyperface per chunk, on a mesh with hanging faces in 3-D
+    mesh = fx.running_example_3d()[0]
+    shape = tuple(2 * n + 1 for n in mesh.domain.extents)
+    for k, paint in enumerate(_painted_masks(mesh)):
+        mask = tmesh._closure_mask(mesh.entities[(k,)], k, shape, 1)
+        assert mask.shape == paint.shape and np.array_equal(mask, paint)
+    # 2^(d-1) closures meeting at the centre of the plane x_0 = 1: the
+    # count wraps around but stays exact, in uint8 at d = 8 and in uint16
+    # at d = 9, where uint8 would read 256 as 0
+    for d in (8, 9):
+        faces = frozenset(((1, 1),) + halves for halves in
+                          itertools.product(((0, 1), (1, 2)), repeat=d - 1))
+        paint = np.zeros((5,) * d, dtype=bool)
+        for e in faces:
+            paint[tuple(slice(2 * a, 2 * b + 1) for a, b in e)] = True
+        mask = tmesh._closure_mask(faces, 0, paint.shape, len(faces))
+        assert np.array_equal(mask, paint) and mask[(2,) * d]
 
 
 def test_box_queries_refuse_boxes_outside_the_domain():

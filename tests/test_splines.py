@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -42,15 +43,54 @@ def test_degenerate_knots():
         bspline_eval((0, 1, 2, 3), 1, 0.5)  # wrong knot count
 
 
+def _scalar_table(rows, p, ts, right):
+    """The table column by column from the scalar evaluation."""
+    return np.array([[bspline_eval(row, p, t, left_continuous=(t == right))
+                      for row in rows] for t in ts]).reshape(len(ts), len(rows))
+
+
+def _knot_rows(rng, p, values, count):
+    """`count` non-decreasing rows of p + 2 knots drawn from `values`,
+    with repeats, first < last."""
+    rows = []
+    while len(rows) < count:
+        row = sorted(rng.choices(values, k=p + 2))
+        if row[0] < row[-1]:
+            rows.append(row)
+    return rows
+
+
 def test_eval_array_matches_scalar():
+    # the table, bit for bit, column by column: integer and non-identity
+    # float knots, repeated knots (the zero denominators), rows that close
+    # at the domain's right end, and coordinates outside every support,
+    # at the right end and on knots
     rng = random.Random(3)
-    for p in range(4):
-        knots = sorted(rng.sample(range(12), p + 2))
-        ts = np.linspace(-1, 13, 57)
-        arr = bspline_eval_array(knots, p, ts, domain_right=12.0)
-        for t, v in zip(ts, arr):
-            expected = bspline_eval(knots, p, t, left_continuous=(t == 12.0))
-            assert v == pytest.approx(expected, abs=1e-14)
+    stretched = [float(i + 0.3 * i * i) for i in range(13)]
+    for p, values in itertools.product(range(5), (list(range(13)), stretched)):
+        right = values[-1]
+        rows = _knot_rows(rng, p, values, 40)
+        rows += [values[-p - 2:], [values[0]] * (p + 1) + [values[1]]]
+        ts = np.unique(np.concatenate((
+            values, [values[0] - 1.0, right + 0.5, right + 2.0],
+            [rng.uniform(values[0], right) for _ in range(60)])))
+        table = bspline_eval_array(np.array(rows), p, ts, domain_right=right)
+        assert table.shape == (len(ts), len(rows))
+        assert table.tobytes() == _scalar_table(rows, p, ts, right).tobytes()
+        assert not table[(ts < values[0]) | (ts > right)].any()
+        for r, row in enumerate(rows):
+            one = bspline_eval_array(np.array([row]), p, ts, domain_right=right)
+            assert one.tobytes() == table[:, [r]].tobytes()
+        # right-continuous everywhere without a domain end
+        table = bspline_eval_array(np.array(rows), p, ts)
+        assert table.tobytes() == _scalar_table(rows, p, ts, None).tobytes()
+
+
+def test_eval_array_of_no_rows_or_no_points_is_empty():
+    knots = np.array([[0.0, 1.0, 2.0]])
+    assert bspline_eval_array(knots, 1, np.empty(0)).shape == (0, 1)
+    table = bspline_eval_array(np.empty((0, 3)), 1, np.arange(4.0))
+    assert table.shape == (4, 0)
 
 
 def _tensor_bspline_oracle(breaks, degrees, anchor, point):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import tracemalloc
 import types
 
@@ -12,7 +13,7 @@ from tmeshkit import verify
 from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.anchors import anchor_set
 from tmeshkit.mesh import (build_framed_mesh, hull_in_skeleton, hull_inside,
-                           is_admissible)
+                           is_admissible, subdiv)
 from tmeshkit.splines import tspline_eval
 from tmeshkit.suitability import (atj_slice, is_aas, is_sgas, is_wgas,
                                   _slice_rasters)
@@ -131,6 +132,30 @@ def test_evaluation_matrix_blocks_keep_every_bit(monkeypatch):
                         7 * whole.shape[1])
     assert len(points) % 7
     assert evaluation_matrix(mesh, points).tobytes() == whole.tobytes()
+
+
+def test_evaluation_matrix_keeps_the_bits_on_parametric_knots():
+    # non-identity knots on a refined mesh, sampled at the Gauss points,
+    # on the domain's right faces (left-continuous there: in direction 0,
+    # of degree 0, the last cells' splines are 1 on the face) and outside
+    knots = [[i + 0.25 * i * i for i in range(9)],
+             [2.0 ** (i / 4) for i in range(13)]]
+    mesh = build_framed_mesh((0, 3), [[0, 2, 4, 6, 8]] * 2,
+                             parametric_knots=knots)
+    rng = random.Random(11)
+    for _ in range(6):
+        mesh = subdiv(mesh, *rng.choice(verify.bisection_options(mesh, (0, 1))))
+    assert is_admissible(mesh)[0]
+    gauss = _gauss_points(mesh, _active_cells(mesh))
+    right = np.array([float(k[-1]) for k in mesh.domain.parametric_knots])
+    edges = [np.where(np.arange(2) == k, right, gauss[::5]) for k in range(2)]
+    outside = np.array([right + 1.0, [-1.0, 0.5], [0.5, right[1] + 0.5]])
+    points = np.concatenate([gauss, *edges, right[None], outside])
+    mat = evaluation_matrix(mesh, points)
+    expected = np.array([[tspline_eval(mesh, a, x) for a in anchor_set(mesh)]
+                         for x in points])
+    assert mat.tobytes() == expected.tobytes()
+    assert mat[len(gauss):len(gauss) + len(edges[0])].any()
 
 
 def test_evaluation_matrix_of_no_points_is_empty():
@@ -407,12 +432,13 @@ def _names_reached(oracle) -> set:
 ABSTRACT_EXTENSION_PATHS = {
     "atj_slice", "_slice_region", "_slice_rasters", "is_aas", "anchor_arrays",
     "_line_windows", "_count_table", "_box_corners", "global_knot_vector",
-    "local_knot_vector", "skeleton_mask", "_unique_rows"}
+    "local_knot_vector", "skeleton_mask", "_closure_mask", "_unique_rows"}
 
 
 @pytest.mark.parametrize("oracle, checked", [
-    ("tjunctions_oracle", {"skeleton_mask", "probe_tjunctions",
-                           "find_tjunctions", "point_in_skeleton"}),
+    ("tjunctions_oracle", {"skeleton_mask", "_closure_mask",
+                           "probe_tjunctions", "find_tjunctions",
+                           "point_in_skeleton"}),
     ("atj_slice_oracle", ABSTRACT_EXTENSION_PATHS),
     ("aas_oracle", ABSTRACT_EXTENSION_PATHS),
     ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap",
