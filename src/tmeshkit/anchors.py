@@ -24,7 +24,9 @@ distinct-rows helper, which `suitability` uses too).  It is built without
 a per-key call: per direction j, one summed-area table counts the unset
 points of mask j on every slice x_j = n (`_count_table`), and
 `_line_windows` reads from it the global vector of every distinct
-anchor line and each anchor's window.  So it writes no `gkv` entries.
+anchor line and each anchor's window, summed at the corners
+`mesh._box_corners` gives, the corner routine of the box painter.  So it
+writes no `gkv` entries.
 Measured, keep: building it from the per-line memo took `corpus-classify`
 from 141 to 130 ops/s.  `_line_windows` is the one window reader: a
 row gives its line's box, the centre value, offset and length, whether
@@ -33,8 +35,8 @@ the centre; `suitability._gtj_boxes` reads every junction's extension
 window with it too.
 
 Memory: the count table of direction j holds (N_j + 1) x
-prod_{k != j} (2 N_k + 2) int32 entries, within the bound the
-`suitability` docstring gives for the count arrays of `_slice_rasters`,
+prod_{k != j} (2 N_k + 2) int32 entries, at most about one lattice
+(half of one for large extents), so at most about `MAX_LATTICE_POINTS`,
 and lives only while j is read.  The lines x (N_j + 1) blocks read from
 it are cut into chunks of at most `MAX_LINE_ENTRIES` = 2^23 entries,
 the longest line the lattice admits (N_j + 1 <= 2^23), so a chunk holds
@@ -50,8 +52,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import (Entity, MeshError, TMesh, check_index_box, hull_inside,
-                   skeleton_mask)
+from .mesh import (Entity, MeshError, TMesh, _box_corners, check_index_box,
+                   hull_inside, skeleton_mask)
 from .regions import Box
 
 MAX_LINE_ENTRIES = 1 << 23   # lines x slices one `_line_windows` chunk reads
@@ -185,19 +187,6 @@ def _count_table(mesh: TMesh, j: int) -> np.ndarray:
     return table
 
 
-def _box_corners(start: np.ndarray, stop: np.ndarray, strides: np.ndarray,
-                 axes: Sequence[int]) -> tuple:
-    """Flat offsets, by raster `strides`, of each box's corners on `axes`
-    (start[b, k] or stop[b, k] on axis k, start[b, k] off `axes`), as
-    (even, odd) by the parity of the stops among a corner's indices."""
-    even, odd = [start @ strides], []
-    for k in axes:
-        step = (stop[:, k] - start[:, k]) * strides[k]
-        even, odd = (even + [c + step for c in odd],
-                     odd + [c + step for c in even])
-    return even, odd
-
-
 def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int, centre: np.ndarray,
                   offset, length, truncate=False, follow=-1) -> tuple:
     """Windows of the global knot vectors in direction j, all read from
@@ -234,7 +223,7 @@ def _line_windows(mesh: TMesh, boxes: np.ndarray, j: int, centre: np.ndarray,
         return_index=True, return_inverse=True)
     # inclusion-exclusion: plus at the corners with an even number of
     # starts, so the stops go in as `_box_corners`' starts
-    plus, minus = _box_corners(stop[first], start[first], strides,
+    plus, minus = _box_corners(stop[first], start[first], table.shape[:-1],
                                range(len(other)))
 
     offset, length, truncate, follow = (np.broadcast_to(v, len(boxes))

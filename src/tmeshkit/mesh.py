@@ -23,12 +23,17 @@ candidates.  A domain may hold at most `MAX_LATTICE_POINTS` lattice
 points, prod_k (2 N_k + 1), so each mask, and the one bool raster of
 `check_three_direction_assumption`, stays within 16 MiB; `IndexDomain`
 raises `ValueError` past it.  A cold mesh paints each mask in one array
-pass (`_closure_mask`): a +-1 scatter at its hyperfaces' corners, then
-running sums, in a count array of one byte per lattice point (two for
-d > 8), so the build peaks at that array above the masks it returns,
-plus 16 d bytes per hyperface of one direction for their flattened
-bounds.  Measured, keep: `corpus-classify` 203.8 -> 186.5 ops/s painting
-one slice per hyperface.  The sums cost O(lattice) per direction, so
+pass (`_closure_mask`) with `_paint_boxes`, the one box painter of the
+package, which also paints the abstract extensions of
+`suitability._slice_rasters`: a +-1 scatter at the boxes' corners
+(`_box_corners`, the one corner routine, which the anchors' count-table
+reads use too), then running sums, here in a count array of one byte per
+lattice point (two for d > 8).  So the build peaks at that array above
+the masks it returns, plus 16 d bytes per hyperface of one direction for
+their flattened bounds and the corner offsets of one chunk of boxes:
+2^17 int64 (1 MiB), and at most as much again for their concatenation.
+Measured, keep: `corpus-classify` 203.8 -> 186.5 ops/s painting one
+slice per hyperface.  The sums cost O(lattice) per direction, so
 `subdiv` grows a child's mask by slices instead, as a step adds only a
 few hyperfaces.  The lattice does not bound the complex, so
 a mesh may also hold at most `MAX_ENTITIES` entities: about 150 MiB at
@@ -182,12 +187,14 @@ class IndexDomain:
 
     parametric_knots[k] maps index i to the knot value xi_i in direction
     k; it defaults to the identity and must be strictly increasing, also
-    after conversion to float.
+    after conversion to float.  float_knots[k] holds those floats, which
+    spline evaluation reads.
     """
 
     extents: tuple
     degrees: tuple
     parametric_knots: tuple = None
+    float_knots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         extents = tuple(int(n) for n in self.extents)
@@ -212,6 +219,7 @@ class IndexDomain:
                     f"extent {n} too small for degree {p}: active region empty")
         if self.parametric_knots is None:
             knots = tuple(tuple(Fraction(i) for i in range(n + 1)) for n in extents)
+            floats = tuple(tuple(float(i) for i in range(n + 1)) for n in extents)
         else:
             knots = tuple(tuple(Fraction(x) for x in seq) for seq in self.parametric_knots)
             if len(knots) != len(extents):
@@ -224,13 +232,13 @@ class IndexDomain:
                     raise ValueError("parametric knots must be strictly increasing")
                 if max(-seq[0], seq[-1]) > sys.float_info.max:
                     raise ValueError("parametric knots must fit in a float")
-                # spline evaluation is float: knots equal as floats would
-                # give zero-width spans and a spuriously deficient rank
-                floats = [float(x) for x in seq]
-                if any(floats[i] >= floats[i + 1] for i in range(len(seq) - 1)):
-                    raise ValueError(
-                        "parametric knots must be distinct as floats")
+            # spline evaluation is float: knots equal as floats would give
+            # zero-width spans and a spuriously deficient rank
+            floats = tuple(tuple(float(x) for x in seq) for seq in knots)
+            if any(f[i] >= f[i + 1] for f in floats for i in range(len(f) - 1)):
+                raise ValueError("parametric knots must be distinct as floats")
         object.__setattr__(self, "parametric_knots", knots)
+        object.__setattr__(self, "float_knots", floats)
 
     @property
     def dim(self) -> int:
@@ -533,60 +541,95 @@ def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
 
     def build():
         shape = tuple(2 * n + 1 for n in mesh.domain.extents)
-        # a chunk's 2^(d-1) int64 corner offsets per face take at most
-        # one byte per lattice point
-        chunk = max(1, math.prod(shape) >> (mesh.dim + 2))
-        return tuple(_closure_mask(mesh.entities[(k,)], k, shape, chunk)
+        return tuple(_closure_mask(mesh.entities[(k,)], k, shape)
                      for k in range(mesh.dim))
     return mesh.memo("skeleton_mask", build)[j]
 
 
-def _closure_mask(faces: frozenset, k: int, shape: tuple,
-                  chunk: int) -> np.ndarray:
+def _closure_mask(faces: frozenset, k: int, shape: tuple) -> np.ndarray:
     """Read-only bool raster of `shape` holding the closures of the
-    k-orthogonal hyperfaces `faces`.
+    k-orthogonal hyperfaces `faces`, painted by `_paint_boxes` on their
+    planes x_k = 2a, each closure a box over the d-1 other axes.
 
-    A box painting is the inverse of a summed-area table (Crow, SIGGRAPH
-    1984): each face, `chunk` faces at a time, scatters +1 and -1 at the
-    2^(d-1) corners of its closure on its plane x_k = 2a, and a running
-    sum along the d-1 other axes counts the closures over each point.  A
-    corner past the last lattice index is dropped: it would only cancel
-    beyond the lattice.  The faces are disjoint, so a point lies in at
-    most 2^(d-1) closures, one per open orthant of the plane; the count
-    wraps around in an unsigned dtype of at least d bits (uint8 up to
-    d = 8, uint16 for every d the lattice limit admits) and stays exact."""
+    The faces are disjoint, so a point lies in at most 2^(d-1) closures,
+    one per open orthant of the plane; the count wraps around in an
+    unsigned dtype of at least d bits (uint8 up to d = 8, uint16 for
+    every d the lattice limit admits) and stays exact."""
     import numpy as np
 
     d = len(shape)
-    count = np.zeros(shape, dtype=np.uint8 if d <= 8 else np.uint16)
-    flat = count.reshape(-1)
-    strides = np.array(count.strides, dtype=np.int64) // count.itemsize
-    one = count.dtype.type(1)   # a Python int takes add.at's generic path
-    other = [i for i in range(d) if i != k]
-    # the faces' bounds, flattened once: (faces, d, 2)
+    # the faces' bounds, flattened once and made lattice starts and
+    # stops in place: (faces, d, 2)
     bounds = np.fromiter(itertools.chain.from_iterable(
         itertools.chain.from_iterable(faces)), dtype=np.int64,
         count=2 * d * len(faces)).reshape(-1, d, 2)
-    for s in range(0, len(bounds), chunk):
-        start = 2 * bounds[s:s + chunk, :, 0]
-        stop = 2 * bounds[s:s + chunk, :, 1] + 1   # past the closure
-        # (flat offset, kept or None for all) by the parity of the
-        # corner's stops
-        even, odd = [(start @ strides, None)], []
-        for i in other:
-            step = (stop[:, i] - start[:, i]) * strides[i]
-            inside = stop[:, i] < shape[i]
-            moved = [(c + step, inside if keep is None else keep & inside)
-                     for c, keep in even + odd]
-            even, odd = even + moved[len(even):], odd + moved[:len(even)]
-        for at, corners in ((np.add.at, even), (np.subtract.at, odd)):
-            for c, keep in corners:
-                at(flat, c if keep is None else c[keep], one)
-    for i in other:
-        np.add.accumulate(count, axis=i, out=count)
+    bounds *= 2
+    bounds[..., 1] += 1   # past the closure
+    count = _paint_boxes(shape, bounds[..., 0], bounds[..., 1],
+                         [i for i in range(d) if i != k],
+                         np.uint8 if d <= 8 else np.uint16)
     mask = count != 0
     mask.setflags(write=False)
     return mask
+
+
+def _box_corners(start: np.ndarray, stop: np.ndarray, shape: tuple,
+                 axes: Sequence[int]) -> tuple:
+    """Flat offsets, in a C-order raster of `shape`, of each box's
+    corners on `axes` (start[b, k] or stop[b, k] on axis k, start[b, k]
+    off `axes`), as (even, odd) lists of arrays by the parity of the
+    stops among a corner's indices.  Every start must lie inside the
+    raster; a corner whose stop is past the last index of its axis is
+    dropped, and only then is an array shorter than the boxes."""
+    import numpy as np
+
+    strides = np.array([math.prod(shape[k + 1:]) for k in range(len(shape))],
+                       dtype=np.int64)
+    # (offsets, kept or None for all)
+    even, odd = [(start @ strides, None)], []
+    for k in axes:
+        step = (stop[:, k] - start[:, k]) * strides[k]
+        inside = stop[:, k] < shape[k]
+        moved = [(c + step, inside if keep is None else keep & inside)
+                 for c, keep in even + odd]
+        even, odd = even + moved[len(even):], odd + moved[:len(even)]
+    for corners in (even, odd):
+        for i, (c, keep) in enumerate(corners):   # one copy at a time
+            corners[i] = c if keep is None else c[keep]
+    return even, odd
+
+
+def _paint_boxes(shape: tuple, start: np.ndarray, stop: np.ndarray,
+                 axes: Sequence[int], dtype) -> np.ndarray:
+    """How many boxes cover each point of a raster of `shape` and
+    `dtype`.
+
+    Box b spans [start[b, k], stop[b, k]) on each axis k in `axes` and
+    the single index start[b, k] on every other axis; every start must
+    lie inside the raster.  A box painting is the inverse of a
+    summed-area table (Crow, SIGGRAPH 1984): each box scatters +1 and -1
+    at its 2^len(axes) corners (`_box_corners`, which drops the corners
+    past the raster: they would only cancel beyond it), and a running
+    sum along each of `axes` counts the boxes over each point.  The
+    boxes go `MAX_LATTICE_POINTS` >> (len(axes) + 7) at a time, so one
+    chunk's int64 corner offsets take 1 MiB whatever the raster's size:
+    a chunk sized by the raster made the many boxes of the small
+    abstract-extension rasters take many scatter calls."""
+    import numpy as np
+
+    count = np.zeros(shape, dtype=dtype)
+    flat = count.reshape(-1)
+    one = count.dtype.type(1)   # a Python int takes add.at's generic path
+    chunk = MAX_LATTICE_POINTS >> (len(axes) + 7)
+    for s in range(0, len(start), chunk):
+        even, odd = _box_corners(start[s:s + chunk], stop[s:s + chunk],
+                                 shape, axes)
+        np.add.at(flat, np.concatenate(even), one)
+        if odd:
+            np.subtract.at(flat, np.concatenate(odd), one)
+    for k in axes:
+        np.add.accumulate(count, axis=k, out=count)
+    return count
 
 
 def check_index_box(mesh: TMesh, box: Sequence[Sequence[int]]) -> None:

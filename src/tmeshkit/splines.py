@@ -64,7 +64,7 @@ def bspline_eval(knots: Sequence[float], degree: int, t: float,
 
 
 def bspline_eval_array(knots: np.ndarray, degree: int, ts: np.ndarray,
-                       domain_right: float | None = None) -> np.ndarray:
+                       domain_right: float) -> np.ndarray:
     """Table of values: entry [i, r] is the value at ts[i] of the B-spline
     with knot row knots[r], for a (w, p + 2) array of non-decreasing knot
     rows and sorted coordinates `ts`.  Coordinates equal to
@@ -84,11 +84,10 @@ def bspline_eval_array(knots: np.ndarray, degree: int, ts: np.ndarray,
     ts = np.asarray(ts, dtype=float)
     lo = np.searchsorted(ts, rows[:, 0])
     hi = np.searchsorted(ts, rows[:, -1])
-    if domain_right is not None:
-        # a span that closes at domain_right keeps it
-        ends = (rows[:, 0] < domain_right) & (domain_right <= rows[:, -1])
-        hi[ends] = np.maximum(hi[ends],
-                              np.searchsorted(ts, domain_right, side="right"))
+    # a span that closes at domain_right keeps it
+    ends = (rows[:, 0] < domain_right) & (domain_right <= rows[:, -1])
+    hi[ends] = np.maximum(hi[ends],
+                          np.searchsorted(ts, domain_right, side="right"))
     runs = hi - lo
     row = np.repeat(np.arange(len(rows)), runs)
     at = np.arange(len(row)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
@@ -96,8 +95,7 @@ def bspline_eval_array(knots: np.ndarray, degree: int, ts: np.ndarray,
     vals = []
     for i in range(p + 1):
         ind = (k[i] <= t) & (t < k[i + 1])
-        if domain_right is not None:
-            ind |= (t == domain_right) & (k[i] < t) & (t <= k[i + 1])
+        ind |= (t == domain_right) & (k[i] < t) & (t <= k[i + 1])
         vals.append(ind.astype(float))
     for r in range(1, p + 1):
         nxt = []
@@ -137,10 +135,10 @@ def tspline_eval(mesh: TMesh, anchor: Entity, point: Sequence[float]) -> float:
     parametric knots."""
     value = 1.0
     for j in range(mesh.dim):
-        knots_j = mesh.domain.parametric_knots[j]
-        window = [float(knots_j[n]) for n in local_knot_vector(mesh, anchor, j)]
+        knots_j = mesh.domain.float_knots[j]
+        window = [knots_j[n] for n in local_knot_vector(mesh, anchor, j)]
         t = float(point[j])
-        right = float(knots_j[-1])
+        right = knots_j[-1]
         value *= bspline_eval(window, mesh.domain.degrees[j], t,
                               left_continuous=(t == right))
         if value == 0.0:

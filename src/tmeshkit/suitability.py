@@ -15,10 +15,11 @@ twice (the SVG layers, the Thm 6.2 containment, the `check` payloads).
 The AAS verdict builds none: it paints every slice of a direction at
 once on the half-integer lattice of the skeleton rasters.  By
 distributivity the union of the in x out support intersections is
-(union of in) & (union of out), and out is all minus in, so two
-summed-area counts per direction give the extension.  Only the slices
-that some but not all of their supports have in their knot vectors are
-painted; the others are empty.
+(union of in) & (union of out), and out is all minus in, so two box
+counts per direction give the extension, each painted by
+`mesh._paint_boxes`, the box painter of the skeleton masks.  Only the
+slices that some but not all of their supports have in their knot
+vectors are painted; the others are empty.
 
 `_gtj_table` holds, once per mesh, the junctions and their extension
 boxes.  On a cold mesh `_gtj_boxes` reads every box in one batch, one
@@ -44,11 +45,12 @@ built when read; an AAS witness's region is the intersection of its two
 
 Memory: the counts are int32, since a count is at most the number of
 anchors and so at most `MAX_ENTITIES` < 2^31.  The two count arrays of
-direction j hold (live slices + 1) x prod_{k != j} (2 N_k + 2) entries
-each: at most about one lattice (half of one for large extents), so
-at most about `MAX_LATTICE_POINTS`, and only while j is painted.  The
-bool rasters kept for the pair step hold at most about half a lattice
-of bytes per direction.  The box batch reads one count table at a time
+direction j hold len(live_j) x prod_{k != j} (2 N_k + 1) entries each:
+at most (N_j + 1) / (2 N_j + 1) <= 2/3 of a lattice (about half for
+large extents), so at most 2/3 `MAX_LATTICE_POINTS`, and only while j is
+painted, besides the corner offsets of one chunk of boxes (the bound is
+in the `mesh` docstring).  The bool rasters kept for the pair step hold
+one byte per such entry.  The box batch reads one count table at a time
 in chunks of at most `anchors.MAX_LINE_ENTRIES` lines x slices, within
 the bound the `anchors` docstring gives, besides a few int64 per
 junction and window entry (a window holds at most p_k + 3 entries).
@@ -62,10 +64,9 @@ from functools import cache, partial
 
 import numpy as np
 
-from .anchors import (AnchorArrays, _box_corners, _line_windows,
-                      _unique_rows, _window, anchor_arrays,
-                      global_knot_vector)
-from .mesh import MeshError, TMesh
+from .anchors import (AnchorArrays, _line_windows, _unique_rows, _window,
+                      anchor_arrays, global_knot_vector)
+from .mesh import MeshError, TMesh, _paint_boxes
 from .regions import Box, BoxRegion, meeting_pairs
 from .topology import TJunction, find_tjunctions
 from .witnesses import Witnesses
@@ -129,30 +130,6 @@ def atj_union(mesh: TMesh, i: int) -> BoxRegion:
                                 for box in atj_slice(mesh, i, n).region.boxes})
 
 
-def _paint(shape: tuple, start: np.ndarray, stop: np.ndarray,
-           axes: list) -> np.ndarray:
-    """How many boxes cover each point of an int32 raster of `shape`.
-
-    Box b spans [start[b, k], stop[b, k]) on each axis k in `axes` and
-    the single index start[b, k] on every other axis.  A difference array
-    gets +1 or -1 at the 2^len(axes) corners of each box (`_box_corners`),
-    and a running sum along each of `axes` turns it into counts (the
-    summed-area table of Crow, SIGGRAPH 1984).  Every stop must lie
-    inside `shape`."""
-    counts = np.zeros(shape, dtype=np.int32)
-    strides = np.array(counts.strides) // counts.itemsize
-    plus, minus = _box_corners(start, stop, strides, axes)
-    flat = counts.reshape(-1)
-    # an int32 value: with a Python int, add.at takes a generic path,
-    # about 20x slower on 768 indices under numpy 2.4
-    np.add.at(flat, np.concatenate(plus), np.int32(1))
-    if minus:
-        np.add.at(flat, np.concatenate(minus), np.int32(-1))
-    for k in axes:
-        np.add.accumulate(counts, axis=k, out=counts)
-    return counts
-
-
 def _slice_rasters(mesh: TMesh) -> list:
     """Every abstract extension of direction j, as (live_j, R_j).
 
@@ -175,24 +152,27 @@ def _slice_rasters(mesh: TMesh) -> list:
                           - np.bincount(hi[:, j] + 1, minlength=n_j + 2))
         inside = np.bincount(local, minlength=n_j + 1)
         live = np.flatnonzero((inside > 0) & (inside < meets[:n_j + 1]))
-        shape = tuple(len(live) + 1 if k == j else 2 * e + 2
+        shape = tuple(len(live) if k == j else 2 * e + 1
                       for k, e in enumerate(extents))
-        view = tuple(slice(0, s - 1) for s in shape)
         if not len(live):
-            out.append((live, np.zeros(shape, dtype=bool)[view]))
+            out.append((live, np.zeros(shape, dtype=bool)))
             continue
         start, stop = 2 * lo, 2 * hi + 1
         start[:, j] = np.searchsorted(live, lo[:, j])
         stop[:, j] = np.searchsorted(live, hi[:, j], side="right")
-        every = _paint(shape, start, stop, list(range(d)))
+        # a support that meets no live slice paints nothing, and may
+        # start past the raster
+        keep = start[:, j] < stop[:, j]
+        every = _paint_boxes(shape, start[keep], stop[keep], range(d),
+                             np.int32)
         width = arrays.local[j].shape[1]
         at = np.minimum(np.searchsorted(live, local), len(live) - 1)
         hit = live[at] == local
         start = np.repeat(start, width, axis=0)[hit]
         start[:, j] = at[hit]
-        inside = _paint(shape, start, np.repeat(stop, width, axis=0)[hit],
-                        [k for k in range(d) if k != j])
-        inside, every = inside[view], every[view]
+        inside = _paint_boxes(shape, start,
+                              np.repeat(stop, width, axis=0)[hit],
+                              [k for k in range(d) if k != j], np.int32)
         out.append((live, (inside > 0) & (every > inside)))
     return out
 

@@ -315,11 +315,6 @@ class RankReport:
         return sum(1 for s in self.singular_values if s > threshold * top)
 
 
-def _float_knots(mesh: TMesh, k: int) -> np.ndarray:
-    """The parametric knots of direction k as floats, indexable by index."""
-    return np.array([float(x) for x in mesh.domain.parametric_knots[k]])
-
-
 @cache
 def _gauss_rule(count: int) -> np.ndarray:
     """The `count` Gauss-Legendre nodes on [-1, 1], read-only, computed
@@ -336,7 +331,7 @@ def _gauss_points(mesh: TMesh, cells) -> np.ndarray:
     spans = np.array(sorted(cells), dtype=np.int64).reshape(-1, dom.dim, 2)
     axes = []   # (cells, p_k + 1) coordinates per direction
     for k in range(dom.dim):
-        knots = _float_knots(mesh, k)
+        knots = np.array(dom.float_knots[k])
         xa, xb = knots[spans[:, k, 0]][:, None], knots[spans[:, k, 1]][:, None]
         g = _gauss_rule(dom.degrees[k] + 1)
         axes.append(0.5 * (xa + xb) + 0.5 * (xb - xa) * g)
@@ -382,7 +377,7 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     for k in range(dom.dim):
         windows, w_inv = arrays.windows[k], arrays.window_id[k]
         ts, t_inv = np.unique(points[:, k], return_inverse=True)
-        knots = _float_knots(mesh, k)
+        knots = np.array(dom.float_knots[k])
         table = bspline_eval_array(knots[windows], dom.degrees[k], ts,
                                    domain_right=knots[-1])
         for start in range(0, len(points), rows):
@@ -447,8 +442,8 @@ def unity_sample_bounds(mesh: TMesh) -> tuple:
             raise ValueError(
                 f"direction {k}: too few complete slices for degree {p}; "
                 f"no unity region")
-        spans.append((float(dom.parametric_knots[k][full[p]]),
-                      float(dom.parametric_knots[k][full[-1 - p]])))
+        spans.append((dom.float_knots[k][full[p]],
+                      dom.float_knots[k][full[-1 - p]]))
     return tuple(spans)
 
 

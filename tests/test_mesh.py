@@ -211,7 +211,7 @@ def _painted_masks(mesh):
     return masks
 
 
-def test_skeleton_masks_equal_a_slice_painting(corpus200):
+def test_skeleton_masks_equal_a_slice_painting(corpus200, monkeypatch):
     # the corner scatter and running sums against one slice assignment
     # per hyperface, on 2-D to 4-D meshes, cross meshes whose skeletons
     # reach every edge of the lattice, and a 1-D mesh with no other axis
@@ -229,22 +229,25 @@ def test_skeleton_masks_equal_a_slice_painting(corpus200):
             mask = tmesh.skeleton_mask(mesh, k)
             assert mask.dtype == bool and mask.shape == paint.shape
             assert np.array_equal(mask, paint), (mesh.domain, k)
-    # one hyperface per chunk, on a mesh with hanging faces in 3-D
+    # one hyperface per chunk, on a mesh with hanging faces in 3-D: the
+    # painter takes MAX_LATTICE_POINTS >> (d + 6) faces at a time
     mesh = fx.running_example_3d()[0]
-    shape = tuple(2 * n + 1 for n in mesh.domain.extents)
+    mesh = TMesh(mesh.domain, mesh.breakpoints, mesh.entities)
+    monkeypatch.setattr(tmesh, "MAX_LATTICE_POINTS", 1 << 9)
     for k, paint in enumerate(_painted_masks(mesh)):
-        mask = tmesh._closure_mask(mesh.entities[(k,)], k, shape, 1)
+        mask = tmesh.skeleton_mask(mesh, k)
         assert mask.shape == paint.shape and np.array_equal(mask, paint)
-    # 2^(d-1) closures meeting at the centre of the plane x_0 = 1: the
-    # count wraps around but stays exact, in uint8 at d = 8 and in uint16
-    # at d = 9, where uint8 would read 256 as 0
+    # 2^(d-1) closures meeting at the centre of the plane x_0 = 1, five
+    # per chunk: the count wraps around but stays exact, in uint8 at d = 8
+    # and in uint16 at d = 9, where uint8 would read 256 as 0
     for d in (8, 9):
         faces = frozenset(((1, 1),) + halves for halves in
                           itertools.product(((0, 1), (1, 2)), repeat=d - 1))
         paint = np.zeros((5,) * d, dtype=bool)
         for e in faces:
             paint[tuple(slice(2 * a, 2 * b + 1) for a, b in e)] = True
-        mask = tmesh._closure_mask(faces, 0, paint.shape, len(faces))
+        monkeypatch.setattr(tmesh, "MAX_LATTICE_POINTS", 5 << (d + 6))
+        mask = tmesh._closure_mask(faces, 0, paint.shape)
         assert np.array_equal(mask, paint) and mask[(2,) * d]
 
 

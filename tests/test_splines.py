@@ -81,15 +81,16 @@ def test_eval_array_matches_scalar():
         for r, row in enumerate(rows):
             one = bspline_eval_array(np.array([row]), p, ts, domain_right=right)
             assert one.tobytes() == table[:, [r]].tobytes()
-        # right-continuous everywhere without a domain end
-        table = bspline_eval_array(np.array(rows), p, ts)
+        # right-continuous everywhere with the domain's end past every
+        # knot and coordinate
+        table = bspline_eval_array(np.array(rows), p, ts, domain_right=np.inf)
         assert table.tobytes() == _scalar_table(rows, p, ts, None).tobytes()
 
 
 def test_eval_array_of_no_rows_or_no_points_is_empty():
     knots = np.array([[0.0, 1.0, 2.0]])
-    assert bspline_eval_array(knots, 1, np.empty(0)).shape == (0, 1)
-    table = bspline_eval_array(np.empty((0, 3)), 1, np.arange(4.0))
+    assert bspline_eval_array(knots, 1, np.empty(0), 2.0).shape == (0, 1)
+    table = bspline_eval_array(np.empty((0, 3)), 1, np.arange(4.0), 3.0)
     assert table.shape == (4, 0)
 
 

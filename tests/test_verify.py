@@ -432,21 +432,23 @@ def _names_reached(oracle) -> set:
 ABSTRACT_EXTENSION_PATHS = {
     "atj_slice", "_slice_region", "_slice_rasters", "is_aas", "anchor_arrays",
     "_line_windows", "_count_table", "_box_corners", "global_knot_vector",
-    "local_knot_vector", "skeleton_mask", "_closure_mask", "_unique_rows"}
+    "local_knot_vector", "skeleton_mask", "_closure_mask", "_paint_boxes",
+    "_unique_rows"}
 
 
 @pytest.mark.parametrize("oracle, checked", [
-    ("tjunctions_oracle", {"skeleton_mask", "_closure_mask",
+    ("tjunctions_oracle", {"skeleton_mask", "_closure_mask", "_paint_boxes",
                            "probe_tjunctions", "find_tjunctions",
                            "point_in_skeleton"}),
     ("atj_slice_oracle", ABSTRACT_EXTENSION_PATHS),
     ("aas_oracle", ABSTRACT_EXTENSION_PATHS),
     ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap",
                         "_windows_overlap", "_unique_rows", "anchor_arrays",
-                        "_line_windows", "_count_table", "_box_corners"}),
+                        "_line_windows", "_count_table", "_box_corners",
+                        "_paint_boxes"}),
     ("gtj_disjointness_oracle", {"meeting_pairs", "_gtj_pairs", "_gtj_table",
                                  "_gtj_boxes", "_line_windows", "_count_table",
-                                 "_box_corners"}),
+                                 "_box_corners", "_paint_boxes"}),
 ])
 def test_oracles_reach_none_of_the_paths_they_check(oracle, checked):
     # an oracle that shares code with the path it checks checks nothing
