@@ -6,15 +6,17 @@ that lie inside the active region.  Global knot vectors are obtained by
 ray tracing an entity through the mesh: index n enters the vector in
 direction j when the projection onto the slice x_j = n lies in the
 j-orthogonal skeleton.  Local vectors are centered windows of the global
-ones.  The anchor set, the global vectors (once per line) and
-`anchor_arrays` are memoized per mesh, and a bad box or direction raises
-on every call; local vectors and supports are read off the global
-vectors on each call.  That per-key path serves admissibility, the
-junctions of a mesh `subdiv` seeded and the public API, and checks the
-batches from outside.  Measured,
-keep (2-vCPU host, `--seconds 5`, 4-6 alternated pairs): serving every
-global vector from a memoized count table took `corpus-classify` from
-141 to 120 ops/s.
+ones.  The anchor set and `anchor_arrays` are memoized per mesh; a
+global vector is read from its skeleton mask on each call, local vectors
+and supports off it, and a bad box or direction raises on every call.
+That per-key path serves admissibility, the junctions of a mesh `subdiv`
+seeded and the public API, and checks the batches from outside.
+Measured, keep (2-vCPU host, `--seconds 5`, 4-6 alternated pairs):
+serving every global vector from a memoized count table, instead of the
+per-line memo this path then had, took `corpus-classify` from 141 to
+120 ops/s.  Dropping that memo and reading only the slices x_j = n took
+`conj-stream` from 1638 to 1738 ops/s (9 of 10 pairs, `--seconds 15`),
+with `corpus-classify` flat.
 
 `anchor_arrays`, the one per-anchor store, holds every anchor's local
 vectors and support as arrays for the pair scans, and per direction
@@ -25,14 +27,14 @@ a per-key call: per direction j, one summed-area table counts the unset
 points of mask j on every slice x_j = n (`_count_table`), and
 `_line_windows` reads from it the global vector of every distinct
 anchor line and each anchor's window, summed at the corners
-`mesh._box_corners` gives, the corner routine of the box painter.  So it
-writes no `gkv` entries.
-Measured, keep: building it from the per-line memo took `corpus-classify`
-from 141 to 130 ops/s.  `_line_windows` is the one window reader: a
-row gives its line's box, the centre value, offset and length, whether
-the window is cut at the vector's ends, and the entry that must follow
-the centre; `suitability._gtj_boxes` reads every junction's extension
-window with it too.
+`mesh._box_corners` gives, the corner routine of the box painter.
+Measured, keep: building it from per-key global vectors (then memoized
+per line) took `corpus-classify` from 141 to 130 ops/s.
+`_line_windows` is the one window reader: a row gives its line's box,
+the centre value, offset and length, whether the window is cut at the
+vector's ends, and the entry that must follow the centre;
+`suitability._gtj_boxes` reads every junction's extension window with it
+too.
 
 Memory: the count table of direction j holds (N_j + 1) x
 prod_{k != j} (2 N_k + 2) int32 entries, at most about one lattice
@@ -80,19 +82,15 @@ def global_knot_vector(mesh: TMesh, entity: Entity, j: int) -> tuple[int, ...]:
     """Strictly increasing indices n with P_{j,n}(entity) inside the skeleton.
 
     `entity` may be any closed integer box of the domain and `j` any
-    direction 0..d-1; anything else raises `ValueError` on every call.
-    Memoized per line: the box with its j-component widened to (0, N_j)."""
+    direction 0..d-1; anything else raises `ValueError`.  Read from mask
+    j on each call, on its slices x_j = n alone (the even indices of
+    axis j), as `_count_table` reads them."""
     check_index_box(mesh, entity)
     mask = skeleton_mask(mesh, j)
-    line = entity[:j] + ((0, mesh.domain.extents[j]),) + entity[j + 1:]
-
-    def build():
-        sel = tuple(slice(2 * a, 2 * b + 1) for a, b in line)
-        axes = tuple(k for k in range(mesh.dim) if k != j)
-        ok = mask[sel].all(axis=axes) if axes else mask[sel]
-        return tuple(np.flatnonzero(ok[::2]).tolist())
-    # `mesh.subdiv` reads this key to carry the vector to a child
-    return mesh.memo(("gkv", line, j), build)
+    sel = [slice(2 * a, 2 * b + 1) for a, b in entity]
+    sel[j] = slice(None, None, 2)
+    ok = mask[tuple(sel)].all(axis=tuple(k for k in range(mesh.dim) if k != j))
+    return tuple(ok.nonzero()[0].tolist())
 
 
 def _window(vector: Sequence[int], value: int, offset: int, length: int,

@@ -43,13 +43,13 @@ build anything.  numpy is imported only when a raster is built, so
 building, refining, saving and loading a mesh never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
-log.  Derived structures (lattice rasters, T-junction tables, global
-knot vectors per line, anchor arrays, the extension-box table, pair
-scans) are memoized per instance, each once, under the function that
-builds it.  What is only a window, filter or verdict over a memoized
-structure (a local knot vector, a support, one junction's extension,
-the SGAS/WGAS/SDC/WDC and admissibility verdicts) is read off it or
-built on each call, and AAS is scanned on each call.
+log.  Derived structures (lattice rasters, T-junction tables, anchor
+arrays, the extension-box table, pair scans) are memoized per instance,
+each once, by the function that builds it, under one string key.  What
+is only a window, filter or verdict over a memoized structure (a global
+or local knot vector, a support, one junction's extension, the
+SGAS/WGAS/SDC/WDC and admissibility verdicts) is read off it or built on
+each call, and AAS is scanned on each call.
 The memo is build-once and safe for concurrent readers.  The box queries (`hull_in_skeleton`,
 `open_entity_meets_skeleton`, `anchors.global_knot_vector`) take closed
 integer boxes of the domain and raise for any other (`check_index_box`).
@@ -106,11 +106,12 @@ mask changes.  So:
   any carry (both on per-junction entries); the batch takes 0.6-0.9 ms
   on a stream candidate, whose whole step takes about 0.6 ms with the
   rows.
-- Every other entry, the per-line knot vectors (`gkv`) among them, is
-  rebuilt when it is first asked for.  Measured: carrying the knot
-  vectors a bisection leaves unchanged moved `conj-stream` within its
-  noise once the extension rows were carried (10 pairs at
-  `--seconds 15`: 1432 [1400-1498] ops/s with, 1377 without).
+- Every other entry is rebuilt when it is first asked for.  Knot
+  vectors are not memoized, so none is carried.  Measured: carrying the
+  per-line knot vectors a bisection leaves unchanged, while they were
+  memoized, moved `conj-stream` within its noise once the extension rows
+  were carried (10 pairs at `--seconds 15`: 1432 [1400-1498] ops/s with,
+  1377 without).
 """
 
 from __future__ import annotations
@@ -699,7 +700,8 @@ def is_admissible(mesh: TMesh) -> tuple[bool, tuple]:
 
     Violations are ("slice_not_in_skeleton", k, n) or
     ("tjunction_in_frame", k, entity).
-    Read on each call from the memoized knot vectors and T-junctions.
+    Read on each call from the whole domain's knot vectors and the
+    memoized T-junctions.
     """
     from .anchors import global_knot_vector
     from .topology import find_tjunctions

@@ -31,20 +31,14 @@ def _fmt(x) -> str:
     return f"{float(x):.4f}".rstrip("0").rstrip(".")
 
 
-class _Plane:
-    """Maps index coordinates of the slice plane to SVG user units."""
-
-    def __init__(self, height):
-        self.height = height
-
-    def to_svg(self, u, v):
-        return (PAD + SCALE * float(u),
-                PAD + SCALE * (self.height - float(v)))
+def _to_svg(height, u, v):
+    """SVG user units of the point (u, v) of a slice plane `height` high."""
+    return PAD + SCALE * float(u), PAD + SCALE * (height - float(v))
 
 
-def _rect(plane, span_u, span_v, style) -> str:
-    x0, y1 = plane.to_svg(span_u[0], span_v[0])
-    x1, y0 = plane.to_svg(span_u[1], span_v[1])
+def _rect(height, span_u, span_v, style) -> str:
+    x0, y1 = _to_svg(height, span_u[0], span_v[0])
+    x1, y0 = _to_svg(height, span_u[1], span_v[1])
     if span_u[0] == span_u[1] or span_v[0] == span_v[1]:
         return (f'<line x1="{_fmt(x0)}" y1="{_fmt(y1)}" x2="{_fmt(x1)}" '
                 f'y2="{_fmt(y0)}" {style} />')
@@ -52,8 +46,8 @@ def _rect(plane, span_u, span_v, style) -> str:
             f'height="{_fmt(y1 - y0)}" {style} />')
 
 
-def _dot(plane, u, v) -> str:
-    x, y = plane.to_svg(u, v)
+def _dot(height, u, v) -> str:
+    x, y = _to_svg(height, u, v)
     return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" />'
 
 
@@ -81,7 +75,6 @@ def render_slice_svg(mesh: TMesh, k: int | None = None, n: int | None = None,
         raise ValueError("need a --slice k=n for 3D meshes; none for 2D")
     width = mesh.domain.extents[axes[0]]
     height = mesh.domain.extents[axes[1]]
-    plane = _Plane(height)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -90,11 +83,11 @@ def render_slice_svg(mesh: TMesh, k: int | None = None, n: int | None = None,
     ]
     for layer in layers:
         if layer == "skeleton":
-            parts.append(_skeleton_layer(mesh, k, n, axes, plane))
+            parts.append(_skeleton_layer(mesh, k, n, axes, height))
         elif layer in ("atj", "gtj"):
-            parts.append(_region_layer(mesh, k, n, axes, plane, layer))
+            parts.append(_region_layer(mesh, k, n, axes, height, layer))
         elif layer == "anchors":
-            parts.append(_anchor_layer(mesh, k, n, axes, plane))
+            parts.append(_anchor_layer(mesh, k, n, axes, height))
         else:
             raise ValueError(f"unknown layer {layer!r}")
     parts.append("</svg>")
@@ -106,19 +99,19 @@ def _region_desc(region: BoxRegion) -> str:
     return f"<desc>{payload}</desc>"
 
 
-def _skeleton_layer(mesh, k, n, axes, plane) -> str:
+def _skeleton_layer(mesh, k, n, axes, height) -> str:
     shapes = set()
     for s in range(mesh.dim):
         for f in mesh.entities[(s,)]:
             if s == k:
                 if f[s][0] == n:  # face lying inside the slice: filled patch
                     spans = _slice_spans(f, k, n, axes)
-                    shapes.add(_rect(plane, *spans, 'fill="#bbbbbb" '
+                    shapes.add(_rect(height, *spans, 'fill="#bbbbbb" '
                                      'fill-opacity="0.35" stroke="none"'))
                 continue
             spans = _slice_spans(f, k, n, axes)
             if spans is not None:
-                shapes.add(_rect(plane, *spans, LAYER_STYLE["skeleton"]))
+                shapes.add(_rect(height, *spans, LAYER_STYLE["skeleton"]))
     return ('<g id="layer-skeleton">\n' + "\n".join(sorted(shapes))
             + "\n</g>")
 
@@ -137,18 +130,18 @@ def _layer_region(mesh, k, n, kind) -> BoxRegion:
                                 if box[k] == (n, n)])
 
 
-def _region_layer(mesh, k, n, axes, plane, kind) -> str:
+def _region_layer(mesh, k, n, axes, height, kind) -> str:
     region = _layer_region(mesh, k, n, kind).normalize()
     shapes = []
     for box in region.boxes:
         spans = _slice_spans(box, k, n, axes)
         if spans is not None:
-            shapes.append(_rect(plane, *spans, LAYER_STYLE[kind]))
+            shapes.append(_rect(height, *spans, LAYER_STYLE[kind]))
     return (f'<g id="layer-{kind}">\n{_region_desc(region)}\n'
             + "\n".join(sorted(set(shapes))) + "\n</g>")
 
 
-def _anchor_layer(mesh, k, n, axes, plane) -> str:
+def _anchor_layer(mesh, k, n, axes, height) -> str:
     from .anchors import anchor_set
 
     shapes = set()
@@ -158,9 +151,9 @@ def _anchor_layer(mesh, k, n, axes, plane) -> str:
             continue
         (u0, u1), (v0, v1) = spans
         if u0 == u1 and v0 == v1:
-            shapes.add(_dot(plane, u0, v0))
+            shapes.add(_dot(height, u0, v0))
         else:
-            shapes.add(_rect(plane, (u0, u1), (v0, v1),
+            shapes.add(_rect(height, (u0, u1), (v0, v1),
                              'stroke="#1f77b4" stroke-width="1" '
                              'stroke-dasharray="3 2" fill="none"'))
     return ('<g id="layer-anchors" fill="#1f77b4">\n' + "\n".join(sorted(shapes))

@@ -36,6 +36,8 @@ from .topology import (ClassificationAmbiguous, NotFound, TJunction,
 
 MAX_COLLOCATION_ENTRIES = 1 << 23     # points x anchors of `evaluation_matrix`
 COLLOCATION_BLOCK_ENTRIES = 1 << 20   # gathered per multiply in `evaluation_matrix`
+RANK_THRESHOLD = 1e-8                 # rank: singular values above this x top
+STABLE_THRESHOLDS = (1e-10, 1e-8, 1e-6)   # a stable rank is equal at each
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +392,10 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     return mat
 
 
-def linear_independence_rank(mesh: TMesh, threshold: float = 1e-8) -> RankReport:
+def linear_independence_rank(mesh: TMesh) -> RankReport:
     """Numerical rank of the collocation matrix sampled on a Gauss grid of
-    p_k + 1 points per direction inside every active cell.
+    p_k + 1 points per direction inside every active cell: the singular
+    values above `RANK_THRESHOLD` times the largest.
 
     The sampling is exact for piecewise polynomials of coordinate degree
     p, so full rank is a finite certificate of linear independence.
@@ -408,15 +411,15 @@ def linear_independence_rank(mesh: TMesh, threshold: float = 1e-8) -> RankReport
     if mat.size == 0:
         return RankReport(len(anchors), 0, not anchors, ())
     svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int((svals > threshold * svals[0]).sum())
+    rank = int((svals > RANK_THRESHOLD * svals[0]).sum())
     return RankReport(num_anchors=len(anchors), rank=rank,
                       independent=rank == len(anchors),
                       singular_values=tuple(float(s) for s in svals))
 
 
-def rank_verdict_stable(report: RankReport,
-                        thresholds: Sequence[float] = (1e-10, 1e-8, 1e-6)) -> bool:
-    return len({report.rank_at(t) for t in thresholds}) == 1
+def rank_verdict_stable(report: RankReport) -> bool:
+    """The rank is the same at every threshold of `STABLE_THRESHOLDS`."""
+    return len({report.rank_at(t) for t in STABLE_THRESHOLDS}) == 1
 
 
 def complete_slices(mesh: TMesh, k: int) -> tuple:

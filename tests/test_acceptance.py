@@ -147,9 +147,9 @@ def test_criterion_08_linear_independence_on_sdc_corpus(corpus200):
         assert sdc_meshes
         for s, m in sdc_meshes:
             t0 = time.monotonic()
-            report = linear_independence_rank(m, threshold=1e-8)
+            report = linear_independence_rank(m)
             assert report.independent, (s, report.num_anchors, report.rank)
-            assert rank_verdict_stable(report, (1e-10, 1e-8, 1e-6)), s
+            assert rank_verdict_stable(report), s
             assert time.monotonic() - t0 < 10.0, s
 
 

@@ -273,10 +273,7 @@ def test_box_queries_refuse_boxes_outside_the_domain():
     assert tmesh.hull_in_skeleton(mesh, 0, ((3, 3), (0, 6)))
     assert not tmesh.hull_in_skeleton(mesh, 0, ((0, 6), (0, 6)))
     assert tmesh.open_entity_meets_skeleton(mesh, 0, ((0, 6), (2, 2)))
-    # a failed check memoizes nothing
-    assert not any(key[0] == "gkv" and key[1][1] == (99, 99)
-                   for key in mesh._memo if isinstance(key, tuple))
-    # and a bad box still raises once its line is memoized
+    # and a bad box still raises once its line has been read
     for box in (((-1, 2), (6, 6)), ((3, 1), (6, 6)), ((0, 7), (6, 6))):
         with pytest.raises(ValueError, match="not within 0 <= a <= b"):
             global_knot_vector(mesh, box, 0)
@@ -307,18 +304,29 @@ def test_direction_queries_refuse_directions_outside_the_mesh():
 
 # the memo kinds of a classified mesh: each derived structure once, under
 # the function that builds it (and the oracle's direct knot vectors)
-MEMO_KINDS = {"skeleton_mask", "tjunctions", "anchors", "gkv", "anchor_arrays",
+MEMO_KINDS = {"skeleton_mask", "tjunctions", "anchors", "anchor_arrays",
               "gtj_table", "gtj_pairs", "dc_pairs", "direct_anchor_knots"}
 
 
+def _assert_memo_keys_name_structures(mesh):
+    # every key is a string naming one structure, so the memo holds at
+    # most one entry per kind however many lines a caller reads
+    keys = list(mesh._memo)
+    assert all(isinstance(key, str) for key in keys), keys
+    assert set(keys) <= MEMO_KINDS, set(keys) - MEMO_KINDS
+
+
 def test_classified_meshes_memoize_each_structure_once(corpus200):
-    # 2-D and 3-D corpus meshes, replayed for an empty memo and classified
-    # as a benchmark corpus op does; no window, filter or verdict over a
-    # memoized structure gets an entry of its own
+    # 2-D and 3-D corpus meshes, replayed for an empty memo, classified
+    # as a benchmark corpus op does and read by the per-key path; no
+    # window, filter or verdict over a memoized structure, and no knot
+    # vector, gets an entry of its own
     import numpy as np
 
     from tmeshkit import dualcompat, suitability, verify
-    from tmeshkit.anchors import anchor_set, global_knot_vector
+    from tmeshkit.anchors import (anchor_set, global_knot_vector,
+                                  index_support, local_knot_vector)
+    from tmeshkit.topology import find_tjunctions
 
     seen = set()
     for sub, built in corpus200["meshes"][:24]:
@@ -335,15 +343,19 @@ def test_classified_meshes_memoize_each_structure_once(corpus200):
         if ok["wdc"]:
             assert verify.partition_of_unity(m, samples=100, seed=sub) < 1e-10
         seen |= {(m.dim, name, v) for name, v in ok.items()}
-        kinds = {key if isinstance(key, str) else key[0] for key in m._memo}
-        assert kinds <= MEMO_KINDS, kinds - MEMO_KINDS
-        # a knot vector is keyed by its line: its own direction widened
-        assert all(key[1][key[2]] == (0, m.domain.extents[key[2]])
-                   for key in m._memo if key[0] == "gkv")
-        masks = [value for key, value in m._memo.items()
-                 if (key if isinstance(key, str) else key[0]) == "skeleton_mask"]
-        assert len(masks) == 1 and len(masks[0]) == m.dim
-        for k, mask in enumerate(masks[0]):
+        for a in anchor_set(m):
+            for j in range(m.dim):
+                local_knot_vector(m, a, j)
+            index_support(m, a)
+        for t in find_tjunctions(m):
+            suitability.gtj(m, t)
+        whole = tuple((0, n) for n in m.domain.extents)
+        for j in range(m.dim):
+            global_knot_vector(m, whole, j)
+        _assert_memo_keys_name_structures(m)
+        masks = m._memo["skeleton_mask"]
+        assert len(masks) == m.dim
+        for k, mask in enumerate(masks):
             assert not mask.flags.writeable
             paint = np.zeros(mask.shape, dtype=bool)
             for e in m.entities[(k,)]:
@@ -352,32 +364,19 @@ def test_classified_meshes_memoize_each_structure_once(corpus200):
     # every branch above ran on both dimensions
     assert {(d, name, True) for d in (2, 3)
             for name in ("sgas", "sdc", "wdc")} <= seen
-    # the anchors on one line share one entry
-    built = fx.crossing_hanging_edges((3, 2, 1))[0]
-    m = verify.replay_prefix(built, len(built.refinement_log))
-    anchors = anchor_set(m)
-    for j in range(m.dim):
-        lines = {}
-        for a in anchors:
-            lines.setdefault(a[:j] + a[j + 1:], []).append(
-                global_knot_vector(m, a, j))
-        assert max(map(len, lines.values())) > 1
-        assert all(v is vs[0] for vs in lines.values() for v in vs)
-        assert len(lines) == sum(key[0] == "gkv" and key[2] == j
-                                 for key in m._memo)
 
 
 def test_knot_vector_memo_stays_bounded_along_refinement_chains():
     # three 3-D chains of up to 60 seeded bisections (seed 8 runs out of
     # options after 56), each step read as a corpus op reads it: the
-    # carried lines and the ones built on the step stay within d vectors
-    # per anchor and T-junction, and d for the domain
+    # knot vectors read on the step, per key for the junctions without a
+    # carried row and for admissibility, leave no entry, so every memo
+    # keeps one entry per structure
     from tmeshkit import verify
-    from tmeshkit.anchors import anchor_arrays, anchor_set
+    from tmeshkit.anchors import anchor_arrays
     from tmeshkit.suitability import is_wgas
-    from tmeshkit.topology import find_tjunctions
 
-    worst = 0.0
+    steps = 0
     for s in (7, 8, 9):
         mesh = verify.random_admissible_mesh(s, dim=3, max_steps=0)
         rng = random.Random(s)
@@ -389,10 +388,9 @@ def test_knot_vector_memo_stays_bounded_along_refinement_chains():
             anchor_arrays(mesh)
             is_wgas(mesh)
             is_admissible(mesh)
-            entries = sum(key[0] == "gkv" for key in mesh._memo)
-            worst = max(worst, entries / (3 * (
-                len(anchor_set(mesh)) + len(find_tjunctions(mesh)) + 1)))
-    assert worst <= 1, worst
+            _assert_memo_keys_name_structures(mesh)
+            steps += 1
+    assert steps == 60 + 56 + 60, steps
 
 
 def test_orth_entities():

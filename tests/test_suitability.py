@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import cold_copy, cross_mesh, crossing_4d_mesh
 
-from tmeshkit import dualcompat, suitability, verify
+from tmeshkit import anchors, dualcompat, suitability, verify
 from tmeshkit import fixtures as fx
 from tmeshkit.anchors import MAX_LINE_ENTRIES, InsufficientKnots
 from tmeshkit.mesh import (IndexDomain, MeshError, TMesh, build_framed_mesh,
@@ -253,15 +253,21 @@ def test_cold_classification_builds_no_extension_per_key(corpus200,
                                                          monkeypatch):
     # a corpus op on replayed meshes: the six classifiers and Thm 6.2
     # read every extension box from the batch, and the only knot vectors
-    # read per line are admissibility's whole-domain ones
-    calls = []
-    per_key = suitability.gtj
+    # read per key are admissibility's whole-domain ones
+    calls, whole = [], []
+    per_key, per_line = suitability.gtj, anchors.global_knot_vector
 
     def spy(mesh, tj):
         calls.append(tj)
         return per_key(mesh, tj)
 
+    def line_spy(mesh, entity, j):
+        whole.append(entity == tuple((0, n) for n in mesh.domain.extents))
+        return per_line(mesh, entity, j)
+
     monkeypatch.setattr(suitability, "gtj", spy)
+    for module in (anchors, suitability, verify):
+        monkeypatch.setattr(module, "global_knot_vector", line_spy)
     junctions = 0
     for sub, built in corpus200["meshes"][:24]:
         m = verify.replay_prefix(built, len(built.refinement_log))
@@ -273,9 +279,7 @@ def test_cold_classification_builds_no_extension_per_key(corpus200,
             assert all(atj_union(m, i).subset(gtj_union(m, i))
                        for i in range(m.dim))
         junctions += len(find_tjunctions(m))
-        whole = tuple((0, n) for n in m.domain.extents)
-        assert all(key[1] == whole for key in m._memo if key[0] == "gkv")
-    assert junctions > 1000 and calls == []
+    assert junctions > 1000 and calls == [] and whole and all(whole)
 
 
 def test_gtj_union_sweeps_no_pairs(monkeypatch):
