@@ -12,35 +12,40 @@ look a bucket up instead of filtering by orientation.  The entities of a
 valid mesh are pairwise disjoint as point sets and their union is the
 closed domain.
 
-Point and containment queries, and the T-junction probe, are lookups in
-the skeleton masks (`skeleton_mask`), d bool rasters on the half-integer
-lattice, exact because every entity bound is an integer; an open
-entity's points follow one rule (`_open_lattice`).  The cell around a
-point is a lookup in `entities[()]` (`find_cell_containing`): every cell
-component is a tensor interval or a repeated integer half of one, so a
-bisection in the breakpoints and a walk down the halves give the few
-candidates.  A domain may hold at most `MAX_LATTICE_POINTS` lattice
-points, prod_k (2 N_k + 1), so each mask, and the one bool raster of
-`check_three_direction_assumption`, stays within 16 MiB; `IndexDomain`
+Point and containment queries, and the T-junction valences, are lookups
+in the skeleton masks (`skeleton_mask`), d bool rasters on the
+half-integer lattice, exact because every entity bound is an integer; an
+open entity's points follow one rule (`_open_lattice`).  The cell around
+a lattice point is a lookup in `entities[()]` (`_cell_at`, which
+`find_cell_containing`, the T-junction probe and
+`check_three_direction_assumption` share): every cell component is a
+tensor interval or a repeated integer half of one, so a bisection in the
+breakpoints and a walk down the halves give the few candidates.  A
+domain may hold at most `MAX_LATTICE_POINTS` lattice points,
+prod_k (2 N_k + 1), so each mask stays within 16 MiB; `IndexDomain`
 raises `ValueError` past it.  A cold mesh paints each mask in one array
 pass (`_closure_mask`) with `_paint_boxes`, the one box painter of the
 package, which also paints the abstract extensions of
 `suitability._slice_rasters`: a +-1 scatter at the boxes' corners
 (`_box_corners`, the one corner routine, which the anchors' count-table
 reads use too), then running sums, here in a count array of one byte per
-lattice point (two for d > 8).  So the build peaks at that array above
-the masks it returns, plus 16 d bytes per hyperface of one direction for
-their flattened bounds and the corner offsets of one chunk of boxes:
-2^17 int64 (1 MiB), and at most as much again for their concatenation.
-Measured, keep: `corpus-classify` 203.8 -> 186.5 ops/s painting one
-slice per hyperface.  The sums cost O(lattice) per direction, so
-`subdiv` grows a child's mask by slices instead, as a step adds only a
-few hyperfaces.  The lattice does not bound the complex, so
-a mesh may also hold at most `MAX_ENTITIES` entities: about 150 MiB at
-the ~150 bytes an entity costs at peak while a tensor mesh is built.
-`create_tensor_mesh` and `subdiv` raise `MeshError` past it, before they
-build anything.  numpy is imported only when a raster is built, so
-building, refining, saving and loading a mesh never load it.
+point (two for d > 8) that holds only the planes with faces on the
+mask's own axis.  So the build peaks at that array and its nonzero test
+above the masks it returns, at most about a byte per lattice point up to
+d = 8, plus 16 d bytes per hyperface of one direction for their
+flattened bounds, about 12 more per hyperface while each face's plane is
+numbered, and the corner offsets of one chunk of boxes: 2^17 int64
+(1 MiB), and at most as much again for their concatenation.  Measured,
+keep: `corpus-classify` 203.8 -> 186.5 ops/s painting one slice per
+hyperface.  The sums cost O(lattice) per direction when every plane
+holds a face, so `subdiv` grows a child's mask by slices instead, as a
+step adds only a few hyperfaces.  The lattice does not bound the
+complex, so a mesh may also hold at most `MAX_ENTITIES` entities: at
+most about 170 MiB at the 88-168 bytes an entity costs at peak while a
+tensor mesh is built (README).  `create_tensor_mesh` and `subdiv` raise `MeshError` past it,
+before they build anything.  numpy is imported only when a raster is
+built, so building, refining, saving and loading a mesh, and the
+three-direction check, never load it.
 
 Meshes are immutable; refinement returns a new mesh and records a replay
 log.  Derived structures (lattice rasters, T-junction tables, anchor
@@ -75,9 +80,9 @@ mask changes.  So:
   D & {x_j = m} or its associated cell was split.  The four valence
   reads sit half a lattice step from t's closure, and a closed integer
   box that holds such a point meets that closure, so no middle holds
-  one: t keeps its valence and directions.  The walk to the associated
-  cell ends at the cell's bounds while it is a cell of the child, so
-  the cell changes only if it was split.  Every other parent junction
+  one: t keeps its valence and directions.  The associated cell is the
+  cell that holds the lattice point beside t, so it changes only if it
+  was split.  Every other parent junction
   that is still an entity of the child is re-probed
   (`topology.probe_tjunctions`); the replaced ones are dropped.  The
   new (d-2)-entities, the halves of replaced (d-2)-entities and the
@@ -309,18 +314,16 @@ def create_tensor_mesh(domain: IndexDomain, breakpoints: Sequence[Sequence[int]]
             raise MeshError(f"direction {k}: breakpoints must run from 0 to {n}")
         bps.append(seq)
     _check_entity_count(math.prod(2 * len(seq) - 1 for seq in bps))
-    per_dir = []
-    for seq in bps:
-        comps = [(v, v) for v in seq]
-        comps += [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        per_dir.append(comps)
-    buckets = {kappa: set() for r in range(domain.dim + 1)
-               for kappa in itertools.combinations(range(domain.dim), r)}
-    for combo in itertools.product(*per_dir):
-        buckets[singleton_dirs(combo)].add(combo)
-    return TMesh(domain=domain,
-                 breakpoints=tuple(bps),
-                 entities={kappa: frozenset(s) for kappa, s in buckets.items()})
+    singletons = [[(v, v) for v in seq] for seq in bps]
+    intervals = [list(zip(seq, seq[1:])) for seq in bps]
+    d = domain.dim
+    # the kappa-orthogonal entities: singletons on kappa, intervals off it
+    entities = {kappa: frozenset(itertools.product(
+                    *(singletons[k] if k in kappa else intervals[k]
+                      for k in range(d))))
+                for r in range(d + 1)
+                for kappa in itertools.combinations(range(d), r)}
+    return TMesh(domain=domain, breakpoints=tuple(bps), entities=entities)
 
 
 def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
@@ -460,38 +463,48 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
 
 
 def find_cell_containing(mesh: TMesh, point: Sequence[Scalar]) -> Entity:
-    """The unique cell whose open box contains the (strictly interior) point.
+    """The unique cell whose open box contains the (strictly interior)
+    point: `_cell_at` its `_lattice_index` in every direction."""
+    if len(point) != mesh.dim:
+        raise DimensionMismatch("point dimension mismatch")
+    cell = _cell_at(mesh, [_lattice_index(x) for x in point])
+    if cell is None:
+        # as the mesh file writes numbers: (3, 7/2)
+        text = ", ".join(str(Fraction(x)) for x in point)
+        raise MeshError(f"no cell strictly contains ({text})")
+    return cell
+
+
+def _cell_at(mesh: TMesh, lattice: Sequence[int]) -> Entity | None:
+    """The cell whose open box holds lattice point `lattice` (index g
+    stands for g/2), or None when the point lies on a skeleton or
+    outside the open domain.
 
     A lookup, exact because `create_tensor_mesh` and `subdiv` only ever
     make components that are tensor intervals (between consecutive
     breakpoints) or repeated integer halves of one.  So in each direction
-    the candidates are the tensor interval strictly around x, found by
-    bisection, and the halves below it that still hold x strictly, down
+    the candidates are the tensor interval strictly around g/2, found by
+    bisection, and the halves below it that still hold g/2 strictly, down
     to an odd width; their product is looked up in `mesh.cells`, and no
-    cell is iterated.  Comparisons are in lattice integers: x lies in the
-    open (a, b) exactly when its `_lattice_index` g has 2a < g < 2b."""
-    if len(point) != mesh.dim:
-        raise DimensionMismatch("point dimension mismatch")
+    cell is iterated.  g lies in the open (a, b) exactly when
+    2a < g < 2b."""
     per_dir = []
-    for x, bps in zip(point, mesh.breakpoints):
-        g = _lattice_index(x)
+    for g, bps in zip(lattice, mesh.breakpoints):
         i = bisect_right(bps, g // 2)
-        comps = []
-        if 0 < i < len(bps) and 2 * bps[i - 1] < g:
-            a, b = bps[i - 1], bps[i]
+        if not (0 < i < len(bps) and 2 * bps[i - 1] < g):
+            return None
+        a, b = bps[i - 1], bps[i]
+        comps = [(a, b)]
+        while (b - a) % 2 == 0 and g != a + b:   # g/2 off the midpoint
+            m = (a + b) // 2
+            a, b = (a, m) if g < 2 * m else (m, b)
             comps.append((a, b))
-            while (b - a) % 2 == 0 and g != a + b:   # x off the midpoint
-                m = (a + b) // 2
-                a, b = (a, m) if g < 2 * m else (m, b)
-                comps.append((a, b))
         per_dir.append(comps)
     cells = mesh.cells
     for cell in itertools.product(*per_dir):
         if cell in cells:
             return cell
-    # as the mesh file writes numbers: (3, 7/2)
-    text = ", ".join(str(Fraction(x)) for x in point)
-    raise MeshError(f"no cell strictly contains ({text})")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +562,11 @@ def skeleton_mask(mesh: TMesh, j: int) -> np.ndarray:
 
 def _closure_mask(faces: frozenset, k: int, shape: tuple) -> np.ndarray:
     """Read-only bool raster of `shape` holding the closures of the
-    k-orthogonal hyperfaces `faces`, painted by `_paint_boxes` on their
-    planes x_k = 2a, each closure a box over the d-1 other axes.
+    k-orthogonal hyperfaces `faces`.  `_paint_boxes` paints each closure,
+    a box over the d-1 other axes, on a raster whose axis k holds only
+    the planes x_k = a of the faces, and those planes are then written at
+    2a on axis k of the mask: the running sums cost the planes, not the
+    whole lattice.
 
     The faces are disjoint, so a point lies in at most 2^(d-1) closures,
     one per open orthant of the plane; the count wraps around in an
@@ -566,10 +582,18 @@ def _closure_mask(faces: frozenset, k: int, shape: tuple) -> np.ndarray:
         count=2 * d * len(faces)).reshape(-1, d, 2)
     bounds *= 2
     bounds[..., 1] += 1   # past the closure
-    count = _paint_boxes(shape, bounds[..., 0], bounds[..., 1],
+    # the planes that hold faces, and each face's plane as a row of them
+    # (int32 holds the lattice limit)
+    held = np.zeros(shape[k], dtype=bool)
+    held[bounds[:, k, 0]] = True
+    bounds[:, k, 0] = np.cumsum(held, dtype=np.int32)[bounds[:, k, 0]]
+    bounds[:, k, 0] -= 1
+    count = _paint_boxes(shape[:k] + (np.count_nonzero(held),) + shape[k + 1:],
+                         bounds[..., 0], bounds[..., 1],
                          [i for i in range(d) if i != k],
                          np.uint8 if d <= 8 else np.uint16)
-    mask = count != 0
+    mask = np.zeros(shape, dtype=bool)
+    np.moveaxis(mask, k, 0)[held] = np.moveaxis(count, k, 0) != 0
     mask.setflags(write=False)
     return mask
 
@@ -728,33 +752,28 @@ def is_admissible(mesh: TMesh) -> tuple[bool, tuple]:
 def check_three_direction_assumption(mesh: TMesh) -> bool:
     """Every active cell has active neighbor cells in at least 3 directions.
 
-    One bool raster on the lattice of `skeleton_mask` holds the open
-    interiors of the active cells (`_open_lattice`), 1 byte per point."""
-    import numpy as np
-
+    The cells across one face of a cell q share one tensor interval per
+    direction, so they lie in one cell of the initial tensor mesh, and
+    the cells of a tensor cell are all active or all inactive: `subdiv`
+    bisects only components that lie in the active span, so a tensor cell
+    that crosses the frame boundary has only cells that cross it.  One
+    `_cell_at` lookup decides a face, at the all-odd lattice point just
+    past it over q's lowest unit cube."""
     if mesh.dim < 3:
         raise DimensionTooSmall("needs at least 3 directions")
     active = mesh.domain.active_spans()
-    cells = [q for q in mesh.cells if hull_inside(q, active)]
-    inside = np.zeros(tuple(2 * n + 1 for n in mesh.domain.extents),
-                      dtype=bool)
-    for q in cells:
-        inside[_open_lattice(q)] = True
-    return all(sum(_has_neighbor(q, i, inside) for i in range(mesh.dim)) >= 3
-               for q in cells)
 
-
-def _has_neighbor(q: Entity, i: int, inside: np.ndarray) -> bool:
-    """Is an active cell across one of q's i-orthogonal faces?  The
-    lattice slab just past each face, over q's open interior, meets the
-    painted interiors of exactly the active cells adjacent to q there."""
-    slab = list(_open_lattice(q))
-    for g in (2 * q[i][0] - 1, 2 * q[i][1] + 1):
-        if 0 <= g < inside.shape[i]:
-            slab[i] = g
-            if inside[tuple(slab)].any():
+    def across(q: Entity, i: int) -> bool:
+        at = [2 * a + 1 for a, _ in q]
+        for g in (2 * q[i][0] - 1, 2 * q[i][1] + 1):
+            at[i] = g
+            other = _cell_at(mesh, at)
+            if other is not None and hull_inside(other, active):
                 return True
-    return False
+        return False
+
+    return all(sum(across(q, i) for i in range(mesh.dim)) >= 3
+               for q in mesh.cells if hull_inside(q, active))
 
 
 # ---------------------------------------------------------------------------

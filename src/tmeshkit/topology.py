@@ -4,11 +4,12 @@ A T-junction is a (d-2)-dimensional interior entity of valence 3: it
 bounds three hyperfaces instead of four.  It carries an orthogonal
 direction (the singleton component strictly inside its associated cell),
 a pointing direction (the singleton component on the cell boundary), and
-the unique associated cell itself.  Detection reads only the skeleton
-masks of `tmeshkit.mesh` (`skeleton_mask`): one probe per entity, plain
-reads at flat lattice indices, shared by the cold build and the carry
-across `subdiv`.  The direct scans it replaces are kept as
-`tmeshkit.verify.tjunctions_oracle`.
+the unique associated cell itself.  Detection reads the skeleton masks
+of `tmeshkit.mesh` (`skeleton_mask`), plain reads at flat lattice
+indices, and looks each junction's associated cell up in the
+breakpoints (`mesh._cell_at`): one probe per entity, shared by the cold
+build and the carry across `subdiv`.  The direct scans it replaces are
+kept as `tmeshkit.verify.tjunctions_oracle`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mesh import Entity, MeshError, TMesh, point_in_skeleton, skeleton_mask
+from .mesh import (Entity, MeshError, TMesh, _cell_at, point_in_skeleton,
+                   skeleton_mask)
 from .regions import Scalar
 
 
@@ -72,12 +74,10 @@ def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
     flat lattice indices of memoryviews over the rasters, one Python loop
     step per entity.  A missing i-orthogonal half-face makes i the
     orthogonal direction and the other singleton direction the pointing
-    one.  Its probe point lies inside the associated cell, and along each
-    direction k the nearest set points of mask k on the line through it
-    are the cell's bounds.  The walk to them starts at t's own bounds, so
-    only the directions where the cell is wider than t take more than one
-    read; a box that is not a cell of the mesh is an error.  Entities on
-    the domain boundary in i or j are skipped.  When several entities are
+    one.  The lattice point beside t across the missing half-face lies
+    strictly inside the associated cell, so `mesh._cell_at` finds the
+    cell there; a point that no cell holds is an error.  Entities on the
+    domain boundary in i or j are skipped.  When several entities are
     corrupt, the smallest is reported.
     """
     if not any(buckets.values()):
@@ -88,7 +88,6 @@ def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
     double = [2 * s for s in strides]
     masks = [memoryview(skeleton_mask(mesh, k)).cast("B")
              for k in range(len(shape))]
-    cells = mesh.cells
     found, errors = [], []
     for (i, j), ents in buckets.items():
         ni, nj, si, sj, mi, mj = (extents[i], extents[j], strides[i],
@@ -110,25 +109,14 @@ def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
                 continue
             missing = present.index(0)
             odir, pdir = (i, j) if missing < 2 else (j, i)
-            step = 1 if missing % 2 else -1
-            p = g + step * strides[pdir]   # inside the associated cell
-            box = []
-            for k, (a, b) in enumerate(t):
-                c = 2 * a + (a < b) + (step if k == pdir else 0)
-                mk, sk = masks[k], double[k]
-                line = p - c * strides[k]   # lattice point 0 of p's k-line
-                lo, hi = (c - 1) // 2, max(b, (c + 2) // 2)
-                while lo > 0 and not mk[line + lo * sk]:
-                    lo -= 1
-                while hi < extents[k] and not mk[line + hi * sk]:
-                    hi += 1
-                box.append((lo, hi))
-            box = tuple(box)
-            if box in cells:
-                found.append(TJunction(entity=t, odir=odir, pdir=pdir,
-                                       ascell=box, valence=3))
-            else:
+            beside = [2 * a + (a < b) for a, b in t]
+            beside[pdir] += 1 if missing % 2 else -1
+            cell = _cell_at(mesh, beside)
+            if cell is None:
                 errors.append((t, f"entity {t!r} has no associated cell"))
+            else:
+                found.append(TJunction(entity=t, odir=odir, pdir=pdir,
+                                       ascell=cell, valence=3))
     if errors:
         raise ClassificationAmbiguous(min(errors)[1])
     return found

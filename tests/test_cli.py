@@ -281,6 +281,20 @@ def test_new_and_refine_do_not_load_numpy(tmp_path):
     assert len(load_mesh(tmp_path / "m.json").refinement_log) == 2
 
 
+def test_three_direction_check_does_not_load_numpy(tmp_path):
+    # the neighbor assumption is one cell lookup per face, with no raster
+    code = """
+import sys
+from tmeshkit import fixtures as fx
+from tmeshkit.mesh import build_framed_mesh, check_three_direction_assumption
+cube = build_framed_mesh((1, 1, 1), [[0, 2, 4]] * 3)
+verdicts = [check_three_direction_assumption(m) for m in
+            (cube, fx.running_example_3d()[0])]
+print(verdicts, "numpy" in sys.modules)
+"""
+    assert _python(code, cwd=tmp_path) == "[True, False] False"
+
+
 # the names the package exported when its __init__ imported them eagerly
 PUBLIC = {
     "mesh": "CellOutsideActiveRegion DimensionTooSmall IndexDomain MeshError "

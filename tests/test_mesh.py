@@ -251,6 +251,33 @@ def test_skeleton_masks_equal_a_slice_painting(corpus200, monkeypatch):
         assert np.array_equal(mask, paint) and mask[(2,) * d]
 
 
+def test_closure_masks_paint_only_the_face_planes(monkeypatch):
+    # the running sums of a mask build run over the planes that hold
+    # faces, not over the whole lattice; the sparse 2-D mesh has 6 planes
+    # per direction on the largest lattice a domain may have
+    painted = []
+    paint_boxes = tmesh._paint_boxes
+
+    def spy(shape, *args):
+        painted.append(shape)
+        return paint_boxes(shape, *args)
+
+    monkeypatch.setattr(tmesh, "_paint_boxes", spy)
+    sparse = create_tensor_mesh(IndexDomain((2047, 2047), (1, 1)),
+                                [[0, 1, 1023, 2045, 2046, 2047]] * 2)
+    for mesh in (fx.running_example_3d()[0], cross_mesh(8), sparse):
+        mesh = TMesh(mesh.domain, mesh.breakpoints, mesh.entities)
+        lattice = [2 * n + 1 for n in mesh.domain.extents]
+        painted.clear()
+        masks = [tmesh.skeleton_mask(mesh, k) for k in range(mesh.dim)]
+        planes = [len({f[k][0] for f in mesh.entities[(k,)]})
+                  for k in range(mesh.dim)]
+        assert painted == [tuple(lattice[:k] + [planes[k]] + lattice[k + 1:])
+                           for k in range(mesh.dim)]
+        assert all(m.shape == tuple(lattice) for m in masks)
+    assert planes == [6, 6]
+
+
 def test_box_queries_refuse_boxes_outside_the_domain():
     # a box past the closed domain used to read an empty raster slice
     # (vacuously true) and reversed bounds wrapped negative indices

@@ -64,8 +64,9 @@ def test_hanging_edge_3d_directions():
 def test_valences_are_three_or_four():
     # the oracle counts hyperfaces by scan and raises off valences 3 and 4
     # (the criterion-12 stream is checked candidate by candidate below);
-    # the cross mesh's 16-wide cells give the probe its longest walks to
-    # the associated cell's bounds
+    # the cross mesh's 16-wide tensor cells, halved down to unit width
+    # beside unsplit ones, give the associated cell's lookup its longest
+    # runs of halves
     meshes = [refined2d(), fx.corner_tjunction_triple()[0],
               fx.crossing_hanging_edges((3, 2, 1))[0], fx.corner_cascade()[0],
               fx.running_example_3d()[0], fx.band_gap_mesh("partial")[0],

@@ -439,7 +439,8 @@ ABSTRACT_EXTENSION_PATHS = {
 @pytest.mark.parametrize("oracle, checked", [
     ("tjunctions_oracle", {"skeleton_mask", "_closure_mask", "_paint_boxes",
                            "probe_tjunctions", "find_tjunctions",
-                           "point_in_skeleton"}),
+                           "point_in_skeleton", "_cell_at",
+                           "find_cell_containing"}),
     ("atj_slice_oracle", ABSTRACT_EXTENSION_PATHS),
     ("aas_oracle", ABSTRACT_EXTENSION_PATHS),
     ("dc_scan_oracle", {"meeting_pairs", "_pair_flags", "knots_overlap",
