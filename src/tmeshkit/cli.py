@@ -3,9 +3,16 @@
 Exit codes: 0 success (and all requested checks passed), 1 a requested
 check failed, 2 precondition violation (also a bad argument value or an
 unwritable output), 3 non-integer midpoint, 4 malformed or unreadable
-input file, 5 usage error (unknown flag etc.).  `main` maps every
-`MeshError` a command raises to one `error:` line and exit 2, or 3 for
-a non-integer midpoint.  Directions on the command line are 1-based.
+input file, 5 usage error (unknown flag etc.).
+
+There is one refusal path.  A command returns 0 or 1 and prints no
+`error:` line; it raises instead, `_Refusal(code, message)` for an
+input it refuses and `MeshError` for a mesh operation that fails.
+`main` alone prints the one `error:` line and returns the code:
+`_Refusal.code`, 3 for a non-integer midpoint and 2 for any other
+`MeshError`.  So `main` returns every exit code but that of argparse's
+usage errors, which exit 5 from `_Parser.error`.  Directions on the
+command line are 1-based.
 
 Only the mesh, file and SVG modules are imported up front; `check`,
 `lin-indep` and `verify` import their classifier and harness modules
@@ -44,6 +51,15 @@ def _checks() -> dict:
 
     return {"admissible": is_admissible, "aas": is_aas, "sgas": is_sgas,
             "wgas": is_wgas, "sdc": is_sdc, "wdc": is_wdc}
+
+
+class _Refusal(Exception):
+    """An input a command refuses: `main` prints its one `error:` line
+    and returns `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,26 +121,22 @@ def _load(path: str):
     try:
         return load_mesh(path)
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_FILE) from None
+        raise _Refusal(EXIT_BAD_FILE, f"no such file: {path}") from None
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_BAD_FILE) from None
+        raise _Refusal(EXIT_BAD_FILE, f"cannot read {path}: "
+                                      f"{exc.strerror or exc}") from None
     except MeshFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_FILE) from None
+        raise _Refusal(EXIT_BAD_FILE, str(exc)) from None
 
 
 @contextmanager
 def _writing(path: str):
-    """An output that cannot be written exits 2 with one error line."""
+    """An output that cannot be written is refused with exit 2."""
     try:
         yield
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_PRECONDITION) from None
+        raise _Refusal(EXIT_PRECONDITION, f"cannot write {path}: "
+                                          f"{exc.strerror or exc}") from None
 
 
 def _cmd_new(args) -> int:
@@ -136,16 +148,13 @@ def _cmd_new(args) -> int:
             breakpoints = [_csv_ints(chunk)
                            for chunk in args.breakpoints.split(";")]
     except ValueError as exc:
-        print(f"error: bad integer list: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION, f"bad integer list: {exc}") from None
     if len(extents) != args.dim or len(degrees) != args.dim:
-        print("error: extents/degrees must match --dim", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION, "extents/degrees must match --dim")
     try:
         domain = IndexDomain(extents=tuple(extents), degrees=tuple(degrees))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION, str(exc)) from None
     mesh = create_tensor_mesh(domain, breakpoints)
     with _writing(args.out):
         save_mesh(mesh, args.out)
@@ -158,11 +167,9 @@ def _cmd_refine(args) -> int:
     try:
         point = tuple(parse_rational(x) for x in args.at.split(","))
     except (ValueError, ZeroDivisionError):
-        print(f"error: bad point {args.at!r}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION, f"bad point {args.at!r}") from None
     if len(point) != mesh.dim or not 1 <= args.dir <= mesh.dim:
-        print("error: point/direction of wrong dimension", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION, "point/direction of wrong dimension")
     mesh = subdiv(mesh, find_cell_containing(mesh, point), args.dir - 1)
     out = args.out or args.mesh
     with _writing(out):
@@ -204,8 +211,7 @@ def _cmd_check(args) -> int:
              else list(dict.fromkeys(args.which.split(","))))
     for name in names:
         if name not in checks:
-            print(f"error: unknown check {name!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal(EXIT_USAGE, f"unknown check {name!r}")
     mesh = _load(args.mesh)
     report = {"format_version": 1, "mesh": args.mesh, "checks": {}}
     all_ok = True
@@ -238,9 +244,8 @@ def _cmd_verify(args) -> int:
     from .suitability import is_wgas
 
     if args.seeds < 1:
-        print(f"error: --seeds must be at least 1, got {args.seeds}",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION,
+                       f"--seeds must be at least 1, got {args.seeds}")
     stream = verify.mesh_stream(args.seed, args.seeds)   # built as it is read
     if args.suite == "thm61":
         rep = verify.crosscheck_aas_sdc(stream)
@@ -301,18 +306,16 @@ def _cmd_export(args) -> int:
             k_text, n_text = args.slice_spec.split("=")
             k, n = int(k_text) - 1, int(n_text)
         except ValueError:
-            print(f"error: bad --slice {args.slice_spec!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal(EXIT_USAGE, f"bad --slice {args.slice_spec!r}") from None
         if not (0 <= k < mesh.dim and 0 <= n <= mesh.domain.extents[k]):
-            print(f"error: --slice {args.slice_spec!r} needs 1 <= k <= "
-                  f"{mesh.dim} and 0 <= n <= N_k", file=sys.stderr)
-            return EXIT_PRECONDITION
+            raise _Refusal(EXIT_PRECONDITION,
+                           f"--slice {args.slice_spec!r} needs 1 <= k <= "
+                           f"{mesh.dim} and 0 <= n <= N_k")
     layers = tuple(args.layers.split(","))
     try:
         svg = render_slice_svg(mesh, k, n, layers)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION, str(exc)) from None
     with _writing(args.out):
         Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
@@ -333,10 +336,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except MeshError as exc:   # e.g. knot windows that do not fit
+    except (_Refusal, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return (EXIT_MIDPOINT if isinstance(exc, NonIntegerMidpoint)
-                else EXIT_PRECONDITION)
+        return (exc.code if isinstance(exc, _Refusal) else EXIT_MIDPOINT
+                if isinstance(exc, NonIntegerMidpoint) else EXIT_PRECONDITION)
 
 
 if __name__ == "__main__":

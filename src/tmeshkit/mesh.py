@@ -81,9 +81,9 @@ mask changes.  So:
   reads sit half a lattice step from t's closure, and a closed integer
   box that holds such a point meets that closure, so no middle holds
   one: t keeps its valence and directions.  The associated cell is the
-  cell that holds the lattice point beside t, so it changes only if it
-  was split.  Every other parent junction
-  that is still an entity of the child is re-probed
+  cell that holds t's midpoint stepped half a lattice step across the
+  missing half-face, so it changes only if it was split.  Every other
+  parent junction that is still an entity of the child is re-probed
   (`topology.probe_tjunctions`); the replaced ones are dropped.  The
   new (d-2)-entities, the halves of replaced (d-2)-entities and the
   middles of replaced hyperfaces, are probed.  No other entity needs a
@@ -159,29 +159,6 @@ class NonIntegerMidpoint(MeshError):
 
 class DimensionTooSmall(MeshError):
     """Operation requires a higher-dimensional mesh."""
-
-
-# ---------------------------------------------------------------------------
-# entity helpers
-
-def singleton_dirs(entity: Entity) -> tuple[int, ...]:
-    return tuple(k for k, c in enumerate(entity) if c[0] == c[1])
-
-
-def entity_contains_point(entity: Entity, point: Sequence[Scalar]) -> bool:
-    """Exact membership with open-interval semantics."""
-    for (a, b), x in zip(entity, point):
-        if a == b:
-            if x != a:
-                return False
-        elif not a < x < b:
-            return False
-    return True
-
-
-def project_entity(entity: Entity, j: int, n: int) -> Entity:
-    """Replace the j-th component by the singleton {n}."""
-    return entity[:j] + ((n, n),) + entity[j + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,12 @@ def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
     flat lattice indices of memoryviews over the rasters, one Python loop
     step per entity.  A missing i-orthogonal half-face makes i the
     orthogonal direction and the other singleton direction the pointing
-    one.  The lattice point beside t across the missing half-face lies
-    strictly inside the associated cell, so `mesh._cell_at` finds the
-    cell there; a point that no cell holds is an error.  Entities on the
+    one.  The associated cell q is looked up (`mesh._cell_at`) at t's own
+    midpoint stepped half a lattice step along the pointing direction,
+    across the missing half-face.  That point lies strictly inside q,
+    as q's components hold t's intervals, so the lookup also stops
+    walking the halves at t's interval in every direction but i and j; a
+    point that no cell holds is an error.  Entities on the
     domain boundary in i or j are skipped.  When several entities are
     corrupt, the smallest is reported.
     """
@@ -109,7 +112,7 @@ def probe_tjunctions(mesh: TMesh, buckets: dict) -> list:
                 continue
             missing = present.index(0)
             odir, pdir = (i, j) if missing < 2 else (j, i)
-            beside = [2 * a + (a < b) for a, b in t]
+            beside = [a + b for a, b in t]   # t's midpoint
             beside[pdir] += 1 if missing % 2 else -1
             cell = _cell_at(mesh, beside)
             if cell is None:

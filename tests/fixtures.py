@@ -1,4 +1,4 @@
-"""Canonical example meshes used by the test and verification suites.
+"""Canonical example meshes used by the test suite.
 
 Each builder constructs a specific published configuration by running
 the refinement algorithm on an admissible frame mesh; coordinates of the
@@ -8,7 +8,7 @@ small dict so tests can anchor assertions without magic numbers.
 
 from __future__ import annotations
 
-from .mesh import TMesh, build_framed_mesh, hull_inside, subdiv
+from tmeshkit.mesh import TMesh, build_framed_mesh, hull_inside, subdiv
 
 
 def opposing_hanging_pair(p1: int, p2: int = 1) -> tuple[TMesh, dict]:

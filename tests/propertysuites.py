@@ -14,10 +14,15 @@ from tmeshkit.dualcompat import knots_overlap
 from tmeshkit.mesh import (Entity, TMesh, check_three_direction_assumption,
                            hull_in_skeleton, is_admissible,
                            open_entity_meets_skeleton, point_in_skeleton,
-                           project_entity, subdiv)
+                           subdiv)
 from tmeshkit.suitability import gtj, is_wgas
 from tmeshkit.topology import find_separating_tjunction, find_tjunctions
 from tmeshkit.verify import bisection_options, random_admissible_mesh
+
+
+def project_entity(entity: Entity, j: int, n: int) -> Entity:
+    """Replace the j-th component by the singleton {n}."""
+    return entity[:j] + ((n, n),) + entity[j + 1:]
 
 
 def disjoint_union_violations(mesh: TMesh, samples: int = 10_000,

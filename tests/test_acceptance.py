@@ -8,9 +8,9 @@ shared fuzz corpus use the session fixture from conftest.
 import time
 from contextlib import contextmanager
 
+import fixtures as fx
 from propertysuites import (child_anchor_suite, projection_dichotomy_suite,
                             sgas_overlap_suite)
-from tmeshkit import fixtures as fx
 from tmeshkit.anchors import anchor_set, global_knot_vector, local_knot_vector
 from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.mesh import check_three_direction_assumption, is_admissible

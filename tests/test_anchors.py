@@ -2,16 +2,17 @@ import random
 import tracemalloc
 from importlib import resources
 
+import fixtures as fx
 import numpy as np
 import pytest
 from conftest import cold_copy, cross_mesh, crossing_4d_mesh
+from propertysuites import project_entity
 
-from tmeshkit import fixtures as fx
 from tmeshkit.anchors import (MAX_LINE_ENTRIES, InsufficientKnots, _window,
                               anchor_arrays, anchor_set, global_knot_vector,
                               index_support, local_knot_vector)
 from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
-                           create_tensor_mesh, project_entity, subdiv)
+                           create_tensor_mesh, subdiv)
 from tmeshkit.meshio import load_mesh
 from tmeshkit.verify import random_admissible_mesh
 

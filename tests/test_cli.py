@@ -6,10 +6,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import fixtures as fx
 import pytest
 
 import tmeshkit
-from tmeshkit import fixtures as fx
 from tmeshkit import regions
 from tmeshkit.cli import main
 from tmeshkit.meshio import load_mesh, save_mesh
@@ -282,14 +282,17 @@ def test_new_and_refine_do_not_load_numpy(tmp_path):
 
 
 def test_three_direction_check_does_not_load_numpy(tmp_path):
-    # the neighbor assumption is one cell lookup per face, with no raster
+    # the neighbor assumption is one cell lookup per face, with no raster;
+    # the shipped running example is `fixtures.running_example_3d()`
+    (tmp_path / "re.json").write_bytes(
+        DATA.joinpath("running_example_p321.json").read_bytes())
     code = """
 import sys
-from tmeshkit import fixtures as fx
 from tmeshkit.mesh import build_framed_mesh, check_three_direction_assumption
+from tmeshkit.meshio import load_mesh
 cube = build_framed_mesh((1, 1, 1), [[0, 2, 4]] * 3)
 verdicts = [check_three_direction_assumption(m) for m in
-            (cube, fx.running_example_3d()[0])]
+            (cube, load_mesh("re.json"))]
 print(verdicts, "numpy" in sys.modules)
 """
     assert _python(code, cwd=tmp_path) == "[True, False] False"
@@ -505,3 +508,91 @@ def test_readme_states_the_module_limits():
         owner = owners[name]
         assert module in ("", owner.__name__.rpartition(".")[2]), name
         assert getattr(owner, name) == 1 << int(power), name
+
+
+THIN_MISFIT = ("knot window of length 5 does not fit around 4 for "
+               "((4, 4), (4, 4))")
+
+# argv, exit code and the one stderr line of every refusal; the texts are
+# pinned byte for byte, since scripts match on them
+REFUSALS = {
+    "mesh-missing": (["check", "--mesh", "{tmp}/missing.json"], 4,
+                     "no such file: {tmp}/missing.json"),
+    "mesh-is-directory": (["lin-indep", "--mesh", "{tmp}"], 4,
+                          "cannot read {tmp}: Is a directory"),
+    "mesh-malformed": (["check", "--mesh", "{broken}"], 4,
+                       "not valid JSON: Expecting property name enclosed in "
+                       "double quotes: line 1 column 2 (char 1)"),
+    "new-out-unwritable": (["new", "--dim", "2", "--extents", "6,6",
+                            "--degrees", "1,1", "--out", "{nodir}/m.json"], 2,
+                           "cannot write {nodir}/m.json: No such file or "
+                           "directory"),
+    "check-json-unwritable": (["check", "--mesh", "{m}", "--which",
+                               "admissible", "--json", "{nodir}/r.json"], 2,
+                              "cannot write {nodir}/r.json: No such file or "
+                              "directory"),
+    "new-bad-integer-list": (["new", "--dim", "2", "--extents", "8,x",
+                              "--degrees", "1,1", "--out", "{tmp}/n.json"], 2,
+                             "bad integer list: invalid literal for int() with "
+                             "base 10: 'x'"),
+    "new-extents-not-dim": (["new", "--dim", "3", "--extents", "6,6",
+                             "--degrees", "1,1", "--out", "{tmp}/n.json"], 2,
+                            "extents/degrees must match --dim"),
+    "new-domain-rejected": (["new", "--dim", "2", "--extents", "0,6",
+                             "--degrees", "1,1", "--out", "{tmp}/n.json"], 2,
+                            "extents must be positive"),
+    "refine-bad-point": (["refine", "--mesh", "{m}", "--at", "x,y",
+                          "--dir", "1"], 2, "bad point 'x,y'"),
+    "refine-point-of-wrong-dimension": (["refine", "--mesh", "{m}", "--at",
+                                         "3,3,3", "--dir", "1"], 2,
+                                        "point/direction of wrong dimension"),
+    "check-unknown-check": (["check", "--mesh", "{m}", "--which", "bogus"], 5,
+                            "unknown check 'bogus'"),
+    "verify-no-seeds": (["verify", "--suite", "thm61", "--seeds", "0"], 2,
+                        "--seeds must be at least 1, got 0"),
+    "export-bad-slice": (["export", "--mesh", "{re}", "--slice", "3",
+                          "--out", "{tmp}/s.svg"], 5, "bad --slice '3'"),
+    "export-slice-out-of-range": (["export", "--mesh", "{re}", "--slice",
+                                   "3=6", "--out", "{tmp}/s.svg"], 2,
+                                  "--slice '3=6' needs 1 <= k <= 3 and "
+                                  "0 <= n <= N_k"),
+    "export-4d-mesh": (["export", "--mesh", "{m4}", "--out", "{tmp}/s.svg"], 2,
+                       "SVG export draws 2-D meshes and slices of 3-D meshes; "
+                       "this mesh is 4-D"),
+    # a MeshError from the command itself: AAS (after the admissibility
+    # verdict) and the anchors need knot windows that do not fit
+    "check-knots-do-not-fit": (["check", "--mesh", "{thin}"], 2, THIN_MISFIT),
+    "lin-indep-knots-do-not-fit": (["lin-indep", "--mesh", "{thin}"], 2,
+                                   THIN_MISFIT),
+    "refine-frame-cell": (["refine", "--mesh", "{m}", "--at", "1/2,3",
+                           "--dir", "1"], 2,
+                          "cell ((0, 1), (2, 4)) leaves the active region in "
+                          "direction 0"),
+    "refine-odd-midpoint": (["refine", "--mesh", "{m}", "--at", "3/2,3/2",
+                             "--dir", "1"], 3,
+                            "cell ((1, 2), (1, 2)) has odd width in direction 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_main_returns_every_refusal_with_one_error_line(tmp_path, capsys,
+                                                       case):
+    # called without `run`: a refusal must come back as a return value
+    argv, code, message = REFUSALS[case]
+    paths = {"tmp": tmp_path, "nodir": tmp_path / "no-such-dir",
+             "m": tmp_path / "m.json", "m4": tmp_path / "m4.json",
+             "re": tmp_path / "re.json", "thin": tmp_path / "thin.json",
+             "broken": tmp_path / "broken.json"}
+    assert main(["new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
+                 "--breakpoints", "0,1,2,4,5,6;0,1,2,4,5,6",
+                 "--out", str(paths["m"])]) == 0
+    assert main(["new", "--dim", "4", "--extents", "4,4,4,4",
+                 "--degrees", "1,1,1,1", "--out", str(paths["m4"])]) == 0
+    paths["re"].write_bytes(
+        DATA.joinpath("running_example_p321.json").read_bytes())
+    paths["thin"].write_text(json.dumps(
+        json.loads(paths["m"].read_text()) | THIN))
+    paths["broken"].write_text("{broken")
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"

@@ -1,11 +1,11 @@
 import random
 
+import fixtures as fx
 import numpy as np
 import pytest
 from conftest import cold_copy, cross_mesh
 
 from tmeshkit import dualcompat
-from tmeshkit import fixtures as fx
 from tmeshkit.anchors import anchor_arrays, anchor_set, global_knot_vector
 from tmeshkit.dualcompat import (SameAnchor, _pair_flags, is_sdc, is_wdc,
                                  knots_overlap, strongly_partially_overlap,

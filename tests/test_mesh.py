@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 from importlib import resources
 
+import fixtures as fx
 import pytest
 from conftest import cross_mesh
 
-from tmeshkit import fixtures as fx
 from tmeshkit import mesh as tmesh
 from tmeshkit.mesh import (MAX_ENTITIES, MAX_LATTICE_POINTS,
                            CellOutsideActiveRegion,
@@ -15,7 +15,7 @@ from tmeshkit.mesh import (MAX_ENTITIES, MAX_LATTICE_POINTS,
                            NonIntegerMidpoint, NotACell, active_region,
                            build_framed_mesh, check_three_direction_assumption,
                            create_tensor_mesh,
-                           entity_contains_point, find_cell_containing,
+                           find_cell_containing,
                            frame_region, frame_region_k, hull_inside,
                            TMesh, is_admissible, orth_entities,
                            point_in_skeleton, skeleton, subdiv)
@@ -507,9 +507,9 @@ def test_three_direction_assumption_with_cells_across_the_frame():
     assert True in verdicts and False in verdicts and straddling > 24
 
 
-def test_three_direction_raster_takes_a_byte_per_lattice_point():
-    # a 3-D domain near the lattice limit: one bool raster, where an
-    # int32 cell-label raster took 4 bytes per point
+def test_three_direction_check_peak_memory_near_the_lattice_limit():
+    # a 3-D domain near the lattice limit: the check looks cells up and
+    # builds no lattice raster
     import tracemalloc
 
     domain = IndexDomain((100, 100, 200), (1, 1, 1))
@@ -623,14 +623,6 @@ def test_find_cell_containing_iterates_no_cell():
                 with pytest.raises(MeshError) as exc:
                     find_cell_containing(sealed, point)
                 assert str(exc.value) == f"no cell strictly contains ({text})"
-
-
-def test_entity_contains_point_semantics():
-    cell = ((2, 4), (2, 4))
-    assert entity_contains_point(cell, (3, Fraction(7, 2)))
-    assert not entity_contains_point(cell, (2, 3))
-    vertex = ((2, 2), (2, 2))
-    assert entity_contains_point(vertex, (2, 2))
 
 
 def test_replay_determinism():

@@ -1,9 +1,9 @@
 import json
 from fractions import Fraction
 
+import fixtures as fx
 import pytest
 
-from tmeshkit import fixtures as fx
 from tmeshkit.mesh import IndexDomain, create_tensor_mesh
 from tmeshkit.meshio import (MeshFormatError, load_mesh, mesh_from_dict,
                              mesh_to_dict, region_from_json, region_to_json,

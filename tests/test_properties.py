@@ -2,13 +2,13 @@
 the complex consistent, and the classifier lemmas must hold on the classes
 they are stated for."""
 
+import fixtures as fx
 import pytest
 
 from propertysuites import (abstract_extension_witness_suite,
                             admissibility_preserved_along_walk,
                             child_anchor_suite, disjoint_union_violations,
                             projection_dichotomy_suite, sgas_overlap_suite)
-from tmeshkit import fixtures as fx
 from tmeshkit.mesh import is_admissible
 from tmeshkit.suitability import atj_slice, is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions

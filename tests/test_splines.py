@@ -1,10 +1,10 @@
 import itertools
 import random
 
+import fixtures as fx
 import numpy as np
 import pytest
 
-from tmeshkit import fixtures as fx
 from tmeshkit.anchors import anchor_set, index_support
 from tmeshkit.mesh import build_framed_mesh
 from tmeshkit.splines import (DegenerateKnots, bspline_eval,

@@ -1,12 +1,12 @@
 import re
 from importlib import resources
 
+import fixtures as fx
 import numpy as np
 import pytest
 from conftest import cold_copy, cross_mesh, crossing_4d_mesh
 
 from tmeshkit import anchors, dualcompat, suitability, verify
-from tmeshkit import fixtures as fx
 from tmeshkit.anchors import MAX_LINE_ENTRIES, InsufficientKnots
 from tmeshkit.mesh import (IndexDomain, MeshError, TMesh, build_framed_mesh,
                            create_tensor_mesh, is_admissible, subdiv)

@@ -1,6 +1,6 @@
+import fixtures as fx
 import pytest
 
-from tmeshkit import fixtures as fx
 from tmeshkit.suitability import atj_slice, atj_union
 from tmeshkit.svgexport import extract_layer_region, render_slice_svg
 

@@ -3,15 +3,15 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import fixtures as fx
 import numpy as np
 import pytest
 from conftest import cross_mesh
 
-from tmeshkit import fixtures as fx
 from tmeshkit import topology
 from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
-                           create_tensor_mesh, hull_inside, singleton_dirs,
-                           skeleton_mask, subdiv)
+                           create_tensor_mesh, hull_inside, skeleton_mask,
+                           subdiv)
 from tmeshkit.suitability import gtj, is_wgas
 from tmeshkit.topology import (ClassificationAmbiguous, PreconditionViolated,
                                find_separating_tjunction, find_tjunctions,
@@ -24,6 +24,12 @@ def refined2d():
     dom = IndexDomain(extents=(8, 8), degrees=(1, 1))
     mesh = create_tensor_mesh(dom, [[0, 2, 4, 6, 8]] * 2)
     return subdiv(mesh, ((2, 4), (2, 4)), 0)
+
+
+def singleton_dirs(entity) -> tuple:
+    """The directions in which `entity` is a singleton, the key of its
+    bucket: the reference the tests check the buckets against."""
+    return tuple(k for k, c in enumerate(entity) if c[0] == c[1])
 
 
 def test_tensor_mesh_has_no_tjunctions():

@@ -4,11 +4,11 @@ import random
 import tracemalloc
 import types
 
+import fixtures as fx
 import numpy as np
 import pytest
 from propertysuites import child_anchor_inheritance
 
-from tmeshkit import fixtures as fx
 from tmeshkit import verify
 from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.anchors import anchor_set
