@@ -9,8 +9,10 @@ j-orthogonal skeleton.  Local vectors are centered windows of the global
 ones.  The anchor set and `anchor_arrays` are memoized per mesh; a
 global vector is read from its skeleton mask on each call, local vectors
 and supports off it, and a bad box or direction raises on every call.
-That per-key path serves admissibility, the junctions of a mesh `subdiv`
-seeded and the public API, and checks the batches from outside.
+That per-key path serves the complete slices (`complete_slices`, the
+vector of the whole domain, which admissibility and `verify` read), the
+junctions of a mesh `subdiv` seeded and the public API, and checks the
+batches from outside.
 Measured, keep (2-vCPU host, `--seconds 5`, 4-6 alternated pairs):
 serving every global vector from a memoized count table, instead of the
 per-line memo this path then had, took `corpus-classify` from 141 to
@@ -91,6 +93,13 @@ def global_knot_vector(mesh: TMesh, entity: Entity, j: int) -> tuple[int, ...]:
     sel[j] = slice(None, None, 2)
     ok = mask[tuple(sel)].all(axis=tuple(k for k in range(mesh.dim) if k != j))
     return tuple(ok.nonzero()[0].tolist())
+
+
+def complete_slices(mesh: TMesh, k: int) -> tuple[int, ...]:
+    """Indices whose full slice x_k = n lies in the k-orthogonal skeleton:
+    the global knot vector of the whole domain."""
+    return global_knot_vector(
+        mesh, tuple((0, n) for n in mesh.domain.extents), k)
 
 
 def _window(vector: Sequence[int], value: int, offset: int, length: int,

@@ -246,7 +246,9 @@ def _cmd_verify(args) -> int:
     if args.seeds < 1:
         raise _Refusal(EXIT_PRECONDITION,
                        f"--seeds must be at least 1, got {args.seeds}")
-    stream = verify.mesh_stream(args.seed, args.seeds)   # built as it is read
+    # built as it is read: one mesh and its memo at a time
+    keep = (lambda m: is_wgas(m)[0]) if args.suite == "conj63" else None
+    stream = verify.mesh_stream(args.seed, args.seeds, keep=keep)
     if args.suite == "thm61":
         rep = verify.crosscheck_aas_sdc(stream)
         ok = rep["ok"]
@@ -258,10 +260,7 @@ def _cmd_verify(args) -> int:
         print(f"thm62: {rep['checked']} sgas meshes checked "
               f"({rep['skipped']} skipped), {'ok' if ok else 'FAILED'}")
     elif args.suite == "conj63":
-        # built as it is read: one mesh and its memo at a time
-        wgas_stream = verify.mesh_stream(args.seed, args.seeds,
-                                         keep=lambda m: is_wgas(m)[0])
-        rep = verify.wgas_wdc_counterexample_search(wgas_stream)
+        rep = verify.wgas_wdc_counterexample_search(stream)
         ok = True  # candidates are logged, never asserted
         print(f"conj63: {rep['wgas']} wgas meshes, "
               f"{len(rep['candidates'])} candidate counterexamples")

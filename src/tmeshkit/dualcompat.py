@@ -58,27 +58,28 @@ def knots_overlap(v1, v2) -> bool:
     return w1 == w2
 
 
-def _vectors(mesh: TMesh, a: Entity) -> tuple:
-    return tuple(local_knot_vector(mesh, a, j) for j in range(mesh.dim))
+def _vector_pairs(mesh: TMesh, a1: Entity, a2: Entity) -> list:
+    """Per direction, the local vectors of two distinct anchors (a1's are
+    all read before a2's)."""
+    if a1 == a2:
+        raise SameAnchor("anchors must be distinct")
+    v1, v2 = ([local_knot_vector(mesh, a, j) for j in range(mesh.dim)]
+              for a in (a1, a2))
+    return list(zip(v1, v2))
 
 
 def weakly_partially_overlap(mesh: TMesh, a1: Entity, a2: Entity) -> bool:
     """Some direction where the local vectors differ and overlap."""
-    if a1 == a2:
-        raise SameAnchor("anchors must be distinct")
-    v1, v2 = _vectors(mesh, a1), _vectors(mesh, a2)
-    return any(w1 != w2 and knots_overlap(w1, w2) for w1, w2 in zip(v1, v2))
+    return any(w1 != w2 and knots_overlap(w1, w2)
+               for w1, w2 in _vector_pairs(mesh, a1, a2))
 
 
 def strongly_partially_overlap(mesh: TMesh, a1: Entity, a2: Entity) -> bool:
     """Disjoint supports, or overlap in at least d-1 directions."""
-    if a1 == a2:
-        raise SameAnchor("anchors must be distinct")
-    v1, v2 = _vectors(mesh, a1), _vectors(mesh, a2)
-    if any(max(w1[0], w2[0]) > min(w1[-1], w2[-1]) for w1, w2 in zip(v1, v2)):
+    pairs = _vector_pairs(mesh, a1, a2)
+    if any(max(w1[0], w2[0]) > min(w1[-1], w2[-1]) for w1, w2 in pairs):
         return True   # the supports, spanned by the vectors, are disjoint
-    misses = sum(1 for w1, w2 in zip(v1, v2) if not knots_overlap(w1, w2))
-    return misses <= 1
+    return sum(not knots_overlap(w1, w2) for w1, w2 in pairs) <= 1
 
 
 def _windows_overlap(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:

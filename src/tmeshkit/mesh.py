@@ -94,8 +94,10 @@ mask changes.  So:
   gets `"gtj_rows"`, (junction, box) pairs of the parent's table, and
   `suitability._gtj_table` builds only the junctions without a row, one
   `gtj` each, and drops the rows (a mesh given no rows reads every box
-  in one batch).  A parent that never read its own rows hands them on
-  by the same rule, so a chain of unclassified meshes keeps them.  The
+  in one batch).  Rows come only from a table the parent built: a
+  parent that never read its own rows hands on none, and no workload
+  bisects such a parent (a spy on one cycle of `conj-stream` and of
+  `corpus-classify` found none).  The
   row of a parent junction t is carried when t's closure misses closed
   D in a direction other than j: t then keeps its record, by the
   argument above, and every knot vector its extension reads, as each
@@ -107,10 +109,10 @@ mask changes.  So:
   not strictly contain m keeps its entries (a truncated one ends at 0
   or N_j, and 0 < m < N_j), and so do its adjacency and fit checks,
   which read the window and the record.  Measured, keep: `conj-stream`
-  1644 -> 1574 ops/s with the first rule alone and 1157 -> 1061 without
-  any carry (both on per-junction entries); the batch takes 0.6-0.9 ms
-  on a stream candidate, whose whole step takes about 0.6 ms with the
-  rows.
+  1745 -> 1625 ops/s with the first rule alone (10 pairs at
+  `--seconds 15`) and 1157 -> 1061 without any carry (on per-junction
+  entries); the batch takes 0.6-0.9 ms on a stream candidate, whose
+  whole step takes about 0.6 ms with the rows.
 - Every other entry is rebuilt when it is first asked for.  Knot
   vectors are not memoized, so none is carried.  Measured: carrying the
   per-line knot vectors a bisection leaves unchanged, while they were
@@ -134,8 +136,7 @@ from .regions import BoxRegion, DimensionMismatch, Scalar, hull_inside
 if TYPE_CHECKING:  # numpy loads with the first raster, not with the module
     import numpy as np
 
-Component = tuple  # (a, b) ints: a == b singleton, a < b open interval
-Entity = tuple     # tuple of d Components
+Entity = tuple  # d components (a, b) of ints: a == b singleton, a < b interval
 
 MAX_LATTICE_POINTS = 1 << 24  # prod_k (2 N_k + 1) a domain may have
 MAX_ENTITIES = 1 << 20        # entities of all dimensions a mesh may have
@@ -358,7 +359,7 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
                   breakpoints=mesh.breakpoints,
                   entities=entities,
                   refinement_log=mesh.refinement_log + ((cell, j),))
-    _seed_memo(mesh, child, j, qj, box, added, set(replaced[()]))
+    _seed_memo(mesh, child, j, m, box, replaced, added)
     return child
 
 
@@ -371,31 +372,31 @@ def _misses(e: Entity, others: list) -> bool:
     return False
 
 
-def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
-               box: list, added: dict, split: set) -> None:
-    """Hand the child the parent's memo entries that bisecting the cells
-    `split`, those with j-component qj inside the refinement box `box`
-    (D), at x_j = m leaves unchanged, and the T-junction table re-probed
-    where it may change.  Mask j grows only at the closed middles, all
-    in D & {x_j = m}, so:
+def _seed_memo(parent: TMesh, child: TMesh, j: int, m: int, box: list,
+               replaced: dict, added: dict) -> None:
+    """Hand the child the parent's memo entries that bisecting at x_j = m
+    inside the refinement box `box` (D) leaves unchanged, and the
+    T-junction table re-probed where it may change; `replaced` and
+    `added` are the entities the bisection took out and put in, per
+    bucket.  Mask j grows only at the closed middles, all in
+    D & {x_j = m}, so:
 
     - a parent junction is re-probed only if its closure meets
       D & {x_j = m} (its valence reads sit half a lattice step from its
       closure, and a closed integer box holding such a point meets it)
-      or its associated cell was split; `added`, the new entities per
-      bucket, are probed too;
-    - the row of t in the extension-box table, or in the rows the parent
-      was seeded with if it never read them, is carried under
+      or its associated cell was split (replaced); the new
+      (d-2)-entities are probed too;
+    - the row of t in the parent's extension-box table is carried under
       `"gtj_rows"` as (t, box) when t misses D off j, or when t's child
       record is the parent's and m is not strictly inside the box's
-      j-span: the direction-j knot vector can only gain m.
+      j-span: the direction-j knot vector can only gain m.  A parent
+      that never built its table hands on no rows.
 
     The module docstring gives the full argument and the measurements."""
     memo = parent._memo
     if not memo:
         return
     seeded = child._memo
-    m = (qj[0] + qj[1]) // 2
     if "skeleton_mask" in memo:
         masks = memo["skeleton_mask"]
         grown = masks[j].copy()
@@ -408,14 +409,15 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
     if "tjunctions" in memo and "skeleton_mask" in memo:
         from .topology import ClassificationAmbiguous, probe_tjunctions
 
+        gone = set(itertools.chain.from_iterable(replaced.values()))
         carried = []
         probed = {ij: [] for ij in itertools.combinations(range(child.dim), 2)}
         for t in memo["tjunctions"]:
             e = t.entity
             near = e[j][0] <= m <= e[j][1] and not _misses(e, others)
-            if near and e[j] == qj and hull_inside(e, box):
+            if near and e in gone:
                 continue   # replaced: its halves are probed below
-            if near or t.ascell in split:
+            if near or t.ascell in gone:
                 probed[min(t.odir, t.pdir), max(t.odir, t.pdir)].append(e)
             else:
                 carried.append(t)
@@ -429,12 +431,10 @@ def _seed_memo(parent: TMesh, child: TMesh, j: int, qj: Component,
             records = {t.entity: t for t in seeded["tjunctions"]}
         except ClassificationAmbiguous:
             pass   # a cold build reports the smallest corrupt entity
-    # the parent's table, or the rows it was seeded with and never read
-    table = memo.get("gtj_table")
-    rows = zip(table[0], table[1].tolist()) if table else memo.get("gtj_rows")
-    if rows is not None:
+    if "gtj_table" in memo:
+        tjs, boxes = memo["gtj_table"]
         seeded["gtj_rows"] = [
-            (t, row) for t, row in rows
+            (t, row) for t, row in zip(tjs, boxes.tolist())
             if (not row[j][0] < m < row[j][1] and records.get(t.entity) == t)
             or _misses(t.entity, others)]
 
@@ -701,18 +701,17 @@ def is_admissible(mesh: TMesh) -> tuple[bool, tuple]:
 
     Violations are ("slice_not_in_skeleton", k, n) or
     ("tjunction_in_frame", k, entity).
-    Read on each call from the whole domain's knot vectors and the
-    memoized T-junctions.
+    Read on each call from the complete slices and the memoized
+    T-junctions.
     """
-    from .anchors import global_knot_vector
+    from .anchors import complete_slices
     from .topology import find_tjunctions
 
     dom = mesh.domain
-    whole = tuple((0, n_k) for n_k in dom.extents)
     violations = []
     for k, n_k in enumerate(dom.extents):
         f = dom.frame_width(k)
-        full = global_knot_vector(mesh, whole, k)
+        full = complete_slices(mesh, k)
         violations += [("slice_not_in_skeleton", k, n)
                        for n in [*range(0, f + 1), *range(n_k - f, n_k + 1)]
                        if n not in full]

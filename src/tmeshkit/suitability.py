@@ -318,7 +318,8 @@ def _gtj_table(mesh: TMesh) -> tuple:
     A mesh `subdiv` seeded with rows of its parent's table
     (`"gtj_rows"`, (junction, box) pairs) takes those rows, and `gtj`
     builds the others; the rows are dropped once read, so the table
-    holds the only copy.  Otherwise `_gtj_boxes` reads every box at once
+    holds the only copy, and a child of a mesh that never built its
+    table gets no rows.  Otherwise `_gtj_boxes` reads every box at once
     (as it does for a concurrent build that finds the rows gone: the
     boxes are the same)."""
     def build():

@@ -15,14 +15,15 @@ import itertools
 import math
 import random
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .anchors import (anchor_arrays, anchor_set, global_knot_vector,
+from .anchors import (anchor_arrays, anchor_set, complete_slices,
                       local_knot_vector)
 from .dualcompat import is_sdc, is_wdc, knots_overlap
 from .mesh import (Entity, MeshError, TMesh, build_framed_mesh,
@@ -263,24 +264,22 @@ def _anchor_knots_direct(mesh: TMesh) -> tuple:
 
 def atj_slice_oracle(mesh: TMesh, j: int, n: int) -> BoxRegion:
     """Abstract extension of a slice by pairwise enumeration of anchor
-    supports, with knot vectors recomputed by the direct scan."""
-    ins, outs = [], []
+    supports, with knot vectors recomputed by the direct scan.  Anchors
+    with equal supports give one box, so the in and out boxes are sets
+    before they are paired."""
+    ins, outs = set(), set()
     for a, spans, gkvs in _anchor_knots_direct(mesh):
-        if not spans[j][0] <= n <= spans[j][1]:
-            continue
-        box = spans[:j] + ((n, n),) + spans[j + 1:]
-        if n in gkvs[j]:
-            ins.append(box)
-        else:
-            outs.append(box)
-    boxes = []
+        if spans[j][0] <= n <= spans[j][1]:
+            (ins if n in gkvs[j] else outs).add(
+                spans[:j] + ((n, n),) + spans[j + 1:])
+    boxes = set()
     for b_in in ins:
         for b_out in outs:
             inter = tuple((max(l1, l2), min(h1, h2))
                           for (l1, h1), (l2, h2) in zip(b_in, b_out))
             if all(lo <= hi for lo, hi in inter):
-                boxes.append(inter)
-    return BoxRegion(mesh.dim, set(boxes))
+                boxes.add(inter)
+    return BoxRegion(mesh.dim, boxes)
 
 
 def aas_oracle(mesh: TMesh) -> tuple[bool, tuple]:
@@ -422,13 +421,6 @@ def rank_verdict_stable(report: RankReport) -> bool:
     return len({report.rank_at(t) for t in STABLE_THRESHOLDS}) == 1
 
 
-def complete_slices(mesh: TMesh, k: int) -> tuple:
-    """Indices whose full slice x_k = n lies in the k-orthogonal skeleton:
-    the global knot vector of the whole domain."""
-    return global_knot_vector(
-        mesh, tuple((0, n) for n in mesh.domain.extents), k)
-
-
 def unity_sample_bounds(mesh: TMesh) -> tuple:
     """Parametric box on which the basis must sum to one.
 
@@ -543,12 +535,19 @@ def mesh_stream(seed: int, count: int, **kwargs) -> Iterable[tuple[int, TMesh]]:
         yield sub, random_admissible_mesh(sub, **kwargs)
 
 
+def _prefixes(mesh: TMesh, length: int | None = None) -> Iterator[TMesh]:
+    """The mesh's initial grid and then its refinement-log prefixes up to
+    `length` steps, shortest first; each is bisected from the one before
+    only when it is asked for, so it inherits the memo entries that one's
+    readers built."""
+    return itertools.accumulate(
+        mesh.refinement_log[:length], lambda out, step: subdiv(out, *step),
+        initial=create_tensor_mesh(mesh.domain, mesh.breakpoints))
+
+
 def replay_prefix(mesh: TMesh, length: int) -> TMesh:
     """Rebuild the mesh from its initial grid and a refinement-log prefix."""
-    out = create_tensor_mesh(mesh.domain, mesh.breakpoints)
-    for cell, j in mesh.refinement_log[:length]:
-        out = subdiv(out, cell, j)
-    return out
+    return deque(_prefixes(mesh, length), maxlen=1).pop()
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +662,7 @@ def wgas_wdc_counterexample_search(meshes: Iterable[tuple[int, TMesh]]) -> dict:
 
 
 def _shrink_candidate(mesh: TMesh) -> TMesh:
-    """Each prefix is tested before the next bisection, so it inherits
-    the memo entries its parent carries."""
-    m = create_tensor_mesh(mesh.domain, mesh.breakpoints)
-    for cell, j in mesh.refinement_log:
-        if is_wgas(m)[0] and not is_wdc(m)[0]:
-            return m
-        m = subdiv(m, cell, j)
-    return m if is_wgas(m)[0] and not is_wdc(m)[0] else mesh
+    """The shortest prefix that is WGAS and not WDC, or `mesh` when even
+    its full replay is not."""
+    return next((m for m in _prefixes(mesh)
+                 if is_wgas(m)[0] and not is_wdc(m)[0]), mesh)

@@ -253,7 +253,8 @@ def test_cold_classification_builds_no_extension_per_key(corpus200,
                                                          monkeypatch):
     # a corpus op on replayed meshes: the six classifiers and Thm 6.2
     # read every extension box from the batch, and the only knot vectors
-    # read per key are admissibility's whole-domain ones
+    # read per key are admissibility's whole-domain ones (the complete
+    # slices, which `anchors` serves to `verify` too)
     calls, whole = [], []
     per_key, per_line = suitability.gtj, anchors.global_knot_vector
 
@@ -266,7 +267,7 @@ def test_cold_classification_builds_no_extension_per_key(corpus200,
         return per_line(mesh, entity, j)
 
     monkeypatch.setattr(suitability, "gtj", spy)
-    for module in (anchors, suitability, verify):
+    for module in (anchors, suitability):
         monkeypatch.setattr(module, "global_knot_vector", line_spy)
     junctions = 0
     for sub, built in corpus200["meshes"][:24]:
@@ -309,23 +310,21 @@ def test_gtj_union_sweeps_no_pairs(monkeypatch):
     assert not is_sgas(cold)[0]
 
 
-def test_gtj_rows_pass_through_a_mesh_that_never_read_them():
+def test_unread_rows_are_not_relayed():
     # a classified parent seeds its child with rows of its table; the
-    # child, never classified, hands them on by the same rule, and the
-    # grandchild's table drops them once read
+    # child, never classified, built no table, so it hands the
+    # grandchild no rows, and the grandchild reads every box cold
     parent = cross_mesh(8)
     is_sgas(parent)
     child = subdiv(parent, ((2, 10), (2, 10)), 1)
-    assert "gtj_table" not in child._memo
+    assert "gtj_rows" in child._memo and "gtj_table" not in child._memo
     grandchild = subdiv(child, ((2, 10), (18, 26)), 0)
-    rows = grandchild._memo["gtj_rows"]
-    records = {t.entity: t for t in find_tjunctions(cold_copy(grandchild))}
-    assert 0 < len(rows) < len(child._memo["gtj_rows"])
-    for t, box in rows:
-        assert records[t.entity] == t
-        assert tuple(map(tuple, box)) == gtj(cold_copy(grandchild), t).region
-    ok, witnesses = is_sgas(grandchild)
     assert "gtj_rows" not in grandchild._memo
-    cold_ok, cold_witnesses = is_sgas(cold_copy(grandchild))
+    cold = cold_copy(grandchild)
+    ok, witnesses = is_sgas(grandchild)
+    cold_ok, cold_witnesses = is_sgas(cold)
     assert (ok, tuple(witnesses)) == (cold_ok, tuple(cold_witnesses))
+    tjs, boxes = suitability._gtj_table(grandchild)
+    cold_tjs, cold_boxes = suitability._gtj_table(cold)
+    assert tjs == cold_tjs and np.array_equal(boxes, cold_boxes)
     _assert_table_equals_per_key(grandchild)
