@@ -288,11 +288,14 @@ def anchor_arrays(mesh: TMesh) -> AnchorArrays:
     """The anchors' local vectors and supports as arrays, built once per
     mesh by `_line_windows`, one count table per direction.
 
-    A window that does not fit raises the `InsufficientKnots` of
-    `local_knot_vector` for the first failing anchor, in `anchor_set`
-    order, and its first failing direction."""
+    A mesh without anchors raises `MeshError`.  A window that does not
+    fit raises the `InsufficientKnots` of `local_knot_vector` for the
+    first failing anchor, in `anchor_set` order, and its first failing
+    direction."""
     def build():
         anchors = anchor_set(mesh)
+        if not anchors:
+            raise MeshError("the mesh has no anchors in its active region")
         d = mesh.dim
         boxes = np.array(anchors, dtype=np.int64).reshape(len(anchors), d, 2)
         # the p + 2 entries around the component; for an even degree

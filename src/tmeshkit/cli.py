@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,10 +31,10 @@ from .mesh import (IndexDomain, MeshError, NonIntegerMidpoint, TMesh,
                    create_tensor_mesh, find_cell_containing, is_admissible,
                    subdiv)
 from .meshio import (MeshFormatError, entity_to_json, load_mesh, mesh_to_dict,
-                     parse_rational, region_to_json, save_mesh)
+                     parse_rational, region_to_json, save_mesh, write_json)
 # imported here, not in _cmd_export: the benchmark's tracer finds the
 # module in sys.modules once the cli is loaded
-from .svgexport import render_slice_svg
+from .svgexport import LAYER_STYLE, render_slice_svg
 
 EXIT_CHECK_FAILED = 1
 EXIT_PRECONDITION = 2
@@ -112,7 +111,7 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--mesh", required=True)
     p_exp.add_argument("--slice", dest="slice_spec",
                        help="k=n (1-based direction); omit for 2D meshes")
-    p_exp.add_argument("--layers", default="skeleton,atj,gtj,anchors")
+    p_exp.add_argument("--layers", default=",".join(LAYER_STYLE))
     p_exp.add_argument("--out", required=True)
     return parser
 
@@ -224,8 +223,7 @@ def _cmd_check(args) -> int:
                                   "witnesses": _witness_json(name, witnesses)}
     if args.json_out:
         with _writing(args.json_out):
-            Path(args.json_out).write_text(json.dumps(report, indent=2) + "\n",
-                                           encoding="utf-8")
+            write_json(args.json_out, report)
     return 0 if all_ok else EXIT_CHECK_FAILED
 
 
@@ -270,9 +268,7 @@ def _cmd_verify(args) -> int:
               f"{rep['probes']} separation probes, {'ok' if ok else 'FAILED'}")
     if args.json_out:
         with _writing(args.json_out):
-            Path(args.json_out).write_text(
-                json.dumps(rep, indent=2, default=_report_json) + "\n",
-                encoding="utf-8")
+            write_json(args.json_out, rep, default=_report_json)
     return 0 if ok else EXIT_CHECK_FAILED
 
 

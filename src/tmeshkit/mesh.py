@@ -197,8 +197,8 @@ class IndexDomain:
                              f"more than the limit of {MAX_LATTICE_POINTS}")
         if any(p < 0 for p in degrees):
             raise ValueError("degrees must be non-negative")
-        for n, p in zip(extents, degrees):
-            if n < 2 * ((p + 1) // 2) + 1:
+        for k, (n, p) in enumerate(zip(extents, degrees)):
+            if n < 2 * self.frame_width(k) + 1:
                 raise ValueError(
                     f"extent {n} too small for degree {p}: active region empty")
         if self.parametric_knots is None:
@@ -319,25 +319,18 @@ def subdiv(mesh: TMesh, cell: Entity, j: int) -> TMesh:
         raise ValueError(f"direction {j} out of range")
     if cell not in mesh.cells:
         raise NotACell(f"{cell!r} is not a cell of this mesh")
-    for k, (a, b) in enumerate(cell):
-        f = dom.frame_width(k)
-        if a < f or b > dom.extents[k] - f:
+    box = []   # D: the cell's closure, widened off j through the frame
+    for k, (lo, hi) in enumerate(cell):
+        f, n = dom.frame_width(k), dom.extents[k]
+        if lo < f or hi > n - f:
             raise CellOutsideActiveRegion(
                 f"cell {cell!r} leaves the active region in direction {k}")
+        box.append((lo, hi) if k == j else
+                   (0 if lo == f else lo, n if hi == n - f else hi))
     a, b = cell[j]
     if (a + b) % 2:
         raise NonIntegerMidpoint(f"cell {cell!r} has odd width in direction {j}")
     m = (a + b) // 2
-
-    box = [[lo, hi] for lo, hi in cell]
-    for k in range(d):
-        if k == j:
-            continue
-        f = dom.frame_width(k)
-        if box[k][0] == f:
-            box[k][0] = 0
-        if box[k][1] == dom.extents[k] - f:
-            box[k][1] = dom.extents[k]
 
     qj = (a, b)
     replaced = {kappa: [e for e in bucket if e[j] == qj and hull_inside(e, box)]

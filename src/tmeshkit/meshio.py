@@ -115,9 +115,15 @@ def mesh_from_dict(data: dict) -> TMesh:
         raise MeshFormatError(f"malformed mesh description: {exc}") from exc
 
 
-def save_mesh(mesh: TMesh, path) -> None:
-    Path(path).write_text(json.dumps(mesh_to_dict(mesh), indent=2) + "\n",
+def write_json(path, value, default=None) -> None:
+    """Write `value` as the package writes every JSON file: indented by
+    two, UTF-8, ending in a newline; `default` as in `json.dumps`."""
+    Path(path).write_text(json.dumps(value, indent=2, default=default) + "\n",
                           encoding="utf-8")
+
+
+def save_mesh(mesh: TMesh, path) -> None:
+    write_json(path, mesh_to_dict(mesh))
 
 
 def load_mesh(path) -> TMesh:

@@ -60,7 +60,7 @@ def _slice_spans(hull, k, n, axes):
 
 
 def render_slice_svg(mesh: TMesh, k: int | None = None, n: int | None = None,
-                     layers=("skeleton", "atj", "gtj", "anchors")) -> str:
+                     layers=tuple(LAYER_STYLE)) -> str:
     """Render the slice x_k = n (k, n in 0-based index coordinates), or the
     whole mesh when it is two-dimensional and k is None."""
     d = mesh.dim

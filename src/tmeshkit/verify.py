@@ -18,7 +18,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -241,17 +241,20 @@ def _local_window_direct(gkv, value, offset, length):
 def _anchor_knots_direct(mesh: TMesh) -> tuple:
     """(anchor, support spans, global knot vectors) for every anchor, with
     the anchors read from their bucket and the knot vectors by the direct
-    scan; built once per mesh, as every slice reads all of them."""
+    scan; built once per mesh, as every slice reads all of them.  The scan
+    in direction k ignores the entity's k-component, so it runs once per
+    line of anchors, with that component set to (0, 0)."""
     def build():
         dom = mesh.domain
         kappa = tuple(k for k, p in enumerate(dom.degrees) if p % 2 == 1)
         active = dom.active_spans()
-        faces_by_dir = _hyperface_bounds(mesh)
+        scan = cache(partial(_gkv_direct, _hyperface_bounds(mesh)))
         out = []
         for a in mesh.entities[kappa]:
             if not hull_inside(a, active):
                 continue
-            gkvs = tuple(_gkv_direct(faces_by_dir, a, k) for k in range(dom.dim))
+            gkvs = tuple(scan(a[:k] + ((0, 0),) + a[k + 1:], k)
+                         for k in range(dom.dim))
             spans = []
             for k, gkv in enumerate(gkvs):
                 p = dom.degrees[k]
@@ -373,7 +376,7 @@ def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
     arrays = anchor_arrays(mesh)
     _check_collocation(len(points), len(arrays.support))
     mat = np.ones((len(points), len(arrays.support)))
-    rows = max(1, COLLOCATION_BLOCK_ENTRIES // max(1, mat.shape[1]))
+    rows = max(1, COLLOCATION_BLOCK_ENTRIES // mat.shape[1])
     gathered = np.empty((min(rows, len(points)), mat.shape[1]))
     for k in range(dom.dim):
         windows, w_inv = arrays.windows[k], arrays.window_id[k]
@@ -408,7 +411,7 @@ def linear_independence_rank(mesh: TMesh) -> RankReport:
     _check_collocation(len(cells) * per_cell, len(anchors))
     mat = evaluation_matrix(mesh, _gauss_points(mesh, cells))
     if mat.size == 0:
-        return RankReport(len(anchors), 0, not anchors, ())
+        return RankReport(len(anchors), 0, False, ())
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = int((svals > RANK_THRESHOLD * svals[0]).sum())
     return RankReport(num_anchors=len(anchors), rank=rank,
@@ -467,9 +470,14 @@ def random_admissible_mesh(seed: int, *, dim: int | None = None,
     mesh, rejecting non-integer midpoints by construction.
 
     direction_mode "single" restricts all bisections to one random
-    direction (a cheap way to produce strongly suitable meshes); `keep`
-    filters each accepted step, reverting steps whose result it rejects.
+    direction (a cheap way to produce strongly suitable meshes), "mixed"
+    draws from every direction, and any other mode raises `ValueError`
+    before anything is drawn; `keep` filters each accepted step,
+    reverting steps whose result it rejects.
     """
+    if direction_mode not in ("single", "mixed"):
+        raise ValueError(f"direction_mode is 'single' or 'mixed', "
+                         f"not {direction_mode!r}")
     rng = random.Random(seed)
     d = dim if dim is not None else rng.choice((2, 3))
     if degrees is None:
@@ -523,9 +531,9 @@ def update_bisection_options(options: list, cell: Entity, j: int,
 
 
 def _cell_options(cell: Entity, directions: Sequence[int]) -> list:
+    # a cell is at least 1 wide, so an even width is at least 2
     return [(cell, k) for k in directions
-            if (cell[k][1] - cell[k][0]) >= 2
-            and (cell[k][1] - cell[k][0]) % 2 == 0]
+            if (cell[k][1] - cell[k][0]) % 2 == 0]
 
 
 def mesh_stream(seed: int, count: int, **kwargs) -> Iterable[tuple[int, TMesh]]:

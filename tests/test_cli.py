@@ -238,6 +238,28 @@ def test_verify_builds_only_the_meshes_it_reads(tmp_path, capsys, monkeypatch,
     assert len(calls) == built
 
 
+def test_verify_report_carries_each_disagreeing_mesh(tmp_path, capsys,
+                                                     monkeypatch):
+    # a flipped SDC verdict breaks Theorem 6.1 on every mesh; each
+    # disagreement's mesh is written in the file format and replays to
+    # the streamed mesh
+    from tmeshkit import verify
+    from tmeshkit.meshio import mesh_from_dict
+
+    is_sdc = verify.is_sdc
+    monkeypatch.setattr(verify, "is_sdc", lambda m: (not is_sdc(m)[0], ()))
+    report = tmp_path / "thm61.json"
+    capsys.readouterr()
+    assert main(["verify", "--suite", "thm61", "--seeds", "2",
+                 "--json", str(report)]) == 1
+    assert "agreement BROKEN" in capsys.readouterr().out
+    found = json.loads(report.read_text())["disagreements"]
+    streamed = list(verify.mesh_stream(0, 2))
+    assert [d["seed"] for d in found] == [seed for seed, _ in streamed]
+    for d, (_, mesh) in zip(found, streamed):
+        assert mesh_from_dict(d["mesh"]).entities == mesh.entities
+
+
 def test_verify_rejects_empty_stream(capsys):
     # no mesh checked is no agreement: every suite refuses to run vacuously
     for suite in ("thm61", "thm62", "conj63", "props"):
@@ -512,6 +534,7 @@ def test_readme_states_the_module_limits():
 
 THIN_MISFIT = ("knot window of length 5 does not fit around 4 for "
                "((4, 4), (4, 4))")
+NO_ANCHORS = "the mesh has no anchors in its active region"
 
 # argv, exit code and the one stderr line of every refusal; the texts are
 # pinned byte for byte, since scripts match on them
@@ -564,6 +587,11 @@ REFUSALS = {
     "check-knots-do-not-fit": (["check", "--mesh", "{thin}"], 2, THIN_MISFIT),
     "lin-indep-knots-do-not-fit": (["lin-indep", "--mesh", "{thin}"], 2,
                                    THIN_MISFIT),
+    # a biquadratic mesh whose cells all touch the frame has no anchors
+    "check-no-anchors": (["check", "--mesh", "{nb}"], 2, NO_ANCHORS),
+    "lin-indep-no-anchors": (["lin-indep", "--mesh", "{nb}"], 2, NO_ANCHORS),
+    "export-no-anchors": (["export", "--mesh", "{nb}", "--out",
+                           "{tmp}/s.svg"], 2, NO_ANCHORS),
     "refine-frame-cell": (["refine", "--mesh", "{m}", "--at", "1/2,3",
                            "--dir", "1"], 2,
                           "cell ((0, 1), (2, 4)) leaves the active region in "
@@ -582,10 +610,12 @@ def test_main_returns_every_refusal_with_one_error_line(tmp_path, capsys,
     paths = {"tmp": tmp_path, "nodir": tmp_path / "no-such-dir",
              "m": tmp_path / "m.json", "m4": tmp_path / "m4.json",
              "re": tmp_path / "re.json", "thin": tmp_path / "thin.json",
-             "broken": tmp_path / "broken.json"}
+             "broken": tmp_path / "broken.json", "nb": tmp_path / "nb.json"}
     assert main(["new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
                  "--breakpoints", "0,1,2,4,5,6;0,1,2,4,5,6",
                  "--out", str(paths["m"])]) == 0
+    assert main(["new", "--dim", "2", "--extents", "6,6", "--degrees", "2,2",
+                 "--breakpoints", "0,3,6;0,3,6", "--out", str(paths["nb"])]) == 0
     assert main(["new", "--dim", "4", "--extents", "4,4,4,4",
                  "--degrees", "1,1,1,1", "--out", str(paths["m4"])]) == 0
     paths["re"].write_bytes(

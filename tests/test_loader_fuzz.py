@@ -7,9 +7,9 @@ drop a key or list entry, replace a value by one of another type or out
 of range, or make a list one entry shorter or longer.
 
 Command lines for all six commands, drawn from valid and malformed flag
-values, input paths that are missing, unreadable or not meshes, and
-outputs that cannot be written, exit with a documented code (0-5) and
-print at most one error line.
+values, input paths that are missing, unreadable, not meshes or meshes
+without anchors, and outputs that cannot be written, exit with a
+documented code (0-5) and print at most one error line.
 
 Examples are derandomized and capped so the module runs in seconds.
 """
@@ -25,8 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tmeshkit.cli import main
-from tmeshkit.meshio import (MeshFormatError, load_mesh, region_from_json,
-                             region_to_json)
+from tmeshkit.mesh import IndexDomain, create_tensor_mesh
+from tmeshkit.meshio import (MeshFormatError, load_mesh, mesh_to_dict,
+                             region_from_json, region_to_json)
 from tmeshkit.regions import BoxRegion
 
 DATA = resources.files("tmeshkit").joinpath("data")
@@ -36,6 +37,9 @@ REGION = region_to_json(BoxRegion(3, [
     ((1, 1), (0, 2), (Fraction(1, 2), 3)),
     ((0, 4), (2, 2), (0, 1)),
     ((2, 3), (Fraction(5, 2), 4), (4, 4))]))
+# biquadratic, and every cell touches the frame: a mesh without anchors
+ANCHORLESS = mesh_to_dict(create_tensor_mesh(IndexDomain((6, 6), (2, 2)),
+                                             [(0, 3, 6)] * 2))
 
 REPLACEMENTS = (None, True, False, 0, -1, 1, 2, 3, 10**9, 2.5, 7.0, "7",
                 "3/2", "x", "1/0", [], [0], [1, 2], {}, {"point": 1})
@@ -181,17 +185,18 @@ CLI_FLAGS = {
                ("--dir", ("1", "2", "3", "0", "-1", "x")),
                ("--out", ("{out}", "{nodir}", "{dir}", None))),
     "check": (("--mesh", ("{m2}", "{m3}", "{missing}", "{dir}", "{binary}",
-                          "{garbage}")),
+                          "{garbage}", "{nb}")),
               ("--which", ("all", "admissible", "aas,sdc", "wgas,wdc", "bogus",
                            "", "all,aas", None)),
               ("--json", ("{out}", "{nodir}", "{dir}", None))),
     "lin-indep": (("--mesh", ("{m2}", "{m3}", "{missing}", "{dir}", "{binary}",
-                              "{garbage}")),),
+                              "{garbage}", "{nb}")),),
     "verify": (("--suite", ("thm61", "thm62", "conj63", "props", "bogus")),
                ("--seeds", ("1", "0", "-3", "x")),
                ("--seed", ("0", "5", "x", None)),
                ("--json", ("{out}", "{nodir}", "{dir}", None))),
-    "export": (("--mesh", ("{m2}", "{m3}", "{missing}", "{dir}", "{binary}")),
+    "export": (("--mesh", ("{m2}", "{m3}", "{missing}", "{dir}", "{binary}",
+                           "{nb}")),
                ("--slice", ("3=2", "1=0", "2=4", "9=3", "0=1", "2=99", "1",
                             "a=b", "1=2=3", None)),
                ("--layers", ("skeleton,atj,gtj,anchors", "skeleton", "anchors",
@@ -205,13 +210,14 @@ def _cli_inputs(tmp_path):
     paths = {"m2": tmp_path / "m2.json", "m3": tmp_path / "m3.json",
              "missing": tmp_path / "missing.json", "dir": tmp_path / "dir",
              "binary": tmp_path / "binary.json",
-             "garbage": tmp_path / "garbage.json",
+             "garbage": tmp_path / "garbage.json", "nb": tmp_path / "nb.json",
              "out": tmp_path / "out.json", "nodir": tmp_path / "no-dir" / "x"}
     paths["m2"].write_text(json.dumps(SHIPPED["corner_tjunction_triple_p33.json"]))
     paths["m3"].write_text(json.dumps(SHIPPED["crossing_hanging_edges_p321.json"]))
     paths["dir"].mkdir(exist_ok=True)
     paths["binary"].write_bytes(bytes(range(256)))
     paths["garbage"].write_text('{"format_version": 1, "dim": [}')
+    paths["nb"].write_text(json.dumps(ANCHORLESS))
     return paths
 
 

@@ -201,6 +201,14 @@ def test_generator_reproducible_and_admissible():
     assert stream1 == stream2
 
 
+@pytest.mark.parametrize("mode", ["Single", "mixes", ""])
+def test_generator_refuses_unknown_direction_modes(monkeypatch, mode):
+    # refused before the generator draws anything
+    monkeypatch.setattr(verify.random, "Random", None)
+    with pytest.raises(ValueError, match="'single' or 'mixed'"):
+        random_admissible_mesh(3, direction_mode=mode)
+
+
 @pytest.mark.parametrize("mode", ["mixed", "single"])
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_option_updates_equal_fresh_listings(monkeypatch, dim, mode):
