@@ -14,9 +14,10 @@ input it refuses and `MeshError` for a mesh operation that fails.
 usage errors, which exit 5 from `_Parser.error`.  Directions on the
 command line are 1-based.
 
-Only the mesh, file and SVG modules are imported up front; `check`,
-`lin-indep` and `verify` import their classifier and harness modules
-when they run, so `new` and `refine` never load numpy.
+Only the mesh, file and SVG modules are imported up front; `check` and
+`verify` import their classifier and harness modules when they run, and
+`lin-indep` loads `splines` alone, without the classifiers or the
+oracles of `verify`; so `new` and `refine` never load numpy.
 """
 
 from __future__ import annotations
@@ -228,10 +229,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lin_indep(args) -> int:
-    from . import verify
+    from .splines import linear_independence_rank
 
     mesh = _load(args.mesh)
-    report = verify.linear_independence_rank(mesh)
+    report = linear_independence_rank(mesh)
     verdict = "independent" if report.independent else "DEPENDENT"
     print(f"anchors={report.num_anchors} rank={report.rank} {verdict}")
     return 0 if report.independent else EXIT_CHECK_FAILED

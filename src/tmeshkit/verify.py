@@ -4,41 +4,36 @@ This module is the acceptance engine: it regenerates expected values by
 routes independent of the production code paths (brute-force overlap,
 unpruned dual-compatibility pair scans, pairwise extension-box
 intersection, direct skeleton and T-junction scans, pairwise extension
-enumeration and slice-pair intersection, collocation rank), probes the
-separating-junction search, and drives seeded, replayable streams of
-random admissible meshes through the classifier cross-checks.
+enumeration and slice-pair intersection), probes the separating-junction
+search, checks partition of unity on the collocation matrix of
+`splines`, and drives seeded, replayable streams of random admissible
+meshes through the classifier cross-checks.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .anchors import (anchor_arrays, anchor_set, complete_slices,
-                      local_knot_vector)
+from .anchors import anchor_set, complete_slices, local_knot_vector
 from .dualcompat import is_sdc, is_wdc, knots_overlap
-from .mesh import (Entity, MeshError, TMesh, build_framed_mesh,
-                   create_tensor_mesh, dyadic_active_breakpoints, hull_inside,
-                   point_in_skeleton, subdiv)
+from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
+                   dyadic_active_breakpoints, hull_inside, point_in_skeleton,
+                   subdiv)
 from .regions import BoxRegion, _box_covered, box_intersection
-from .splines import bspline_eval_array
+from .splines import evaluation_matrix
+# not used here: `perfbench` reads the rank and its verdict under `verify`
+from .splines import linear_independence_rank, rank_verdict_stable  # noqa: F401
 from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
 from .topology import (ClassificationAmbiguous, NotFound, TJunction,
                        find_separating_tjunction, find_tjunctions)
-
-MAX_COLLOCATION_ENTRIES = 1 << 23     # points x anchors of `evaluation_matrix`
-COLLOCATION_BLOCK_ENTRIES = 1 << 20   # gathered per multiply in `evaluation_matrix`
-RANK_THRESHOLD = 1e-8                 # rank: singular values above this x top
-STABLE_THRESHOLDS = (1e-10, 1e-8, 1e-6)   # a stable rank is equal at each
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +264,28 @@ def atj_slice_oracle(mesh: TMesh, j: int, n: int) -> BoxRegion:
     """Abstract extension of a slice by pairwise enumeration of anchor
     supports, with knot vectors recomputed by the direct scan.  Anchors
     with equal supports give one box, so the in and out boxes are sets
-    before they are paired."""
+    before they are paired.  They are paired by a sweep along axis
+    a = (j + 1) mod d: with the out-boxes sorted by their lower bound in
+    a, those that start by the end of an in-box are a prefix, found by
+    bisection, and each such pair is intersected in every direction."""
     ins, outs = set(), set()
     for a, spans, gkvs in _anchor_knots_direct(mesh):
         if spans[j][0] <= n <= spans[j][1]:
             (ins if n in gkvs[j] else outs).add(
                 spans[:j] + ((n, n),) + spans[j + 1:])
-    boxes = set()
-    for b_in in ins:
-        for b_out in outs:
-            inter = tuple((max(l1, l2), min(h1, h2))
-                          for (l1, h1), (l2, h2) in zip(b_in, b_out))
-            if all(lo <= hi for lo, hi in inter):
-                boxes.add(inter)
-    return BoxRegion(mesh.dim, boxes)
+    if not ins or not outs:
+        return BoxRegion(mesh.dim)
+    axis = (j + 1) % mesh.dim
+    b_in = np.array(list(ins), dtype=np.int64)
+    b_out = np.array(sorted(outs, key=lambda b: b[axis][0]), dtype=np.int64)
+    ends = np.searchsorted(b_out[:, axis, 0], b_in[:, axis, 1], side="right")
+    i_in = np.repeat(np.arange(len(b_in)), ends)
+    i_out = np.arange(len(i_in)) - np.repeat(np.cumsum(ends) - ends, ends)
+    lo = np.maximum(b_in[i_in, :, 0], b_out[i_out, :, 0])
+    hi = np.minimum(b_in[i_in, :, 1], b_out[i_out, :, 1])
+    meets = (lo <= hi).all(axis=1)
+    return BoxRegion(mesh.dim, {tuple(zip(*box)) for box in zip(
+        lo[meets].tolist(), hi[meets].tolist())})
 
 
 def aas_oracle(mesh: TMesh) -> tuple[bool, tuple]:
@@ -303,126 +306,7 @@ def aas_oracle(mesh: TMesh) -> tuple[bool, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# collocation rank and partition of unity
-
-@dataclass(frozen=True)
-class RankReport:
-    num_anchors: int
-    rank: int
-    independent: bool
-    singular_values: tuple
-
-    def rank_at(self, threshold: float) -> int:
-        if not self.singular_values:
-            return 0
-        top = self.singular_values[0]
-        return sum(1 for s in self.singular_values if s > threshold * top)
-
-
-@cache
-def _gauss_rule(count: int) -> np.ndarray:
-    """The `count` Gauss-Legendre nodes on [-1, 1], read-only, computed
-    once per count."""
-    nodes = np.polynomial.legendre.leggauss(count)[0]
-    nodes.setflags(write=False)
-    return nodes
-
-
-def _gauss_points(mesh: TMesh, cells) -> np.ndarray:
-    """p_k + 1 Gauss-Legendre points per direction in every cell: cells
-    in sorted order, each cell's points in ij-`meshgrid` order."""
-    dom = mesh.domain
-    spans = np.array(sorted(cells), dtype=np.int64).reshape(-1, dom.dim, 2)
-    axes = []   # (cells, p_k + 1) coordinates per direction
-    for k in range(dom.dim):
-        knots = np.array(dom.float_knots[k])
-        xa, xb = knots[spans[:, k, 0]][:, None], knots[spans[:, k, 1]][:, None]
-        g = _gauss_rule(dom.degrees[k] + 1)
-        axes.append(0.5 * (xa + xb) + 0.5 * (xb - xa) * g)
-    n = len(spans)
-    shape = (n, *(ax.shape[1] for ax in axes))
-    coords = []
-    for k, ax in enumerate(axes):
-        # direction k varies along axis k + 1 of the (cell, point...) grid
-        view = ax.reshape((n,) + (1,) * k + ax.shape[1:] + (1,) * (dom.dim - 1 - k))
-        coords.append(np.broadcast_to(view, shape).ravel())
-    return np.stack(coords, axis=-1)
-
-
-def _check_collocation(points: int, anchors: int) -> None:
-    if points * anchors > MAX_COLLOCATION_ENTRIES:
-        raise MeshError(f"the collocation matrix would have "
-                        f"{points * anchors} entries, more than the limit "
-                        f"of {MAX_COLLOCATION_ENTRIES}")
-
-
-def evaluation_matrix(mesh: TMesh, points: np.ndarray) -> np.ndarray:
-    """Collocation matrix: one column per anchor, one row per point.
-
-    Tensor-product evaluation (de Boor, "A Practical Guide to Splines",
-    1978, ch. XVII): per direction, one `splines.bspline_eval_array` call
-    evaluates every distinct local knot vector (`AnchorArrays.windows`)
-    on the distinct coordinates inside its support, and the matrix is
-    the product of the tables gathered by the anchors' window ids.  A
-    value outside its spline's support is exactly 0.0, and the
-    directions multiply in order 0..d-1, so every entry has the bits of
-    the per-anchor product (`splines.tspline_eval`).  The tables
-    are gathered into one buffer of `COLLOCATION_BLOCK_ENTRIES` entries,
-    a block of rows at a time, so the build peaks near the matrix's own
-    8 bytes per entry.  Past `MAX_COLLOCATION_ENTRIES` entries it raises
-    `MeshError` up front.
-    """
-    dom = mesh.domain
-    arrays = anchor_arrays(mesh)
-    _check_collocation(len(points), len(arrays.support))
-    mat = np.ones((len(points), len(arrays.support)))
-    rows = max(1, COLLOCATION_BLOCK_ENTRIES // mat.shape[1])
-    gathered = np.empty((min(rows, len(points)), mat.shape[1]))
-    for k in range(dom.dim):
-        windows, w_inv = arrays.windows[k], arrays.window_id[k]
-        ts, t_inv = np.unique(points[:, k], return_inverse=True)
-        knots = np.array(dom.float_knots[k])
-        table = bspline_eval_array(knots[windows], dom.degrees[k], ts,
-                                   domain_right=knots[-1])
-        for start in range(0, len(points), rows):
-            block = mat[start:start + rows]
-            out = gathered[:len(block)]
-            # the indices are in range; "raise" would buffer `out`
-            np.take(table[t_inv[start:start + rows]], w_inv, axis=1, out=out,
-                    mode="clip")
-            block *= out
-    return mat
-
-
-def linear_independence_rank(mesh: TMesh) -> RankReport:
-    """Numerical rank of the collocation matrix sampled on a Gauss grid of
-    p_k + 1 points per direction inside every active cell: the singular
-    values above `RANK_THRESHOLD` times the largest.
-
-    The sampling is exact for piecewise polynomials of coordinate degree
-    p, so full rank is a finite certificate of linear independence.
-    """
-    active = mesh.domain.active_spans()
-    cells = [c for c in mesh.cells if hull_inside(c, active)]
-    anchors = anchor_set(mesh)
-    # counted before the points are built, which alone take about 300 MB
-    # on a mesh at the entity limit
-    per_cell = math.prod(p + 1 for p in mesh.domain.degrees)
-    _check_collocation(len(cells) * per_cell, len(anchors))
-    mat = evaluation_matrix(mesh, _gauss_points(mesh, cells))
-    if mat.size == 0:
-        return RankReport(len(anchors), 0, False, ())
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int((svals > RANK_THRESHOLD * svals[0]).sum())
-    return RankReport(num_anchors=len(anchors), rank=rank,
-                      independent=rank == len(anchors),
-                      singular_values=tuple(float(s) for s in svals))
-
-
-def rank_verdict_stable(report: RankReport) -> bool:
-    """The rank is the same at every threshold of `STABLE_THRESHOLDS`."""
-    return len({report.rank_at(t) for t in STABLE_THRESHOLDS}) == 1
-
+# partition of unity
 
 def unity_sample_bounds(mesh: TMesh) -> tuple:
     """Parametric box on which the basis must sum to one.

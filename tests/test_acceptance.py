@@ -15,13 +15,13 @@ from tmeshkit.anchors import anchor_set, global_knot_vector, local_knot_vector
 from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.mesh import check_three_direction_assumption, is_admissible
 from tmeshkit.regions import BoxRegion
+from tmeshkit.splines import linear_independence_rank, rank_verdict_stable
 from tmeshkit.suitability import atj_slice, atj_union, gtj, gtj_union, is_aas, \
     is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
 from tmeshkit.verify import (atj_slice_oracle, crosscheck_aas_sdc,
-                             crosscheck_sgas_aas, linear_independence_rank,
-                             mesh_stream, overlap_pair_suite,
-                             partition_of_unity, rank_verdict_stable,
+                             crosscheck_sgas_aas, mesh_stream,
+                             overlap_pair_suite, partition_of_unity,
                              replay_prefix, separation_probe_suite,
                              wgas_wdc_counterexample_search)
 

@@ -11,6 +11,7 @@ import pytest
 
 import tmeshkit
 from tmeshkit import regions
+from tmeshkit.anchors import anchor_set
 from tmeshkit.cli import main
 from tmeshkit.meshio import load_mesh, save_mesh
 
@@ -161,6 +162,45 @@ def test_lin_indep_output(tmp_path, capsys):
     assert "anchors=" in out and "independent" in out
 
 
+# corpus meshes whose active cells' Gauss grid has rank < n, and which
+# have full rank on the unit index cells
+UNDERSAMPLED = {38: 127, 66: 96, 107: 127, 141: 130, 145: 146, 161: 194,
+                182: 127}
+
+
+def test_lin_indep_resamples_before_it_says_dependent(tmp_path, capsys,
+                                                     corpus200):
+    for k, n in UNDERSAMPLED.items():
+        mesh_file = tmp_path / f"m{k}.json"
+        save_mesh(corpus200["meshes"][k][1], mesh_file)
+        capsys.readouterr()
+        assert main(["lin-indep", "--mesh", str(mesh_file)]) == 0, k
+        assert capsys.readouterr().out == f"anchors={n} rank={n} independent\n"
+
+
+def test_lin_indep_says_dependent_when_both_samplings_are(tmp_path, capsys,
+                                                          monkeypatch):
+    # a repeated column at both samplings is a real dependence
+    from tmeshkit import splines
+
+    mesh_file = tmp_path / "m.json"
+    save_mesh(fx.opposing_hanging_pair(2, 1)[0], mesh_file)
+    build, rows = splines.evaluation_matrix, []
+
+    def repeated(mesh, points):
+        mat = build(mesh, points)
+        rows.append(len(mat))
+        mat[:, -1] = mat[:, 0]
+        return mat
+
+    monkeypatch.setattr(splines, "evaluation_matrix", repeated)
+    capsys.readouterr()
+    assert main(["lin-indep", "--mesh", str(mesh_file)]) == 1
+    n = len(anchor_set(load_mesh(mesh_file)))
+    assert capsys.readouterr().out == f"anchors={n} rank={n - 1} DEPENDENT\n"
+    assert len(rows) == 2 and rows[0] < rows[1]
+
+
 def test_export_svg_and_region(tmp_path):
     mesh_file = tmp_path / "m.json"
     save_mesh(fx.running_example_3d()[0], mesh_file)
@@ -260,6 +300,31 @@ def test_verify_report_carries_each_disagreeing_mesh(tmp_path, capsys,
         assert mesh_from_dict(d["mesh"]).entities == mesh.entities
 
 
+def test_verify_props_report_lists_each_failure(tmp_path, capsys,
+                                               monkeypatch):
+    # a flipped overlap verdict fails every pair, a search that finds
+    # nothing every probe; the report lists both, and the suite fails
+    from tmeshkit import verify
+    from tmeshkit.topology import NotFound
+
+    def not_found(mesh, x, y, i):
+        raise NotFound("none")
+
+    monkeypatch.setattr(verify, "knots_overlap", lambda v1, v2: (
+        not verify.knots_overlap_oracle(v1, v2)))
+    monkeypatch.setattr(verify, "find_separating_tjunction", not_found)
+    report = tmp_path / "props.json"
+    capsys.readouterr()
+    assert main(["verify", "--suite", "props", "--seeds", "2",
+                 "--json", str(report)]) == 1
+    assert capsys.readouterr().out == ("props: 10000 overlap pairs, 200 "
+                                       "separation probes, FAILED\n")
+    payload = json.loads(report.read_text())
+    assert len(payload["failed_pairs"]) == 10_000
+    assert len(payload["failed_probes"]) == 200
+    assert {probe[3] for probe in payload["failed_probes"]} == {"NotFound: none"}
+
+
 def test_verify_rejects_empty_stream(capsys):
     # no mesh checked is no agreement: every suite refuses to run vacuously
     for suite in ("thm61", "thm62", "conj63", "props"):
@@ -301,6 +366,27 @@ def test_new_and_refine_do_not_load_numpy(tmp_path):
         refine = ["refine", "--mesh", "m.json", "--at", at, "--dir", direction]
         assert _python(NUMPY_PROBE, *refine, cwd=tmp_path) == "0 [] False"
     assert len(load_mesh(tmp_path / "m.json").refinement_log) == 2
+
+
+LOADED_PROBE = """
+import sys
+from tmeshkit.cli import main
+code = main(sys.argv[1:])
+print(code, " ".join(sorted(m for m in sys.modules if m.startswith("tmeshkit."))))
+"""
+
+
+def test_lin_indep_loads_neither_the_oracles_nor_the_classifiers(tmp_path):
+    # the rank is the collocation matrix of `splines` alone
+    (tmp_path / "cc.json").write_bytes(
+        DATA.joinpath("corner_cascade_p33.json").read_bytes())
+    code, *loaded = _python(LOADED_PROBE, "lin-indep", "--mesh", "cc.json",
+                            cwd=tmp_path).split()
+    assert code == "0"
+    assert "tmeshkit.splines" in loaded
+    assert not {"tmeshkit.verify", "tmeshkit.suitability",
+                "tmeshkit.dualcompat", "tmeshkit.topology",
+                "tmeshkit.witnesses"} & set(loaded)
 
 
 def test_three_direction_check_does_not_load_numpy(tmp_path):
@@ -517,11 +603,11 @@ def test_readme_states_the_module_limits():
     # module that enforces it, and every such constant is given
     import re
 
-    from tmeshkit import anchors, mesh, verify
+    from tmeshkit import anchors, mesh, splines
 
     owners = {"MAX_LATTICE_POINTS": mesh, "MAX_ENTITIES": mesh,
               "MAX_CANDIDATE_PAIRS": regions, "MAX_LINE_ENTRIES": anchors,
-              "MAX_COLLOCATION_ENTRIES": verify}
+              "MAX_COLLOCATION_ENTRIES": splines}
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = " ".join(readme.read_text().split())   # joins wrapped lines
     stated = re.findall(r"`(?:tmeshkit\.(\w+)\.)?(MAX_\w+)` = 2\^(\d+)", text)
@@ -535,6 +621,7 @@ def test_readme_states_the_module_limits():
 THIN_MISFIT = ("knot window of length 5 does not fit around 4 for "
                "((4, 4), (4, 4))")
 NO_ANCHORS = "the mesh has no anchors in its active region"
+NO_ACTIVE_CELL = "the mesh has no cell inside its active region"
 
 # argv, exit code and the one stderr line of every refusal; the texts are
 # pinned byte for byte, since scripts match on them
@@ -592,6 +679,9 @@ REFUSALS = {
     "lin-indep-no-anchors": (["lin-indep", "--mesh", "{nb}"], 2, NO_ANCHORS),
     "export-no-anchors": (["export", "--mesh", "{nb}", "--out",
                            "{tmp}/s.svg"], 2, NO_ANCHORS),
+    # a bilinear mesh whose one anchor lies in no active cell: no sample
+    "lin-indep-no-active-cell": (["lin-indep", "--mesh", "{nc}"], 2,
+                                 NO_ACTIVE_CELL),
     "refine-frame-cell": (["refine", "--mesh", "{m}", "--at", "1/2,3",
                            "--dir", "1"], 2,
                           "cell ((0, 1), (2, 4)) leaves the active region in "
@@ -610,12 +700,15 @@ def test_main_returns_every_refusal_with_one_error_line(tmp_path, capsys,
     paths = {"tmp": tmp_path, "nodir": tmp_path / "no-such-dir",
              "m": tmp_path / "m.json", "m4": tmp_path / "m4.json",
              "re": tmp_path / "re.json", "thin": tmp_path / "thin.json",
-             "broken": tmp_path / "broken.json", "nb": tmp_path / "nb.json"}
+             "broken": tmp_path / "broken.json", "nb": tmp_path / "nb.json",
+             "nc": tmp_path / "nc.json"}
     assert main(["new", "--dim", "2", "--extents", "6,6", "--degrees", "1,1",
                  "--breakpoints", "0,1,2,4,5,6;0,1,2,4,5,6",
                  "--out", str(paths["m"])]) == 0
     assert main(["new", "--dim", "2", "--extents", "6,6", "--degrees", "2,2",
                  "--breakpoints", "0,3,6;0,3,6", "--out", str(paths["nb"])]) == 0
+    assert main(["new", "--dim", "2", "--extents", "4,4", "--degrees", "1,1",
+                 "--breakpoints", "0,2,4;0,2,4", "--out", str(paths["nc"])]) == 0
     assert main(["new", "--dim", "4", "--extents", "4,4,4,4",
                  "--degrees", "1,1,1,1", "--out", str(paths["m4"])]) == 0
     paths["re"].write_bytes(

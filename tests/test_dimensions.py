@@ -8,10 +8,11 @@ from tmeshkit.mesh import (IndexDomain, build_framed_mesh, create_tensor_mesh,
                            is_admissible, subdiv)
 from tmeshkit.anchors import anchor_set, local_knot_vector
 from tmeshkit.dualcompat import is_sdc, is_wdc
+from tmeshkit.splines import linear_independence_rank
 from tmeshkit.suitability import is_aas, is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
-from tmeshkit.verify import (aas_oracle, linear_independence_rank,
-                             partition_of_unity, random_admissible_mesh)
+from tmeshkit.verify import (aas_oracle, partition_of_unity,
+                             random_admissible_mesh, tjunctions_oracle)
 
 
 def _aas_bytes(result):
@@ -22,7 +23,7 @@ def _aas_bytes(result):
 def test_one_dimensional_mesh_stack():
     mesh = build_framed_mesh((2,), [[0, 2, 4, 6, 8]])
     assert is_admissible(mesh)[0]
-    assert find_tjunctions(mesh) == ()
+    assert find_tjunctions(mesh) == tjunctions_oracle(mesh) == ()
     mesh = subdiv(mesh, ((3, 5),), 0)
     assert is_admissible(mesh)[0]
     anchors = anchor_set(mesh)

@@ -55,6 +55,11 @@ def test_domain_validation():
         IndexDomain(extents=(4, 4), degrees=(1,))
     with pytest.raises(ValueError):
         IndexDomain(extents=(4,), degrees=(1,), parametric_knots=[[0, 1, 1, 2, 3]])
+    with pytest.raises(ValueError, match="^degrees must be non-negative$"):
+        IndexDomain(extents=(4, 4), degrees=(1, -1))
+    with pytest.raises(ValueError, match=r"^parametric_knots\[k\] must have "
+                                         r"N_k \+ 1 entries$"):
+        IndexDomain(extents=(4,), degrees=(1,), parametric_knots=[[0, 1, 2, 3]])
     # spline evaluation is float: increasing fractions that round together
     tiny = Fraction(1, 10 ** 400)
     with pytest.raises(ValueError, match="distinct as floats"):
@@ -327,6 +332,12 @@ def test_direction_queries_refuse_directions_outside_the_mesh():
     masks = [value for key, value in mesh._memo.items()
              if (key if isinstance(key, str) else key[0]) == "skeleton_mask"]
     assert len(masks) == 1 and len(masks[0]) == 2
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match=f"^direction {j} out of range$"):
+            subdiv(mesh, ((1, 3), (1, 3)), j)
+        with pytest.raises(ValueError,
+                           match=rf"^directions \({j},\) out of range$"):
+            orth_entities(mesh, (j,))
 
 
 # the memo kinds of a classified mesh: each derived structure once, under
@@ -350,7 +361,7 @@ def test_classified_meshes_memoize_each_structure_once(corpus200):
     # vector, gets an entry of its own
     import numpy as np
 
-    from tmeshkit import dualcompat, suitability, verify
+    from tmeshkit import dualcompat, splines, suitability, verify
     from tmeshkit.anchors import (anchor_set, global_knot_vector,
                                   index_support, local_knot_vector)
     from tmeshkit.topology import find_tjunctions
@@ -366,7 +377,7 @@ def test_classified_meshes_memoize_each_structure_once(corpus200):
             assert all(suitability.atj_union(m, i).subset(
                 suitability.gtj_union(m, i)) for i in range(m.dim))
         if ok["sdc"]:
-            assert verify.linear_independence_rank(m).independent
+            assert splines.linear_independence_rank(m).independent
         if ok["wdc"]:
             assert verify.partition_of_unity(m, samples=100, seed=sub) < 1e-10
         seen |= {(m.dim, name, v) for name, v in ok.items()}

@@ -76,6 +76,13 @@ def test_dimension_mismatch():
         R(((0, 1), (0, 1))).intersect(BoxRegion(3))
     with pytest.raises(DimensionMismatch):
         R(((0, 1), (0, 1))).contains_point((1,))
+    with pytest.raises(DimensionMismatch,
+                       match="^box of dim 2 in region of dim 3$"):
+        BoxRegion(3, [((0, 1), (0, 1))])
+    for op in (BoxRegion.union, BoxRegion.subset):
+        with pytest.raises(DimensionMismatch,
+                           match="^region dimension mismatch$"):
+            op(R(((0, 1), (0, 1))), BoxRegion(3))
 
 
 def _random_region(rng, dim, max_boxes=6, span=8):

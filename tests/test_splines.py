@@ -41,6 +41,8 @@ def test_degenerate_knots():
         bspline_eval((1, 1, 1), 1, 1)
     with pytest.raises(ValueError):
         bspline_eval((0, 1, 2, 3), 1, 0.5)  # wrong knot count
+    with pytest.raises(ValueError, match="^knots must be non-decreasing$"):
+        bspline_eval((0, 2, 1), 1, 0.5)
 
 
 def _scalar_table(rows, p, ts, right):

@@ -278,6 +278,10 @@ def test_separating_tjunction_preconditions():
         find_separating_tjunction(mesh, (3, 5), (3, 3), 0)  # x not in skeleton
     with pytest.raises(PreconditionViolated):
         find_separating_tjunction(mesh, (3, 3), (3, 2), 0)  # y in skeleton
+    for x, y in (((3, 3, 0), (3, 5)), ((3, 3), (3,))):
+        with pytest.raises(PreconditionViolated,
+                           match="^points of wrong dimension$"):
+            find_separating_tjunction(mesh, x, y, 0)
 
 
 @pytest.mark.parametrize("i", [2, 5, -2, -1])
@@ -297,3 +301,6 @@ def test_min_connecting_box():
     e3 = ((0, 4), (0, 0))
     e4 = ((2, 6), (5, 5))
     assert min_connecting_box(e3, e4) == (("open", 2, 4), ("closed", 0, 5))
+    # the second entity below the first, touching it or not
+    assert min_connecting_box(e2, e1) == (("closed", 1, 3), ("point", 2, 2))
+    assert min_connecting_box(((1, 2),), ((0, 1),)) == (("point", 1, 1),)

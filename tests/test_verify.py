@@ -9,24 +9,24 @@ import numpy as np
 import pytest
 from propertysuites import child_anchor_inheritance
 
-from tmeshkit import verify
-from tmeshkit.dualcompat import is_sdc, is_wdc
+from tmeshkit import splines, verify
+from tmeshkit.dualcompat import is_sdc, is_wdc, knots_overlap
 from tmeshkit.anchors import anchor_set
 from tmeshkit.mesh import (build_framed_mesh, hull_in_skeleton, hull_inside,
                            is_admissible, subdiv)
-from tmeshkit.splines import tspline_eval
+from tmeshkit.regions import BoxRegion
+from tmeshkit.splines import (RankReport, _gauss_points, evaluation_matrix,
+                              linear_independence_rank, rank_verdict_stable,
+                              tspline_eval)
 from tmeshkit.suitability import (atj_slice, is_aas, is_sgas, is_wgas,
                                   _slice_rasters)
-from tmeshkit.verify import (RankReport, aas_oracle, atj_slice_oracle,
-                             complete_slices,
+from tmeshkit.verify import (aas_oracle, atj_slice_oracle, complete_slices,
                              crosscheck_aas_sdc, crosscheck_sgas_aas,
-                             dc_scan_oracle,
-                             evaluation_matrix, gtj_disjointness_oracle,
-                             linear_independence_rank, mesh_stream,
-                             partition_of_unity, random_admissible_mesh,
-                             rank_verdict_stable, replay_prefix,
+                             dc_scan_oracle, gtj_disjointness_oracle,
+                             knots_overlap_oracle, mesh_stream, partition_of_unity,
+                             random_admissible_mesh, replay_prefix,
                              unity_sample_bounds,
-                             wgas_wdc_counterexample_search, _gauss_points)
+                             wgas_wdc_counterexample_search)
 
 
 def _fixture_meshes():
@@ -50,6 +50,46 @@ def test_rank_on_tensor_mesh():
     assert report.rank == 9
     assert report.independent
     assert rank_verdict_stable(report)
+
+
+def _spy_on_sampling(monkeypatch) -> list:
+    """The cell lists `splines._gauss_points` is called with, from now on."""
+    sampled, gauss = [], splines._gauss_points
+
+    def spy(mesh, cells):
+        sampled.append(list(cells))
+        return gauss(mesh, sampled[-1])
+
+    monkeypatch.setattr(splines, "_gauss_points", spy)
+    return sampled
+
+
+def test_an_independent_mesh_is_sampled_once(monkeypatch):
+    mesh = fx.running_example_3d()[0]
+    sampled = _spy_on_sampling(monkeypatch)
+    assert linear_independence_rank(mesh).independent
+    assert sampled == [_active_cells(mesh)]
+
+
+# corpus meshes whose Gauss grid in the active cells has rank < n; all
+# are non-SDC, and each has full rank on the unit index cells
+# (`test_cli.test_lin_indep_resamples_before_it_says_dependent`)
+UNDERSAMPLED = (38, 66, 107, 141, 145, 161, 182)
+
+
+def test_rank_below_n_resamples_the_unit_index_cells(corpus200, monkeypatch):
+    sampled = _spy_on_sampling(monkeypatch)
+    for k in UNDERSAMPLED:
+        mesh = corpus200["meshes"][k][1]
+        report = linear_independence_rank(mesh)
+        assert report.independent and rank_verdict_stable(report), k
+        assert not is_sdc(mesh)[0], k
+        cells, units = sampled[-2:]
+        active = mesh.domain.active_spans()
+        assert units == list(itertools.product(*(
+            [(n, n + 1) for n in range(a, b)] for a, b in active)))
+        assert len(units) > len(cells) == len(_active_cells(mesh))
+    assert len(sampled) == 2 * len(UNDERSAMPLED)
 
 
 def test_rank_detects_duplicated_column():
@@ -128,7 +168,7 @@ def test_evaluation_matrix_blocks_keep_every_bit(monkeypatch):
     mesh = fx.running_example_3d()[0]
     points = _gauss_points(mesh, _active_cells(mesh))
     whole = evaluation_matrix(mesh, points)
-    monkeypatch.setattr(verify, "COLLOCATION_BLOCK_ENTRIES",
+    monkeypatch.setattr(splines, "COLLOCATION_BLOCK_ENTRIES",
                         7 * whole.shape[1])
     assert len(points) % 7
     assert evaluation_matrix(mesh, points).tobytes() == whole.tobytes()
@@ -266,6 +306,60 @@ def test_crosschecks_on_small_stream():
     assert rep2["ok"]
 
 
+def test_crosscheck_sgas_aas_reports_each_failure(monkeypatch):
+    # an AAS verdict of False fails every SGAS mesh at once; an abstract
+    # extension outside the domain escapes the geometric one in every
+    # direction
+    meshes = list(mesh_stream(31, 12, max_steps=15))
+    sgas = [(label, m) for label, m in meshes if is_sgas(m)[0]]
+    assert sgas
+    monkeypatch.setattr(verify, "is_aas", lambda m: (False, ()))
+    assert crosscheck_sgas_aas(meshes) == {
+        "checked": len(sgas), "skipped": len(meshes) - len(sgas),
+        "failures": [{"seed": label, "reason": "sgas mesh not aas"}
+                     for label, _ in sgas], "ok": False}
+    monkeypatch.setattr(verify, "is_aas", lambda m: (True, ()))
+    monkeypatch.setattr(verify, "atj_union", lambda m, i: BoxRegion(
+        m.dim, [((-1, -1),) * m.dim]))
+    assert crosscheck_sgas_aas(meshes)["failures"] == [
+        {"seed": label, "direction": i,
+         "reason": "abstract extension escapes geometric"}
+        for label, m in sgas for i in range(m.dim)]
+
+
+def test_property_suites_report_each_failure(monkeypatch):
+    # a flipped overlap verdict fails every pair; a search that finds
+    # nothing, or a junction of the other orientation, fails every probe
+    from dataclasses import replace
+
+    from tmeshkit.topology import NotFound, find_separating_tjunction
+
+    monkeypatch.setattr(verify, "knots_overlap",
+                        lambda v1, v2: not knots_overlap_oracle(v1, v2))
+    rep = verify.overlap_pair_suite(30, seed=5)
+    assert rep["pairs"] == 30 and len(rep["failures"]) == 30
+    assert all(knots_overlap(v1, v2) == knots_overlap_oracle(v1, v2)
+               for v1, v2 in rep["failures"])
+
+    def not_found(mesh, x, y, i):
+        raise NotFound("none")
+
+    mesh = fx.corner_cascade()[0]
+    monkeypatch.setattr(verify, "find_separating_tjunction", not_found)
+    rep = verify.separation_probe_suite(mesh, probes=10, seed=3)
+    assert rep["probes"] == 10
+    assert [f[3] for f in rep["failures"]] == ["NotFound: none"] * 10
+
+    def other_orientation(mesh, x, y, i):
+        tj, witness = find_separating_tjunction(mesh, x, y, i)
+        return replace(tj, odir=1 - tj.odir), witness
+
+    monkeypatch.setattr(verify, "find_separating_tjunction", other_orientation)
+    rep = verify.separation_probe_suite(mesh, probes=10, seed=3)
+    assert rep["probes"] == 10 and len(rep["failures"]) == 10
+    assert all(tj.odir != i for _, _, i, (tj, _) in rep["failures"])
+
+
 def test_conjecture_search_runs_and_logs_nothing():
     stream = list(mesh_stream(77, 8, max_steps=10,
                               keep=lambda m: is_wgas(m)[0]))
@@ -305,10 +399,10 @@ def test_collocation_limit_is_checked_before_anything_is_built(monkeypatch):
 
     mesh = build_framed_mesh((2, 2), [[0, 1, 2, 3, 4]] * 2)
     anchors = len(anchor_set(mesh))
-    monkeypatch.setattr(verify, "MAX_COLLOCATION_ENTRIES",
+    monkeypatch.setattr(splines, "MAX_COLLOCATION_ENTRIES",
                         16 * 9 * anchors - 1)
-    monkeypatch.setattr(verify, "_gauss_points", None)
-    monkeypatch.setattr(verify, "bspline_eval_array", None)
+    monkeypatch.setattr(splines, "_gauss_points", None)
+    monkeypatch.setattr(splines, "bspline_eval_array", None)
     with pytest.raises(MeshError, match=f"would have {16 * 9 * anchors} "):
         linear_independence_rank(mesh)
     with pytest.raises(MeshError, match=f"would have {1000 * anchors} "):
@@ -331,11 +425,23 @@ def test_child_anchor_inheritance_skips_when_assumption_fails():
     assert not report["applicable"]
 
 
-def test_rank_report_threshold_sweep():
-    report = RankReport(num_anchors=3, rank=3, independent=True,
-                        singular_values=(1.0, 0.5, 1e-3))
-    assert report.rank_at(1e-6) == 3
-    assert report.rank_at(1e-2) == 2
+def test_rank_report_sweeps_the_thresholds_over_its_singular_values(
+        monkeypatch):
+    # singular values 1e-7 and 1e-9 between the thresholds: rank 8 of 9 at
+    # RANK_THRESHOLD, but 9 at 1e-10 and 7 at 1e-6, so not stable; the
+    # identity is stable at full rank
+    from tmeshkit.mesh import IndexDomain, create_tensor_mesh
+
+    mesh = create_tensor_mesh(IndexDomain(extents=(8, 8), degrees=(1, 1)),
+                              [[0, 2, 4, 6, 8]] * 2)
+    for values, rank, stable in (([1.0] * 9, 9, True),
+                                 ([1.0] * 7 + [1e-7, 1e-9], 8, False)):
+        monkeypatch.setattr(splines, "evaluation_matrix",
+                            lambda m, points, values=values: np.diag(values))
+        report = linear_independence_rank(mesh)
+        assert report == RankReport(num_anchors=9, rank=rank,
+                                    independent=rank == 9, stable=stable)
+        assert rank_verdict_stable(report) == stable
 
 
 def _assert_gas_scans_equal_oracles(mesh):

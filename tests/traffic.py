@@ -1,8 +1,10 @@
-"""List the statements of `tmeshkit` that no benchmark workload reaches.
+"""List the statements of `tmeshkit` that no benchmark workload, or no
+tier-1 test, reaches.
 
-    python tests/traffic.py
+    python tests/traffic.py            # the benchmark workloads
+    python tests/traffic.py --tier1    # the tier-1 tests
 
-Runs one cycle of each workload of `perfbench/workloads.py` (`cli-session`
+Without an argument it runs one cycle of each workload of `perfbench/workloads.py` (`cli-session`
 in-process, through `cli.main`) under a `sys.settrace` line tracer that
 records only frames whose code lies under `src/tmeshkit`.  Set-up is
 traced where the benchmark's traced run traces it (`trace_setup`), and
@@ -22,8 +24,16 @@ comprehension ran: each is one line, reached if any of it was.
 The workloads module is imported, never changed, and nothing is written
 outside a temporary directory (bytecode caching is off).  A run takes
 about 20 s on a 2-vCPU host.
+
+`--tier1` runs the tier-1 suite in this process instead, `pytest.main`
+with the tier-1 arguments (`-q --continue-on-collection-errors`) and
+`-p no:cacheprovider`, under the same tracer, prints the same report,
+and exits with pytest's status.  Only this process is traced: the lines
+that tests reach in a subprocess (the CLI probes of `test_cli`, for one)
+count as unreached.
 """
 
+import argparse
 import ast
 import sys
 import tempfile
@@ -178,8 +188,26 @@ def report(lines: dict) -> list:
     return out
 
 
-def main() -> int:
+def run_tier1(tracer: LineTracer) -> int:
+    """The tier-1 suite in this process; returns pytest's exit status."""
+    import pytest
+
+    with tracer.tracing():
+        return int(pytest.main(["-q", "--continue-on-collection-errors",
+                                "-p", "no:cacheprovider", str(ROOT / "tests")]))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--tier1", action="store_true",
+                        help="trace the tier-1 tests, not the workloads")
+    args = parser.parse_args(argv)
     tracer = LineTracer()
+    if args.tier1:
+        status = run_tier1(tracer)
+        print("\n".join(report(tracer.lines)))
+        return status
     with tempfile.TemporaryDirectory() as work:
         failures = run_workloads(tracer, Path(work))
     print("\n".join(report(tracer.lines)))
