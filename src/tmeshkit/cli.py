@@ -23,7 +23,6 @@ oracles of `verify`; so `new` and `refine` never load numpy.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -264,9 +263,12 @@ def _cmd_verify(args) -> int:
         print(f"conj63: {rep['wgas']} wgas meshes, "
               f"{len(rep['candidates'])} candidate counterexamples")
     else:
-        rep, ok = _props_suite(stream)
-        print(f"props: {rep['pairs']} overlap pairs, "
-              f"{rep['probes']} separation probes, {'ok' if ok else 'FAILED'}")
+        rep = verify.property_suite(stream)
+        ok = rep["ok"]
+        counts = ", ".join(f"{name} {r['checked']}"
+                           for name, r in rep["suites"].items())
+        print(f"props: {rep['meshes']} meshes, {counts}, "
+              f"{'ok' if ok else 'FAILED'}")
     if args.json_out:
         with _writing(args.json_out):
             write_json(args.json_out, rep, default=_report_json)
@@ -276,22 +278,6 @@ def _cmd_verify(args) -> int:
 def _report_json(value):
     """A mesh in a verify report as its file format, anything else as text."""
     return mesh_to_dict(value) if isinstance(value, TMesh) else str(value)
-
-
-def _props_suite(stream) -> tuple[dict, bool]:
-    from . import verify
-
-    overlap = verify.overlap_pair_suite(10_000, seed=1234)
-    reports = [verify.separation_probe_suite(mesh, probes=200, seed=seed)
-               for seed, mesh in itertools.islice(stream, 5)]
-    rep = {"pairs": overlap["pairs"],
-           "probes": sum(r["probes"] for r in reports)}
-    failed = [f for r in reports for f in r["failures"]]
-    if overlap["failures"]:
-        rep["failed_pairs"] = overlap["failures"]
-    if failed:
-        rep["failed_probes"] = failed
-    return rep, not failed and not overlap["failures"]
 
 
 def _cmd_export(args) -> int:

@@ -7,7 +7,8 @@ intersection, direct skeleton and T-junction scans, pairwise extension
 enumeration and slice-pair intersection), probes the separating-junction
 search, checks partition of unity on the collocation matrix of
 `splines`, and drives seeded, replayable streams of random admissible
-meshes through the classifier cross-checks.
+meshes through the classifier cross-checks and, in `property_suite`,
+through the lemma drivers.
 """
 
 from __future__ import annotations
@@ -22,16 +23,20 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .anchors import anchor_set, complete_slices, local_knot_vector
+from .anchors import (anchor_set, complete_slices, global_knot_vector,
+                      index_support, local_knot_vector)
 from .dualcompat import is_sdc, is_wdc, knots_overlap
-from .mesh import (Entity, TMesh, build_framed_mesh, create_tensor_mesh,
-                   dyadic_active_breakpoints, hull_inside, point_in_skeleton,
+from .mesh import (Entity, TMesh, build_framed_mesh,
+                   check_three_direction_assumption, create_tensor_mesh,
+                   dyadic_active_breakpoints, hull_in_skeleton, hull_inside,
+                   is_admissible, open_entity_meets_skeleton, point_in_skeleton,
                    subdiv)
 from .regions import BoxRegion, _box_covered, box_intersection
 from .splines import evaluation_matrix
 # not used here: `perfbench` reads the rank and its verdict under `verify`
 from .splines import linear_independence_rank, rank_verdict_stable  # noqa: F401
-from .suitability import atj_union, gtj, gtj_union, is_aas, is_sgas, is_wgas
+from .suitability import (atj_slice, atj_union, gtj, gtj_union, is_aas, is_sgas,
+                          is_wgas)
 from .topology import (ClassificationAmbiguous, NotFound, TJunction,
                        find_separating_tjunction, find_tjunctions)
 
@@ -68,7 +73,7 @@ def overlap_pair_suite(pairs: int, seed: int) -> dict:
         v2 = tuple(sorted(rng.sample(range(21), rng.randint(2, 8))))
         if knots_overlap(v1, v2) != knots_overlap_oracle(v1, v2):
             failures.append((v1, v2))
-    return {"pairs": pairs, "failures": failures}
+    return {"checked": pairs, "failures": failures}
 
 
 def dc_scan_oracle(mesh: TMesh, weak: bool) -> tuple[bool, tuple]:
@@ -486,7 +491,231 @@ def separation_probe_suite(mesh: TMesh, probes: int, seed: int) -> dict:
                 and all(a <= c <= b for (a, b), c in zip(tj.entity, point))
                 and tj.ascell[j][0] < hi and lo < tj.ascell[j][1]):
             failures.append((x, y, i, (tj, witness)))
-    return {"probes": done, "failures": failures}
+    return {"checked": done, "failures": failures}
+
+
+# ---------------------------------------------------------------------------
+# lemma drivers and the property suite
+
+def disjoint_union_suite(mesh: TMesh, samples: int, seed: int) -> dict:
+    """The complex is a disjoint union: each of `samples` seeded points of
+    the domain lies in exactly one entity.  Points live on the
+    eighth-integer lattice, so float comparisons against the integer
+    entity bounds are exact; failures are listed as (point, entities
+    containing it)."""
+    rng = np.random.default_rng(seed)
+    pts = np.stack([rng.integers(0, 8 * n + 1, samples) for n in
+                    mesh.domain.extents], axis=-1).astype(float) / 8.0
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for bucket in mesh.entities.values():
+        for e in bucket:
+            inside = np.ones(len(pts), dtype=bool)
+            for k, (a, b) in enumerate(e):
+                x = pts[:, k]
+                inside &= (x == a) if a == b else (a < x) & (x < b)
+            counts += inside
+    bad = np.flatnonzero(counts != 1)
+    return {"checked": samples, "failures": list(zip(
+        map(tuple, pts[bad].tolist()), counts[bad].tolist()))}
+
+
+def admissibility_walk_suite(mesh: TMesh) -> dict:
+    """Refinement keeps admissibility: the initial grid and every
+    refinement-log prefix of the mesh are admissible; failures are listed
+    as (prefix length, violations)."""
+    checked, failures = 0, []
+    for length, prefix in enumerate(_prefixes(mesh)):
+        ok, violations = is_admissible(prefix)
+        checked += 1
+        if not ok:
+            failures.append((length, violations))
+    return {"checked": checked, "failures": failures}
+
+
+def projection_dichotomy_suite(mesh: TMesh) -> dict:
+    """On weakly suitable meshes, the projection of an anchor or junction
+    onto a plane x_j = m with m inside its j-th knot window is either in
+    the j-skeleton or off it, never partly in it; failures are listed as
+    (entity, j, m)."""
+    entities = [(a, tuple(local_knot_vector(mesh, a, j)
+                          for j in range(mesh.dim)))
+                for a in anchor_set(mesh)]
+    entities += [(t.entity, gtj(mesh, t).vectors) for t in find_tjunctions(mesh)]
+    checked, failures = 0, []
+    for entity, vectors in entities:
+        for j, v in enumerate(vectors):
+            for m in range(min(v), max(v) + 1):
+                proj = entity[:j] + ((m, m),) + entity[j + 1:]
+                checked += 1
+                if (not hull_in_skeleton(mesh, j, proj)
+                        and open_entity_meets_skeleton(mesh, j, proj)):
+                    failures.append((entity, j, m))
+    return {"checked": checked, "failures": failures}
+
+
+def sgas_overlap_suite(mesh: TMesh) -> dict:
+    """On strongly suitable meshes, an anchor whose support meets a
+    junction has local knot vectors that overlap the junction's in every
+    direction but its orthogonal one; failures are listed as
+    (anchor, junction entity, direction)."""
+    junctions = [(t, gtj(mesh, t)) for t in find_tjunctions(mesh)]
+    checked, failures = 0, []
+    for a in anchor_set(mesh):
+        supp = index_support(mesh, a)
+        for t, ext in junctions:
+            if any(max(l1, l2) > min(h1, h2)
+                   for (l1, h1), (l2, h2) in zip(supp, t.entity)):
+                continue
+            for k in range(mesh.dim):
+                if k == t.odir:
+                    continue
+                checked += 1
+                if not knots_overlap(local_knot_vector(mesh, a, k),
+                                     ext.vectors[k]):
+                    failures.append((a, t.entity, k))
+    return {"checked": checked, "failures": failures}
+
+
+def abstract_extension_witness_suite(mesh: TMesh, max_points: int = 12) -> dict:
+    """Every sampled point x of a nonempty abstract extension of slice
+    (i, n) has a junction witness: an anchor whose support holds x and
+    whose i-th knot vector holds n exactly when x is off the i-skeleton,
+    a point y of the anchor's projection on the other side of the
+    skeleton, and a junction separating x from y whose associated cell
+    reaches between the two in its pointing direction.  Up to
+    `max_points` box midpoints are sampled per slice; failures are
+    listed as (i, n, x, reason)."""
+    anchors = anchor_set(mesh)
+    checked, failures = 0, []
+    for i in range(mesh.dim):
+        for n in range(mesh.domain.extents[i] + 1):
+            region = atj_slice(mesh, i, n).region
+            for box in region.normalize().boxes[:max_points]:
+                x = tuple(Fraction(lo + hi, 2) for lo, hi in box)
+                checked += 1
+                reason = _missing_witness(mesh, anchors, i, n, x)
+                if reason is not None:
+                    failures.append((i, n, x, reason))
+    return {"checked": checked, "failures": failures}
+
+
+def _missing_witness(mesh: TMesh, anchors, i: int, n: int, x: tuple):
+    """Why the point x of slice (i, n)'s abstract extension has no
+    junction witness, or None when it has one."""
+    x_in_sk = point_in_skeleton(mesh, i, x)
+    anchor = next((a for a in anchors
+                   if all(lo <= c <= hi for (lo, hi), c
+                          in zip(index_support(mesh, a), x))
+                   and (n in global_knot_vector(mesh, a, i)) != x_in_sk),
+                  None)
+    if anchor is None:
+        return "no anchor of the opposite class"
+    proj = anchor[:i] + ((n, n),) + anchor[i + 1:]
+    # midpoints of the unit cubes of the projection's closure
+    y = next((y for y in itertools.product(*(
+        [Fraction(a)] if a == b else
+        [Fraction(2 * u + 1, 2) for u in range(a, b)] for a, b in proj))
+        if point_in_skeleton(mesh, i, y) != x_in_sk), None)
+    if y is None:
+        return ("no point of the projection across the skeleton", anchor)
+    try:
+        tj, _ = find_separating_tjunction(
+            mesh, *((x, y) if x_in_sk else (y, x)), i)
+    except NotFound as exc:
+        return f"NotFound: {exc}"
+    # the junction meets the hull of x and the projection, and its
+    # associated cell reaches between them in the pointing direction
+    hull = [(min(lo, c), max(hi, c)) for (lo, hi), c in zip(proj, x)]
+    j = tj.pdir
+    (qa, qb), (alo, ahi) = tj.ascell[j], anchor[j]
+    lo, hi = min(alo, x[j]), max(ahi, x[j])
+    if not (all(max(l1, l2) <= min(h1, h2)
+                for (l1, h1), (l2, h2) in zip(tj.entity, hull))
+            and qa < hi and lo < qb and not alo == ahi == x[j]):
+        return ("junction does not reach between", anchor, tj)
+    return None
+
+
+def child_anchor_inheritance(mesh: TMesh, cell: Entity, j: int) -> dict:
+    """Each anchor created by bisecting `cell` in direction j inherits a
+    parent: an old anchor with identical off-direction local vectors and
+    a support containing the child's.
+
+    Applicable when the mesh and its refinement are both weakly
+    geometrically suitable and every active cell has active neighbors in
+    three directions; failures are listed as the orphaned children."""
+    refined = subdiv(mesh, cell, j)
+    applicable = (mesh.dim >= 3
+                  and check_three_direction_assumption(mesh)
+                  and is_wgas(mesh)[0] and is_wgas(refined)[0])
+    report = {"applicable": applicable, "checked": 0, "failures": []}
+    if not applicable:
+        return report
+    old = anchor_set(mesh)
+    old_set = set(old)
+    children = [a for a in anchor_set(refined) if a not in old_set]
+    report["checked"] = len(children)
+    dims = [k for k in range(mesh.dim) if k != j]
+    for child in children:
+        child_vecs = {k: local_knot_vector(refined, child, k) for k in dims}
+        child_supp = index_support(refined, child)
+        if not any(all(local_knot_vector(mesh, a, k) == child_vecs[k]
+                       for k in dims)
+                   and all(pl <= cl and ch <= ph for (pl, ph), (cl, ch)
+                           in zip(index_support(mesh, a), child_supp))
+                   for a in old):
+            report["failures"].append(child)
+    return report
+
+
+def child_anchor_suite(seeds: Iterable[int]) -> dict:
+    """One candidate bisection per seed: a 3-D weakly suitable mesh of
+    2 x 2 x 2 base cells and 0 to 4 steps, bisected in a random cell and
+    direction, and checked by `child_anchor_inheritance` when it applies,
+    which is about two draws in five.  `checked` counts the children of
+    those bisections, and failures are listed as (seed, cell, direction,
+    orphaned child)."""
+    checked, failures = 0, []
+    for seed in seeds:
+        rng = random.Random(seed)
+        mesh = random_admissible_mesh(
+            seed, dim=3, levels=1, base_cells=(2, 2, 2),
+            max_steps=rng.randint(0, 4), keep=lambda m: is_wgas(m)[0])
+        # 8 cells 2 wide in each direction: 4 steps leave some to bisect
+        cell, k = rng.choice(bisection_options(mesh, range(3)))
+        report = child_anchor_inheritance(mesh, cell, k)
+        checked += report["checked"]
+        failures += [(seed, cell, k, child) for child in report["failures"]]
+    return {"checked": checked, "failures": failures}
+
+
+def property_suite(meshes: Iterable[tuple[int, TMesh]]) -> dict:
+    """Every lemma driver on every (seed, mesh) of the stream that meets
+    its precondition, with the overlap oracle on 10 000 seeded pairs and
+    one child-anchor draw per stream seed.  Each driver's report sums its
+    `checked` counts over the stream and lists its failures, per mesh as
+    (seed, failure); `ok` holds when no driver failed."""
+    suites = {"overlap_pairs": overlap_pair_suite(10_000, seed=1234)}
+    suites |= {name: {"checked": 0, "failures": []} for name in (
+        "separation_probes", "disjoint_union", "admissibility_walk",
+        "extension_witnesses", "projection_dichotomy", "sgas_overlap")}
+    seeds = []
+    for seed, mesh in meshes:
+        seeds.append(seed)
+        reports = {"separation_probes": separation_probe_suite(mesh, 200, seed),
+                   "disjoint_union": disjoint_union_suite(mesh, 10_000, seed),
+                   "admissibility_walk": admissibility_walk_suite(mesh),
+                   "extension_witnesses": abstract_extension_witness_suite(mesh)}
+        if is_wgas(mesh)[0]:
+            reports["projection_dichotomy"] = projection_dichotomy_suite(mesh)
+        if is_sgas(mesh)[0]:
+            reports["sgas_overlap"] = sgas_overlap_suite(mesh)
+        for name, report in reports.items():
+            suites[name]["checked"] += report["checked"]
+            suites[name]["failures"] += [(seed, f) for f in report["failures"]]
+    suites["child_anchors"] = child_anchor_suite(seeds)
+    return {"meshes": len(seeds), "suites": suites,
+            "ok": not any(r["failures"] for r in suites.values())}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ def corpus_subseed(k: int) -> int:
     return (CORPUS_SEED * 1_000_003 + k) % (1 << 62)
 
 
+def aas_bytes(result):
+    """An `is_aas`-shaped result with each witness region as its boxes."""
+    ok, witnesses = result
+    return ok, [(i, n, j, m, region.boxes) for i, n, j, m, region in witnesses]
+
+
 def cold_copy(mesh):
     """The same complex with an empty memo."""
     return TMesh(mesh.domain, mesh.breakpoints, mesh.entities,

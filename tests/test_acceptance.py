@@ -9,8 +9,6 @@ import time
 from contextlib import contextmanager
 
 import fixtures as fx
-from propertysuites import (child_anchor_suite, projection_dichotomy_suite,
-                            sgas_overlap_suite)
 from tmeshkit.anchors import anchor_set, global_knot_vector, local_knot_vector
 from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.mesh import check_three_direction_assumption, is_admissible
@@ -19,9 +17,9 @@ from tmeshkit.splines import linear_independence_rank, rank_verdict_stable
 from tmeshkit.suitability import atj_slice, atj_union, gtj, gtj_union, is_aas, \
     is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
-from tmeshkit.verify import (atj_slice_oracle, crosscheck_aas_sdc,
-                             crosscheck_sgas_aas, mesh_stream,
-                             overlap_pair_suite, partition_of_unity,
+from tmeshkit.verify import (atj_slice_oracle, child_anchor_suite,
+                             crosscheck_aas_sdc, crosscheck_sgas_aas,
+                             mesh_stream, partition_of_unity, property_suite,
                              replay_prefix, separation_probe_suite,
                              wgas_wdc_counterexample_search)
 
@@ -216,33 +214,27 @@ def test_criterion_12_conjecture_harness():
 
 def test_criterion_13_property_suites():
     with criterion(13, "lemma/property suites"):
-        assert overlap_pair_suite(10_000, seed=1357) == {"pairs": 10_000,
-                                                         "failures": []}
-
         probe_meshes = [fx.running_example_3d()[0],
                         fx.corner_tjunction_triple()[0],
                         fx.corner_cascade()[0]]
         for idx, mesh in enumerate(probe_meshes):
             report = separation_probe_suite(mesh, probes=1000, seed=idx)
-            assert report == {"probes": 1000, "failures": []}
+            assert report == {"checked": 1000, "failures": []}
 
-        wgas_checked = 0
-        for _, mesh in mesh_stream(4242, 8, max_steps=12,
-                                   keep=lambda m: is_wgas(m)[0]):
-            projection_dichotomy_suite(mesh)
-            wgas_checked += 1
-        assert wgas_checked >= 5
+        # every lemma driver on 8 WGAS meshes and on 16 refined in one
+        # direction each, at least 5 of the 16 SGAS
+        meshes = [*mesh_stream(4242, 8, max_steps=12,
+                               keep=lambda m: is_wgas(m)[0]),
+                  *mesh_stream(5353, 16, max_steps=12,
+                               direction_mode="single")]
+        assert sum(is_wgas(m)[0] for _, m in meshes[:8]) >= 5
+        assert sum(is_sgas(m)[0] for _, m in meshes[8:]) >= 5
+        report = property_suite(meshes)
+        assert report["ok"], report
+        assert all(r["checked"] > 0 for r in report["suites"].values())
 
-        sgas_checked = 0
-        for _, mesh in mesh_stream(5353, 16, max_steps=12,
-                                   direction_mode="single"):
-            if is_sgas(mesh)[0]:
-                sgas_overlap_suite(mesh)
-                sgas_checked += 1
-        assert sgas_checked >= 5
-
-        inheritance = child_anchor_suite(seed=9000, wanted_steps=50)
-        assert inheritance["applicable"] == 50
+        inheritance = child_anchor_suite(range(9000, 9125))
+        assert inheritance["checked"] >= 125
         assert not inheritance["failures"]
 
         refined, info = fx.flat_block_center_split()

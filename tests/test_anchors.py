@@ -6,7 +6,6 @@ import fixtures as fx
 import numpy as np
 import pytest
 from conftest import cold_copy, cross_mesh, crossing_4d_mesh
-from propertysuites import project_entity
 
 from tmeshkit.anchors import (MAX_LINE_ENTRIES, InsufficientKnots, _window,
                               anchor_arrays, anchor_set, global_knot_vector,
@@ -63,12 +62,6 @@ def test_anchor_count_matches_spline_dimension():
         assert len(anchor_set(mesh)) == expected
 
 
-def test_project_entity():
-    assert project_entity(((2, 2), (0, 2)), 0, 5) == ((5, 5), (0, 2))
-    e = ((4, 4), (1, 3))
-    assert project_entity(e, 0, 4) == e
-
-
 def test_global_vector_on_refined_mesh():
     mesh = refined2d()
     assert global_knot_vector(mesh, ((2, 2), (2, 2)), 0) == (0, 2, 3, 4, 6, 8)
@@ -119,7 +112,7 @@ def test_projection_lands_in_slice_skeleton():
     a = next(iter(anchor_set(mesh)))
     k3 = global_knot_vector(mesh, a, 2)
     for n in k3:
-        proj = project_entity(a, 2, n)
+        proj = a[:2] + ((n, n),)
         assert hull_in_skeleton(mesh, 2, proj)
 
 

@@ -13,7 +13,9 @@ import tmeshkit
 from tmeshkit import regions
 from tmeshkit.anchors import anchor_set
 from tmeshkit.cli import main
+from tmeshkit.mesh import TMesh
 from tmeshkit.meshio import load_mesh, save_mesh
+from tmeshkit.topology import NotFound
 
 SRC = Path(tmeshkit.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -243,20 +245,31 @@ def test_verify_suites_run(tmp_path):
                "--json", str(report)) == 0
     payload = json.loads(report.read_text())
     assert payload["candidates"] == []
+    # on the two meshes of seed 29, every lemma driver checks something
     report = tmp_path / "props.json"
-    assert run("verify", "--suite", "props", "--seeds", "2", "--seed", "3",
-               "--json", str(report)) == 0
+    assert main(["verify", "--suite", "props", "--seeds", "2", "--seed", "29",
+                 "--json", str(report)]) == 0
     payload = json.loads(report.read_text())
-    assert payload["pairs"] == 10_000 and payload["probes"] > 0
+    assert payload["meshes"] == 2 and payload["ok"]
+    assert len(payload["suites"]) == 8
+    assert all(r["checked"] > 0 for r in payload["suites"].values())
 
 
 # suite and --seeds: the meshes the suite reads, its stdout and its report;
-# conj63 reads only its own WGAS stream, and props only five meshes
+# conj63 reads only its own WGAS stream, and props its stream and one
+# child-anchor draw per streamed mesh
+PROPS_COUNTS = {"overlap_pairs": 10000, "separation_probes": 1200,
+                "disjoint_union": 70000, "admissibility_walk": 265,
+                "extension_witnesses": 215, "projection_dichotomy": 1034,
+                "sgas_overlap": 298, "child_anchors": 13}
 VERIFY_READS = {
     ("conj63", "3"): (3, "conj63: 3 wgas meshes, 0 candidate counterexamples\n",
                       {"checked": 3, "wgas": 3, "candidates": []}),
-    ("props", "7"): (5, "props: 10000 overlap pairs, 800 separation probes, ok\n",
-                     {"pairs": 10000, "probes": 800}),
+    ("props", "7"): (14, "props: 7 meshes, " + ", ".join(
+        f"{name} {n}" for name, n in PROPS_COUNTS.items()) + ", ok\n",
+        {"meshes": 7, "ok": True, "suites": {
+            name: {"checked": n, "failures": []}
+            for name, n in PROPS_COUNTS.items()}}),
 }
 
 
@@ -300,29 +313,72 @@ def test_verify_report_carries_each_disagreeing_mesh(tmp_path, capsys,
         assert mesh_from_dict(d["mesh"]).entities == mesh.entities
 
 
+def _not_found(mesh, x, y, i):
+    raise NotFound("none")
+
+
+def _without_cells(union):
+    # the complex less its open cells, which cover most points
+    return lambda mesh, *args: union(
+        TMesh(mesh.domain, mesh.breakpoints, {**mesh.entities, (): frozenset()}),
+        *args)
+
+
 def test_verify_props_report_lists_each_failure(tmp_path, capsys,
                                                monkeypatch):
     # a flipped overlap verdict fails every pair, a search that finds
     # nothing every probe; the report lists both, and the suite fails
     from tmeshkit import verify
-    from tmeshkit.topology import NotFound
-
-    def not_found(mesh, x, y, i):
-        raise NotFound("none")
 
     monkeypatch.setattr(verify, "knots_overlap", lambda v1, v2: (
         not verify.knots_overlap_oracle(v1, v2)))
-    monkeypatch.setattr(verify, "find_separating_tjunction", not_found)
+    monkeypatch.setattr(verify, "find_separating_tjunction", _not_found)
+    suites = _failed_props(tmp_path, capsys)
+    assert len(suites["overlap_pairs"]["failures"]) == 10_000
+    probes = suites["separation_probes"]
+    assert probes["checked"] == 400 and len(probes["failures"]) == 400
+    assert {f[1][3] for f in probes["failures"]} == {"NotFound: none"}
+
+
+# lemma driver, the `verify` name broken for it, the break, and whether
+# every check of the driver then fails
+PROPS_FAULTS = [
+    ("disjoint_union", "disjoint_union_suite", _without_cells, False),
+    ("admissibility_walk", "is_admissible",
+     lambda f: lambda mesh: (False, (("slice_not_in_skeleton", 0, 0),)), True),
+    ("extension_witnesses", "find_separating_tjunction", lambda f: _not_found,
+     True),
+    ("projection_dichotomy", "hull_in_skeleton",
+     lambda f: lambda mesh, j, hull: False, False),
+    ("sgas_overlap", "knots_overlap", lambda f: lambda v1, v2: False, True),
+    # each support collapses to its lowest corner
+    ("child_anchors", "index_support",
+     lambda f: lambda mesh, a: tuple((lo, lo) for lo, _ in f(mesh, a)), False),
+]
+
+
+@pytest.mark.parametrize("name, patched, fault, every", PROPS_FAULTS)
+def test_verify_props_report_lists_each_driver_failure(
+        tmp_path, capsys, monkeypatch, name, patched, fault, every):
+    from tmeshkit import verify
+
+    monkeypatch.setattr(verify, patched, fault(getattr(verify, patched)))
+    suite = _failed_props(tmp_path, capsys)[name]
+    assert suite["checked"] > 0 and suite["failures"]
+    assert every == (len(suite["failures"]) == suite["checked"])
+
+
+def _failed_props(tmp_path, capsys) -> dict:
+    """The suite reports of a props run on the two meshes of seed 29,
+    which must fail, with stdout giving each driver's count."""
     report = tmp_path / "props.json"
     capsys.readouterr()
-    assert main(["verify", "--suite", "props", "--seeds", "2",
+    assert main(["verify", "--suite", "props", "--seeds", "2", "--seed", "29",
                  "--json", str(report)]) == 1
-    assert capsys.readouterr().out == ("props: 10000 overlap pairs, 200 "
-                                       "separation probes, FAILED\n")
-    payload = json.loads(report.read_text())
-    assert len(payload["failed_pairs"]) == 10_000
-    assert len(payload["failed_probes"]) == 200
-    assert {probe[3] for probe in payload["failed_probes"]} == {"NotFound: none"}
+    suites = json.loads(report.read_text())["suites"]
+    assert capsys.readouterr().out == "props: 2 meshes, " + ", ".join(
+        f"{n} {r['checked']}" for n, r in suites.items()) + ", FAILED\n"
+    return suites
 
 
 def test_verify_rejects_empty_stream(capsys):

@@ -2,7 +2,7 @@
 the desk-scale range (1D meshes, 4D meshes with 2-dimensional junctions)."""
 
 import pytest
-from conftest import crossing_4d_mesh
+from conftest import aas_bytes, crossing_4d_mesh
 
 from tmeshkit.mesh import (IndexDomain, build_framed_mesh, create_tensor_mesh,
                            is_admissible, subdiv)
@@ -13,11 +13,6 @@ from tmeshkit.suitability import is_aas, is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
 from tmeshkit.verify import (aas_oracle, partition_of_unity,
                              random_admissible_mesh, tjunctions_oracle)
-
-
-def _aas_bytes(result):
-    ok, witnesses = result
-    return ok, [(i, n, j, m, region.boxes) for i, n, j, m, region in witnesses]
 
 
 def test_one_dimensional_mesh_stack():
@@ -65,7 +60,7 @@ def test_four_dimensional_crossing_extensions():
     assert {t.odir for t in find_tjunctions(mesh)} == {2, 3}
     ok, witnesses = is_aas(mesh)
     assert not ok and not is_sdc(mesh)[0]
-    assert _aas_bytes((ok, witnesses)) == _aas_bytes(aas_oracle(mesh))
+    assert aas_bytes((ok, witnesses)) == aas_bytes(aas_oracle(mesh))
     assert [w[:4] for w in witnesses] == [(2, 2, 3, 2)]
     # an L of two boxes, each spanning directions 0 and 1
     assert witnesses[0][4].boxes == (((0, 5), (3, 5), (2, 2), (2, 2)),
@@ -75,5 +70,5 @@ def test_four_dimensional_crossing_extensions():
 @pytest.mark.parametrize("seed", [2, 3, 4])
 def test_four_dimensional_aas_witnesses_equal_oracle(seed):
     mesh = random_admissible_mesh(seed, dim=4, max_steps=14)
-    ours = _aas_bytes(is_aas(mesh))
-    assert not ours[0] and ours == _aas_bytes(aas_oracle(mesh))
+    ours = aas_bytes(is_aas(mesh))
+    assert not ours[0] and ours == aas_bytes(aas_oracle(mesh))

@@ -23,7 +23,7 @@ def test_overlap_identity_and_examples():
 
 
 def test_overlap_matches_bruteforce_oracle():
-    assert overlap_pair_suite(10_000, seed=99) == {"pairs": 10_000,
+    assert overlap_pair_suite(10_000, seed=99) == {"checked": 10_000,
                                                    "failures": []}
 
 

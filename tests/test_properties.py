@@ -5,27 +5,29 @@ they are stated for."""
 import fixtures as fx
 import pytest
 
-from propertysuites import (abstract_extension_witness_suite,
-                            admissibility_preserved_along_walk,
-                            child_anchor_suite, disjoint_union_violations,
-                            projection_dichotomy_suite, sgas_overlap_suite)
 from tmeshkit.mesh import is_admissible
 from tmeshkit.suitability import atj_slice, is_sgas, is_wgas
 from tmeshkit.topology import find_tjunctions
-from tmeshkit.verify import (mesh_stream, random_admissible_mesh,
-                             separation_probe_suite, tjunctions_oracle)
+from tmeshkit.verify import (abstract_extension_witness_suite,
+                             admissibility_walk_suite, child_anchor_suite,
+                             disjoint_union_suite, mesh_stream,
+                             projection_dichotomy_suite, random_admissible_mesh,
+                             separation_probe_suite, sgas_overlap_suite,
+                             tjunctions_oracle)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_disjoint_union_after_refinement(seed):
     mesh = random_admissible_mesh(seed, max_steps=25)
-    assert disjoint_union_violations(mesh, samples=10_000, seed=seed) == 0
+    assert disjoint_union_suite(mesh, 10_000, seed) == {"checked": 10_000,
+                                                        "failures": []}
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6, 7])
 def test_subdiv_preserves_admissibility(seed):
-    report = admissibility_preserved_along_walk(seed, steps=12)
-    assert report["ok"], report
+    mesh = random_admissible_mesh(seed, max_steps=12)
+    assert admissibility_walk_suite(mesh) == {
+        "checked": len(mesh.refinement_log) + 1, "failures": []}
 
 
 def test_tjunction_valence_is_three_everywhere():
@@ -39,7 +41,7 @@ def test_separation_probes_never_fail(seed):
     mesh = random_admissible_mesh(seed, max_steps=20)
     assert find_tjunctions(mesh)
     report = separation_probe_suite(mesh, probes=200, seed=seed)
-    assert report == {"probes": 200, "failures": []}
+    assert report == {"checked": 200, "failures": []}
 
 
 def test_projection_dichotomy_on_wgas_meshes():
@@ -47,7 +49,8 @@ def test_projection_dichotomy_on_wgas_meshes():
     for _, mesh in mesh_stream(66, 25, max_steps=12):
         if not is_wgas(mesh)[0]:
             continue
-        projection_dichotomy_suite(mesh)
+        report = projection_dichotomy_suite(mesh)
+        assert report["checked"] > 0 and not report["failures"], report
         count += 1
     assert count >= 5
 
@@ -58,14 +61,15 @@ def test_sgas_overlap_property():
                                direction_mode="single"):
         if not is_sgas(mesh)[0]:
             continue
-        sgas_overlap_suite(mesh)
+        report = sgas_overlap_suite(mesh)
+        assert not report["failures"], report
         count += 1
     assert count >= 5
 
 
 def test_child_anchor_inheritance_fuzz():
-    report = child_anchor_suite(seed=2000, wanted_steps=10)
-    assert report["applicable"] == 10
+    report = child_anchor_suite(range(2000, 2025))
+    assert report["checked"] >= 30
     assert not report["failures"]
 
 
@@ -94,12 +98,12 @@ def test_generated_meshes_admissible():
 
 def test_abstract_extension_points_admit_junction_witnesses():
     total = 0
-    for mesh, _ in (fx.opposing_hanging_pair(2, 1),
-                    fx.corner_tjunction_triple(),
-                    fx.running_example_3d()):
-        total += abstract_extension_witness_suite(mesh)["checked"]
-    for _, mesh in mesh_stream(123, 6, max_steps=14):
-        total += abstract_extension_witness_suite(mesh)["checked"]
+    meshes = [fx.opposing_hanging_pair(2, 1)[0], fx.corner_tjunction_triple()[0],
+              fx.running_example_3d()[0]]
+    for mesh in meshes + [m for _, m in mesh_stream(123, 6, max_steps=14)]:
+        report = abstract_extension_witness_suite(mesh)
+        assert not report["failures"], report
+        total += report["checked"]
     assert total > 0
 
 

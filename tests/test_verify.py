@@ -3,14 +3,15 @@ import itertools
 import random
 import tracemalloc
 import types
+from dataclasses import replace
 
 import fixtures as fx
 import numpy as np
 import pytest
-from propertysuites import child_anchor_inheritance
+from conftest import aas_bytes
 
 from tmeshkit import splines, verify
-from tmeshkit.dualcompat import is_sdc, is_wdc, knots_overlap
+from tmeshkit.dualcompat import is_sdc, is_wdc
 from tmeshkit.anchors import anchor_set
 from tmeshkit.mesh import (build_framed_mesh, hull_in_skeleton, hull_inside,
                            is_admissible, subdiv)
@@ -20,10 +21,11 @@ from tmeshkit.splines import (RankReport, _gauss_points, evaluation_matrix,
                               tspline_eval)
 from tmeshkit.suitability import (atj_slice, is_aas, is_sgas, is_wgas,
                                   _slice_rasters)
-from tmeshkit.verify import (aas_oracle, atj_slice_oracle, complete_slices,
+from tmeshkit.verify import (aas_oracle, atj_slice_oracle,
+                             child_anchor_inheritance, complete_slices,
                              crosscheck_aas_sdc, crosscheck_sgas_aas,
                              dc_scan_oracle, gtj_disjointness_oracle,
-                             knots_overlap_oracle, mesh_stream, partition_of_unity,
+                             mesh_stream, partition_of_unity,
                              random_admissible_mesh, replay_prefix,
                              unity_sample_bounds,
                              wgas_wdc_counterexample_search)
@@ -328,36 +330,37 @@ def test_crosscheck_sgas_aas_reports_each_failure(monkeypatch):
 
 
 def test_property_suites_report_each_failure(monkeypatch):
-    # a flipped overlap verdict fails every pair; a search that finds
-    # nothing, or a junction of the other orientation, fails every probe
-    from dataclasses import replace
-
-    from tmeshkit.topology import NotFound, find_separating_tjunction
-
-    monkeypatch.setattr(verify, "knots_overlap",
-                        lambda v1, v2: not knots_overlap_oracle(v1, v2))
-    rep = verify.overlap_pair_suite(30, seed=5)
-    assert rep["pairs"] == 30 and len(rep["failures"]) == 30
-    assert all(knots_overlap(v1, v2) == knots_overlap_oracle(v1, v2)
-               for v1, v2 in rep["failures"])
-
-    def not_found(mesh, x, y, i):
-        raise NotFound("none")
-
-    mesh = fx.corner_cascade()[0]
-    monkeypatch.setattr(verify, "find_separating_tjunction", not_found)
-    rep = verify.separation_probe_suite(mesh, probes=10, seed=3)
-    assert rep["probes"] == 10
-    assert [f[3] for f in rep["failures"]] == ["NotFound: none"] * 10
+    # a junction of the other orientation fails every probe.  A junction
+    # whose associated cell is the origin reaches nowhere, and with every
+    # point in the skeleton no projection point lies across it: either
+    # leaves the one extension point of the pair without a witness
+    from tmeshkit.topology import find_separating_tjunction
 
     def other_orientation(mesh, x, y, i):
         tj, witness = find_separating_tjunction(mesh, x, y, i)
         return replace(tj, odir=1 - tj.odir), witness
 
+    mesh = fx.corner_cascade()[0]
     monkeypatch.setattr(verify, "find_separating_tjunction", other_orientation)
     rep = verify.separation_probe_suite(mesh, probes=10, seed=3)
-    assert rep["probes"] == 10 and len(rep["failures"]) == 10
+    assert rep["checked"] == 10 and len(rep["failures"]) == 10
     assert all(tj.odir != i for _, _, i, (tj, _) in rep["failures"])
+
+    def nowhere(mesh, x, y, i):
+        tj, witness = find_separating_tjunction(mesh, x, y, i)
+        return replace(tj, ascell=((0, 0),) * mesh.dim), witness
+
+    pair = fx.opposing_hanging_pair(2, 1)[0]
+    for name, fault, reason in (
+            ("find_separating_tjunction", nowhere,
+             "junction does not reach between"),
+            ("point_in_skeleton", lambda mesh, i, point: True,
+             "no point of the projection across the skeleton")):
+        monkeypatch.setattr(verify, name, fault)
+        rep = verify.abstract_extension_witness_suite(pair)
+        assert [f[3][0] for f in rep["failures"]] == [reason] * rep["checked"]
+        assert rep["checked"] == 1
+        monkeypatch.undo()
 
 
 def test_conjecture_search_runs_and_logs_nothing():
@@ -415,8 +418,8 @@ def test_child_anchor_inheritance_applicable_case():
     cell = ((1, 3), (1, 3), (1, 3))
     report = child_anchor_inheritance(mesh, cell, 0)
     assert report["applicable"]
-    assert report["new_anchors"] > 0
-    assert report["ok"], report["failures"]
+    assert report["checked"] > 0
+    assert not report["failures"]
 
 
 def test_child_anchor_inheritance_skips_when_assumption_fails():
@@ -479,11 +482,6 @@ def test_pair_scans_equal_oracles(corpus200):
     assert witnessed == {"sdc", "wdc", "sgas", "wgas"}
 
 
-def _aas_bytes(result):
-    ok, witnesses = result
-    return ok, [(i, n, j, m, region.boxes) for i, n, j, m, region in witnesses]
-
-
 def test_atj_slices_equal_oracle_bytes(corpus200):
     # the oracle's intersection set normalizes to the same boxes, in order;
     # on every corpus mesh, is_aas equals the pairwise loop over the oracle
@@ -495,8 +493,8 @@ def test_atj_slices_equal_oracle_bytes(corpus200):
                         == atj_slice_oracle(mesh, j, n).normalize().boxes)
     runs = 0
     for _, mesh in corpus200["meshes"]:
-        ours = _aas_bytes(is_aas(mesh))
-        assert ours == _aas_bytes(aas_oracle(mesh))
+        ours = aas_bytes(is_aas(mesh))
+        assert ours == aas_bytes(aas_oracle(mesh))
         if mesh.dim == 3:
             runs += sum(len(boxes) for *_, boxes in ours[1])
     assert runs > 1000
