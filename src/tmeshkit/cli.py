@@ -203,14 +203,20 @@ def _witness_json(name: str, witnesses) -> list:
     return out
 
 
+def _selected(text: str, known, kind: str, code: int) -> list:
+    """The names of the comma list `text` in order, a repeat once; the
+    whole list is checked before a command reads its mesh."""
+    names = list(dict.fromkeys(text.split(",")))
+    for name in names:
+        if name not in known:
+            raise _Refusal(code, f"unknown {kind} {name!r}")
+    return names
+
+
 def _cmd_check(args) -> int:
     checks = _checks()
-    # the whole list is checked before the mesh is read; a repeat runs once
     names = (list(checks) if args.which == "all"
-             else list(dict.fromkeys(args.which.split(","))))
-    for name in names:
-        if name not in checks:
-            raise _Refusal(EXIT_USAGE, f"unknown check {name!r}")
+             else _selected(args.which, checks, "check", EXIT_USAGE))
     mesh = _load(args.mesh)
     report = {"format_version": 1, "mesh": args.mesh, "checks": {}}
     all_ok = True
@@ -281,6 +287,7 @@ def _report_json(value):
 
 
 def _cmd_export(args) -> int:
+    layers = _selected(args.layers, LAYER_STYLE, "layer", EXIT_PRECONDITION)
     mesh = _load(args.mesh)
     k = n = None
     if args.slice_spec:
@@ -293,7 +300,6 @@ def _cmd_export(args) -> int:
             raise _Refusal(EXIT_PRECONDITION,
                            f"--slice {args.slice_spec!r} needs 1 <= k <= "
                            f"{mesh.dim} and 0 <= n <= N_k")
-    layers = tuple(args.layers.split(","))
     try:
         svg = render_slice_svg(mesh, k, n, layers)
     except ValueError as exc:

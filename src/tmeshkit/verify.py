@@ -8,7 +8,11 @@ enumeration and slice-pair intersection), probes the separating-junction
 search, checks partition of unity on the collocation matrix of
 `splines`, and drives seeded, replayable streams of random admissible
 meshes through the classifier cross-checks and, in `property_suite`,
-through the lemma drivers.
+through the lemma drivers and the cross-check drivers.  Each
+cross-check driver compares one production path, verdict and witnesses
+in order, with an oracle here or, for the batches `anchor_arrays` and
+`_gtj_table` read on a cold copy, with the per-key paths; the drivers
+call production paths by design, so they are not oracles themselves.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .anchors import (anchor_set, complete_slices, global_knot_vector,
-                      index_support, local_knot_vector)
+from .anchors import (anchor_arrays, anchor_set, complete_slices,
+                      global_knot_vector, index_support, local_knot_vector)
 from .dualcompat import is_sdc, is_wdc, knots_overlap
 from .mesh import (Entity, TMesh, build_framed_mesh,
                    check_three_direction_assumption, create_tensor_mesh,
@@ -35,8 +39,8 @@ from .regions import BoxRegion, _box_covered, box_intersection
 from .splines import evaluation_matrix
 # not used here: `perfbench` reads the rank and its verdict under `verify`
 from .splines import linear_independence_rank, rank_verdict_stable  # noqa: F401
-from .suitability import (atj_slice, atj_union, gtj, gtj_union, is_aas, is_sgas,
-                          is_wgas)
+from .suitability import (_gtj_table, atj_slice, atj_union, gtj, gtj_union,
+                          is_aas, is_sgas, is_wgas)
 from .topology import (ClassificationAmbiguous, NotFound, TJunction,
                        find_separating_tjunction, find_tjunctions)
 
@@ -500,23 +504,23 @@ def separation_probe_suite(mesh: TMesh, probes: int, seed: int) -> dict:
 def disjoint_union_suite(mesh: TMesh, samples: int, seed: int) -> dict:
     """The complex is a disjoint union: each of `samples` seeded points of
     the domain lies in exactly one entity.  Points live on the
-    eighth-integer lattice, so float comparisons against the integer
-    entity bounds are exact; failures are listed as (point, entities
-    containing it)."""
+    eighth-integer lattice.  Each entity adds 1 over its open lattice
+    points (a singleton {a} is point 2a, an interval (a, b) points 2a+1
+    to 2b-1) of one int32 count array, 4 bytes per lattice point and so
+    at most 64 MiB at `MAX_LATTICE_POINTS`, and a point x is read at
+    2 floor(x) + (x != floor(x)).  Failures are listed as (point,
+    entities containing it)."""
     rng = np.random.default_rng(seed)
-    pts = np.stack([rng.integers(0, 8 * n + 1, samples) for n in
-                    mesh.domain.extents], axis=-1).astype(float) / 8.0
-    counts = np.zeros(len(pts), dtype=np.int64)
-    for bucket in mesh.entities.values():
-        for e in bucket:
-            inside = np.ones(len(pts), dtype=bool)
-            for k, (a, b) in enumerate(e):
-                x = pts[:, k]
-                inside &= (x == a) if a == b else (a < x) & (x < b)
-            counts += inside
-    bad = np.flatnonzero(counts != 1)
+    eighths = np.stack([rng.integers(0, 8 * n + 1, samples) for n in
+                        mesh.domain.extents], axis=-1)
+    counts = np.zeros([2 * n + 1 for n in mesh.domain.extents], dtype=np.int32)
+    for e in itertools.chain(*mesh.entities.values()):
+        counts[tuple(slice(2 * a, 2 * a + 1) if a == b else
+                     slice(2 * a + 1, 2 * b) for a, b in e)] += 1
+    found = counts[tuple((2 * (eighths // 8) + (eighths % 8 != 0)).T)]
+    bad = np.flatnonzero(found != 1)
     return {"checked": samples, "failures": list(zip(
-        map(tuple, pts[bad].tolist()), counts[bad].tolist()))}
+        map(tuple, (eighths[bad] / 8.0).tolist()), found[bad].tolist()))}
 
 
 def admissibility_walk_suite(mesh: TMesh) -> dict:
@@ -689,16 +693,120 @@ def child_anchor_suite(seeds: Iterable[int]) -> dict:
     return {"checked": checked, "failures": failures}
 
 
+# ---------------------------------------------------------------------------
+# cross-checks: the production paths against the oracles and the per-key paths
+
+def cold_copy(mesh: TMesh) -> TMesh:
+    """The same complex with an empty memo."""
+    return TMesh(mesh.domain, mesh.breakpoints, mesh.entities,
+                 mesh.refinement_log)
+
+
+def _crosscheck(*comparisons) -> dict:
+    """Each (name, production entries, reference entries) compared entry
+    by entry, in order; failures are listed as (name, position,
+    production entry, reference entry), None standing for a missing one."""
+    rows = [(name, k, a, b) for name, ours, reference in comparisons
+            for k, (a, b) in enumerate(itertools.zip_longest(ours, reference))]
+    return {"checked": len(rows), "failures": [r for r in rows if r[2] != r[3]]}
+
+
+def _verdict(result, boxes: bool = False) -> tuple:
+    """A classifier's (verdict, witnesses) as one sequence, the verdict
+    first; with `boxes`, each witness's closing region as its boxes, as
+    an AAS region compares by identity."""
+    ok, witnesses = result
+    return (ok, *(w[:-1] + (w[-1].boxes,) if boxes else w
+                  for w in witnesses))
+
+
+def tjunction_crosscheck(mesh: TMesh) -> dict:
+    """`find_tjunctions` against `tjunctions_oracle`, junction by junction."""
+    return _crosscheck(("tjunctions", find_tjunctions(mesh),
+                        tjunctions_oracle(mesh)))
+
+
+def atj_slice_crosscheck(mesh: TMesh) -> dict:
+    """The boxes of every `atj_slice` region against those of the
+    normalized `atj_slice_oracle`, each entry led by its slice (j, n)."""
+    slices = [(j, n) for j, extent in enumerate(mesh.domain.extents)
+              for n in range(extent + 1)]
+    return _crosscheck(
+        ("atj_slices", [(s, atj_slice(mesh, *s).region.boxes) for s in slices],
+         [(s, atj_slice_oracle(mesh, *s).normalize().boxes) for s in slices]))
+
+
+def aas_crosscheck(mesh: TMesh) -> dict:
+    """`is_aas` against `aas_oracle`: the verdict, then every witness."""
+    return _crosscheck(("aas", _verdict(is_aas(mesh), boxes=True),
+                        _verdict(aas_oracle(mesh), boxes=True)))
+
+
+def gas_crosscheck(mesh: TMesh) -> dict:
+    """`is_sgas` and `is_wgas` against `gtj_disjointness_oracle`."""
+    return _scan_crosscheck(mesh, gtj_disjointness_oracle, sgas=is_sgas,
+                            wgas=is_wgas)
+
+
+def dc_crosscheck(mesh: TMesh) -> dict:
+    """`is_sdc` and `is_wdc` against `dc_scan_oracle`."""
+    return _scan_crosscheck(mesh, dc_scan_oracle, sdc=is_sdc, wdc=is_wdc)
+
+
+def _scan_crosscheck(mesh: TMesh, oracle, **checks) -> dict:
+    """The strong, then the weak classifier of `checks` against the
+    pair-scan `oracle(mesh, weak)`: each verdict, then every witness."""
+    return _crosscheck(*(
+        (name, _verdict(check(mesh)), _verdict(oracle(mesh, weak)))
+        for weak, (name, check) in zip((False, True), checks.items())))
+
+
+def anchor_arrays_crosscheck(mesh: TMesh) -> dict:
+    """The batch `anchor_arrays` of a cold copy against the per-key
+    `local_knot_vector` and `index_support` of every anchor, in
+    `anchor_set` order, after the arrays' int64 dtype; a row of the
+    wrong shape differs from its vector or support."""
+    arrays, anchors = anchor_arrays(cold_copy(mesh)), anchor_set(mesh)
+    return _crosscheck(
+        ("dtypes", [x.dtype for x in (*arrays.local, arrays.support)],
+         [np.int64] * (mesh.dim + 1)),
+        *((f"local {j}", map(tuple, local.tolist()),
+           [local_knot_vector(mesh, a, j) for a in anchors])
+          for j, local in enumerate(arrays.local)),
+        ("support", [tuple(map(tuple, s)) for s in arrays.support.tolist()],
+         [index_support(mesh, a) for a in anchors]))
+
+
+def gtj_table_crosscheck(mesh: TMesh) -> dict:
+    """The batch `suitability._gtj_table` of a cold copy against
+    `find_tjunctions` and one `gtj` per junction, after the boxes' int64
+    dtype; a box of the wrong shape differs from its region."""
+    tjs, boxes = _gtj_table(cold_copy(mesh))
+    return _crosscheck(
+        ("dtype", [boxes.dtype], [np.int64]),
+        ("junctions", tjs, find_tjunctions(mesh)),
+        ("boxes", [tuple(map(tuple, b)) for b in boxes.tolist()],
+         [gtj(mesh, t).region for t in tjs]))
+
+
+# each report is named by its driver, less the suffix
+_CROSSCHECKS = {f.__name__.removesuffix("_crosscheck"): f for f in (
+    tjunction_crosscheck, atj_slice_crosscheck, aas_crosscheck, gas_crosscheck,
+    dc_crosscheck, anchor_arrays_crosscheck, gtj_table_crosscheck)}
+
+
 def property_suite(meshes: Iterable[tuple[int, TMesh]]) -> dict:
     """Every lemma driver on every (seed, mesh) of the stream that meets
-    its precondition, with the overlap oracle on 10 000 seeded pairs and
-    one child-anchor draw per stream seed.  Each driver's report sums its
-    `checked` counts over the stream and lists its failures, per mesh as
-    (seed, failure); `ok` holds when no driver failed."""
+    its precondition, and every cross-check on every mesh, with the
+    overlap oracle on 10 000 seeded pairs and one child-anchor draw per
+    stream seed.  Each driver's report sums its `checked` counts over the
+    stream and lists its failures, per mesh as (seed, failure); `ok`
+    holds when no driver failed."""
     suites = {"overlap_pairs": overlap_pair_suite(10_000, seed=1234)}
     suites |= {name: {"checked": 0, "failures": []} for name in (
         "separation_probes", "disjoint_union", "admissibility_walk",
-        "extension_witnesses", "projection_dichotomy", "sgas_overlap")}
+        "extension_witnesses", "projection_dichotomy", "sgas_overlap",
+        *_CROSSCHECKS)}
     seeds = []
     for seed, mesh in meshes:
         seeds.append(seed)
@@ -710,6 +818,7 @@ def property_suite(meshes: Iterable[tuple[int, TMesh]]) -> dict:
             reports["projection_dichotomy"] = projection_dichotomy_suite(mesh)
         if is_sgas(mesh)[0]:
             reports["sgas_overlap"] = sgas_overlap_suite(mesh)
+        reports |= {name: check(mesh) for name, check in _CROSSCHECKS.items()}
         for name, report in reports.items():
             suites[name]["checked"] += report["checked"]
             suites[name]["failures"] += [(seed, f) for f in report["failures"]]

@@ -1,13 +1,17 @@
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tmeshkit.mesh import TMesh, build_framed_mesh, subdiv  # noqa: E402
-from tmeshkit.verify import random_admissible_mesh  # noqa: E402
+from tmeshkit.cli import main  # noqa: E402
+from tmeshkit.mesh import (IndexDomain, build_framed_mesh,  # noqa: E402
+                           create_tensor_mesh, subdiv)
+from tmeshkit.meshio import load_mesh  # noqa: E402
+from tmeshkit.verify import cold_copy, random_admissible_mesh  # noqa: E402,F401
 
 CORPUS_SEED = 20260810
 
@@ -16,16 +20,29 @@ def corpus_subseed(k: int) -> int:
     return (CORPUS_SEED * 1_000_003 + k) % (1 << 62)
 
 
-def aas_bytes(result):
-    """An `is_aas`-shaped result with each witness region as its boxes."""
-    ok, witnesses = result
-    return ok, [(i, n, j, m, region.boxes) for i, n, j, m, region in witnesses]
+def run(*argv):
+    """`cli.main` on the arguments, with argparse's exit as a return."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
-def cold_copy(mesh):
-    """The same complex with an empty memo."""
-    return TMesh(mesh.domain, mesh.breakpoints, mesh.entities,
-                 mesh.refinement_log)
+def grid2d():
+    """The bilinear 8 x 8 tensor mesh of 4 x 4 cells, each 2 wide."""
+    return create_tensor_mesh(IndexDomain(extents=(8, 8), degrees=(1, 1)),
+                              [[0, 2, 4, 6, 8]] * 2)
+
+
+def refined2d():
+    return subdiv(grid2d(), ((2, 4), (2, 4)), 0)
+
+
+def shipped_meshes():
+    """The four meshes of the package's `data` directory, by file name."""
+    return [load_mesh(path) for path in sorted(
+        resources.files("tmeshkit").joinpath("data").iterdir(),
+        key=lambda path: path.name) if path.name.endswith(".json")]
 
 
 def cross_mesh(L: int):
@@ -60,6 +77,15 @@ def crossing_4d_mesh():
     mesh = build_framed_mesh((1, 1, 1, 1), [[0, 2, 4]] * 4)
     mesh = subdiv(mesh, ((1, 3),) * 4, 3)
     return subdiv(mesh, ((1, 3), (1, 3), (1, 3), (1, 2)), 2)
+
+
+def four_d_meshes():
+    """A linear 4-D mesh bisected once, `crossing_4d_mesh`, and three
+    seeded 4-D meshes."""
+    once = subdiv(build_framed_mesh((1, 1, 1, 1), [[0, 2, 4]] * 4),
+                  ((1, 3),) * 4, 3)
+    return [once, crossing_4d_mesh()] + [
+        random_admissible_mesh(s, dim=4, max_steps=14) for s in (2, 3, 4)]
 
 
 @pytest.fixture(scope="session")

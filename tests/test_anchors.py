@@ -1,25 +1,18 @@
 import random
 import tracemalloc
-from importlib import resources
 
 import fixtures as fx
 import numpy as np
 import pytest
-from conftest import cold_copy, cross_mesh, crossing_4d_mesh
+from conftest import (cold_copy, cross_mesh, four_d_meshes, grid2d, refined2d,
+                      shipped_meshes)
 
 from tmeshkit.anchors import (MAX_LINE_ENTRIES, InsufficientKnots, _window,
                               anchor_arrays, anchor_set, global_knot_vector,
                               index_support, local_knot_vector)
 from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
-                           create_tensor_mesh, subdiv)
-from tmeshkit.meshio import load_mesh
-from tmeshkit.verify import random_admissible_mesh
-
-
-def refined2d():
-    dom = IndexDomain(extents=(8, 8), degrees=(1, 1))
-    mesh = create_tensor_mesh(dom, [[0, 2, 4, 6, 8]] * 2)
-    return subdiv(mesh, ((2, 4), (2, 4)), 0)
+                           create_tensor_mesh)
+from tmeshkit.verify import anchor_arrays_crosscheck
 
 
 def test_anchor_types_by_parity():
@@ -42,9 +35,7 @@ def test_anchor_types_by_parity():
 
 
 def test_anchor_set_2d_vertices():
-    mesh = create_tensor_mesh(IndexDomain(extents=(8, 8), degrees=(1, 1)),
-                              [[0, 2, 4, 6, 8]] * 2)
-    anchors = anchor_set(mesh)
+    anchors = anchor_set(grid2d())
     expected = {((x, x), (y, y)) for x in (2, 4, 6) for y in (2, 4, 6)}
     assert set(anchors) == expected
 
@@ -193,42 +184,18 @@ def test_window_bisection_equals_index_reference():
             v[:4] if value == 0 else v[1:])
 
 
-def _shipped_meshes():
-    return [load_mesh(path) for path in sorted(
-        resources.files("tmeshkit").joinpath("data").iterdir(),
-        key=lambda path: path.name) if path.name.endswith(".json")]
-
-
-def _assert_batch_equals_per_key(mesh):
-    anchors = anchor_set(mesh)
-    arrays = anchor_arrays(cold_copy(mesh))
-    for j, local in enumerate(arrays.local):
-        expected = np.array([local_knot_vector(mesh, a, j) for a in anchors],
-                            dtype=np.int64)
-        assert local.dtype == expected.dtype and local.shape == expected.shape
-        assert np.array_equal(local, expected)
-    expected = np.array([index_support(mesh, a) for a in anchors],
-                        dtype=np.int64)
-    assert arrays.support.dtype == expected.dtype
-    assert arrays.support.shape == (len(anchors), mesh.dim, 2)
-    assert np.array_equal(arrays.support, expected)
-
-
 def test_anchor_arrays_equal_the_per_key_vectors(corpus200, monkeypatch):
     # the batch read from one count table per direction is checked from
     # outside by the per-key path, one global vector per line
-    four_d = [subdiv(build_framed_mesh((1, 1, 1, 1), [[0, 2, 4]] * 4),
-                     ((1, 3),) * 4, 3), crossing_4d_mesh()]
-    four_d += [random_admissible_mesh(s, dim=4, max_steps=14) for s in (2, 3, 4)]
-    shipped = _shipped_meshes()
-    assert len(shipped) == 4
+    meshes = four_d_meshes() + [cross_mesh(16)] + shipped_meshes()
+    assert len(meshes) == 10   # the four shipped meshes among them
     for _, mesh in corpus200["meshes"]:
-        _assert_batch_equals_per_key(mesh)
+        assert not anchor_arrays_crosscheck(mesh)["failures"]
     # and in chunks of one line (cross_mesh: 53 slices) or a few
     for limit in (MAX_LINE_ENTRIES, 64):
         monkeypatch.setattr("tmeshkit.anchors.MAX_LINE_ENTRIES", limit)
-        for mesh in four_d + [cross_mesh(16)] + shipped:
-            _assert_batch_equals_per_key(mesh)
+        for mesh in meshes:
+            assert not anchor_arrays_crosscheck(mesh)["failures"]
 
 
 def _per_key_error(mesh):

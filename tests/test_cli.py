@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import fixtures as fx
 import pytest
+from conftest import run
 
 import tmeshkit
 from tmeshkit import regions
@@ -20,13 +22,6 @@ from tmeshkit.topology import NotFound
 SRC = Path(tmeshkit.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DATA = resources.files("tmeshkit").joinpath("data")
-
-
-def run(*argv):
-    try:
-        return main(list(argv))
-    except SystemExit as exc:
-        return exc.code
 
 
 def test_new_refine_check_flow(tmp_path):
@@ -221,6 +216,17 @@ def test_export_svg_and_region(tmp_path):
                             ("skeleton", "atj", "gtj", "anchors")) == text
 
 
+def test_export_draws_a_repeated_layer_once(tmp_path):
+    # a layer drawn twice gave two elements of one XML id
+    mesh, out = str(DATA.joinpath("running_example_p321.json")), tmp_path / "s"
+    svgs = []
+    for layers in ("skeleton,atj", "skeleton,atj,atj,skeleton"):
+        assert run("export", "--mesh", mesh, "--slice", "3=2", "--layers",
+                   layers, "--out", str(out)) == 0
+        svgs.append(out.read_bytes())
+    assert svgs[0] == svgs[1] and svgs[0].count(b'<g id="layer-atj">') == 1
+
+
 @pytest.mark.parametrize("dim", [1, 4])
 def test_export_names_an_unsupported_dimension(tmp_path, capsys, dim):
     # these said "need a --slice k=n for 3D meshes", with or without a slice
@@ -245,13 +251,14 @@ def test_verify_suites_run(tmp_path):
                "--json", str(report)) == 0
     payload = json.loads(report.read_text())
     assert payload["candidates"] == []
-    # on the two meshes of seed 29, every lemma driver checks something
+    # on the two meshes of seed 29, every lemma and cross-check driver
+    # checks something
     report = tmp_path / "props.json"
     assert main(["verify", "--suite", "props", "--seeds", "2", "--seed", "29",
                  "--json", str(report)]) == 0
     payload = json.loads(report.read_text())
     assert payload["meshes"] == 2 and payload["ok"]
-    assert len(payload["suites"]) == 8
+    assert len(payload["suites"]) == 15
     assert all(r["checked"] > 0 for r in payload["suites"].values())
 
 
@@ -261,7 +268,9 @@ def test_verify_suites_run(tmp_path):
 PROPS_COUNTS = {"overlap_pairs": 10000, "separation_probes": 1200,
                 "disjoint_union": 70000, "admissibility_walk": 265,
                 "extension_witnesses": 215, "projection_dichotomy": 1034,
-                "sgas_overlap": 298, "child_anchors": 13}
+                "sgas_overlap": 298, "tjunction": 645, "atj_slice": 184,
+                "aas": 135, "gas": 9738, "dc": 4666, "anchor_arrays": 2102,
+                "gtj_table": 1297, "child_anchors": 13}
 VERIFY_READS = {
     ("conj63", "3"): (3, "conj63: 3 wgas meshes, 0 candidate counterexamples\n",
                       {"checked": 3, "wgas": 3, "candidates": []}),
@@ -340,8 +349,8 @@ def test_verify_props_report_lists_each_failure(tmp_path, capsys,
     assert {f[1][3] for f in probes["failures"]} == {"NotFound: none"}
 
 
-# lemma driver, the `verify` name broken for it, the break, and whether
-# every check of the driver then fails
+# lemma or cross-check driver, the `verify` name broken for it, the
+# break, and whether every check of the driver then fails
 PROPS_FAULTS = [
     ("disjoint_union", "disjoint_union_suite", _without_cells, False),
     ("admissibility_walk", "is_admissible",
@@ -354,6 +363,17 @@ PROPS_FAULTS = [
     # each support collapses to its lowest corner
     ("child_anchors", "index_support",
      lambda f: lambda mesh, a: tuple((lo, lo) for lo, _ in f(mesh, a)), False),
+    # each junction list loses its first, which shifts all the others
+    ("tjunction", "find_tjunctions", lambda f: lambda m: f(m)[1:], True),
+    ("atj_slice", "atj_slice", lambda f: lambda m, j, n: replace(
+        f(m, j, n), region=regions.BoxRegion(m.dim)), False),
+    ("aas", "is_aas", lambda f: lambda m: (not f(m)[0], f(m)[1]), False),
+    ("gas", "is_wgas", lambda f: lambda m: (f(m)[0], ()), False),
+    ("dc", "is_sdc", lambda f: lambda m: (not f(m)[0], f(m)[1]), False),
+    ("anchor_arrays", "anchor_arrays", lambda f: lambda m: f(m)._replace(
+        support=f(m).support + 1), False),
+    ("gtj_table", "_gtj_table", lambda f: lambda m: (f(m)[0], f(m)[1] + 1),
+     False),
 ]
 
 
@@ -678,6 +698,7 @@ THIN_MISFIT = ("knot window of length 5 does not fit around 4 for "
                "((4, 4), (4, 4))")
 NO_ANCHORS = "the mesh has no anchors in its active region"
 NO_ACTIVE_CELL = "the mesh has no cell inside its active region"
+BOGUS_LAYER = "unknown layer 'bogus'"
 
 # argv, exit code and the one stderr line of every refusal; the texts are
 # pinned byte for byte, since scripts match on them
@@ -722,6 +743,12 @@ REFUSALS = {
                                    "3=6", "--out", "{tmp}/s.svg"], 2,
                                   "--slice '3=6' needs 1 <= k <= 3 and "
                                   "0 <= n <= N_k"),
+    # the layers are checked before the mesh is read
+    "export-unknown-layer": (["export", "--mesh", "{re}", "--layers", "atj,"
+                              "bogus", "--out", "{tmp}/s.svg"], 2, BOGUS_LAYER),
+    "export-unknown-layer-missing-mesh": (["export", "--mesh", "{tmp}/no.json",
+                                           "--layers", "bogus", "--out",
+                                           "{tmp}/s.svg"], 2, BOGUS_LAYER),
     "export-4d-mesh": (["export", "--mesh", "{m4}", "--out", "{tmp}/s.svg"], 2,
                        "SVG export draws 2-D meshes and slices of 3-D meshes; "
                        "this mesh is 4-D"),

@@ -21,10 +21,12 @@ from functools import reduce
 from importlib import resources
 from operator import getitem
 
+# the name `_run` keeps the sources of the fuzz tests, from which
+# hypothesis derives its derandomized examples, as they were
+from conftest import run as _run
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tmeshkit.cli import main
 from tmeshkit.mesh import IndexDomain, create_tensor_mesh
 from tmeshkit.meshio import (MeshFormatError, load_mesh, mesh_to_dict,
                              region_from_json, region_to_json)
@@ -91,13 +93,6 @@ def _mutate(doc, path, mutation):
     elif kind == "lengthen" and isinstance(node, list):
         parent[last] = node + (node[-1:] or [value])
     return doc
-
-
-def _run(*argv):
-    try:
-        return main(list(argv))
-    except SystemExit as exc:
-        return exc.code
 
 
 def _is_int(x):

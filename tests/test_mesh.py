@@ -2,11 +2,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from importlib import resources
 
 import fixtures as fx
 import pytest
-from conftest import cross_mesh
+from conftest import cross_mesh, grid2d, refined2d, shipped_meshes
 
 from tmeshkit import mesh as tmesh
 from tmeshkit.mesh import (MAX_ENTITIES, MAX_LATTICE_POINTS,
@@ -19,18 +18,8 @@ from tmeshkit.mesh import (MAX_ENTITIES, MAX_LATTICE_POINTS,
                            frame_region, frame_region_k, hull_inside,
                            TMesh, is_admissible, orth_entities,
                            point_in_skeleton, skeleton, subdiv)
-from tmeshkit.meshio import load_mesh
 from tmeshkit.regions import DimensionMismatch
 from tmeshkit.verify import mesh_stream, random_admissible_mesh
-
-
-def grid2d():
-    dom = IndexDomain(extents=(8, 8), degrees=(1, 1))
-    return create_tensor_mesh(dom, [[0, 2, 4, 6, 8]] * 2)
-
-
-def refined2d():
-    return subdiv(grid2d(), ((2, 4), (2, 4)), 0)
 
 
 def test_smallest_1d_grid():
@@ -610,11 +599,8 @@ class _Unscannable(frozenset):
 
 
 def test_find_cell_containing_iterates_no_cell():
-    data = resources.files("tmeshkit").joinpath("data")
     meshes = [cross_mesh(64), random_admissible_mesh(5, dim=4, max_steps=14)]
-    meshes += [load_mesh(path) for path in sorted(
-        data.iterdir(), key=lambda path: path.name)
-        if path.name.endswith(".json")]
+    meshes += shipped_meshes()
     assert {m.dim for m in meshes} == {2, 3, 4}
     for mesh in meshes:
         sealed = TMesh(mesh.domain, mesh.breakpoints,

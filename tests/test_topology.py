@@ -6,7 +6,7 @@ from fractions import Fraction
 import fixtures as fx
 import numpy as np
 import pytest
-from conftest import cross_mesh
+from conftest import cross_mesh, grid2d, refined2d
 
 from tmeshkit import topology
 from tmeshkit.mesh import (IndexDomain, TMesh, build_framed_mesh,
@@ -17,13 +17,7 @@ from tmeshkit.topology import (ClassificationAmbiguous, PreconditionViolated,
                                find_separating_tjunction, find_tjunctions,
                                min_connecting_box, tjunctions_by_odir)
 from tmeshkit.verify import (mesh_stream, random_admissible_mesh, replay_prefix,
-                             tjunctions_oracle)
-
-
-def refined2d():
-    dom = IndexDomain(extents=(8, 8), degrees=(1, 1))
-    mesh = create_tensor_mesh(dom, [[0, 2, 4, 6, 8]] * 2)
-    return subdiv(mesh, ((2, 4), (2, 4)), 0)
+                             tjunction_crosscheck, tjunctions_oracle)
 
 
 def singleton_dirs(entity) -> tuple:
@@ -33,9 +27,7 @@ def singleton_dirs(entity) -> tuple:
 
 
 def test_tensor_mesh_has_no_tjunctions():
-    dom = IndexDomain(extents=(8, 8), degrees=(1, 1))
-    mesh = create_tensor_mesh(dom, [[0, 2, 4, 6, 8]] * 2)
-    assert find_tjunctions(mesh) == ()
+    assert find_tjunctions(grid2d()) == ()
 
 
 def test_hanging_vertices_after_one_bisection():
@@ -79,7 +71,7 @@ def test_valences_are_three_or_four():
               cross_mesh(16), random_admissible_mesh(4, dim=4, max_steps=12)]
     for mesh in meshes:
         tjs = find_tjunctions(mesh)
-        assert tjs and tjs == tjunctions_oracle(mesh)
+        assert tjs and not tjunction_crosscheck(mesh)["failures"]
 
 
 def test_tjunction_probe_at_the_lattice_limit():
@@ -168,13 +160,12 @@ def test_masks_carried_across_subdiv_equal_fresh_builds(carry_candidates):
                 if k != j:
                     assert mask is skeleton_mask(parent, k)  # shared, not rebuilt
                     shared += 1
-        oracle = tjunctions_oracle(fresh)
         fresh_tjs = {t.entity: t for t in find_tjunctions(fresh)}
         for key, value in seeded.items():
             kind = key if isinstance(key, str) else key[0]
             assert kind in ("skeleton_mask", "tjunctions", "gtj_rows")
             if kind == "tjunctions":
-                assert value == find_tjunctions(fresh) == oracle
+                assert value == find_tjunctions(fresh)
             elif kind == "gtj_rows":
                 # (junction, box) rows of the parent's extension-box table
                 for t, box in value:
@@ -182,7 +173,8 @@ def test_masks_carried_across_subdiv_equal_fresh_builds(carry_candidates):
                     assert tuple(map(tuple, box)) == gtj(fresh, t).region
                     carried["gtj row"] += 1
             carried[kind] += 1
-        assert find_tjunctions(m) == oracle
+        # the carried or built junctions against the oracle's scan
+        assert not tjunction_crosscheck(m)["failures"]
     assert shared > 0
     assert min(carried[kind] for kind in ("tjunctions", "gtj row")) > 0
 
